@@ -18,15 +18,7 @@ import click
 from .domain import EmptyVignette, Stage, Vignette
 from .encoding import read_text_fallback
 from .engine import Architecture, FanoutMode, RunConfig, run_case
-from .evaluation import (
-    APPROACH_ORDER,
-    BadRecord,
-    RunReport,
-    load_dataset,
-    read_trace,
-    run_experiment,
-    write_trace,
-)
+from .evaluation import APPROACH_ORDER, RunReport, load_dataset, run_experiment
 from .gateway import (
     BackendConfig,
     BackendUnavailable,
@@ -36,6 +28,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
+from .trace import BadRecord, read_trace, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -44,12 +37,10 @@ EXIT_USAGE = 2
 EXIT_BACKEND = 3
 EXIT_INVARIANT = 4
 
+# "all", plus one single-row choice per approach, named "<architecture>-<strategy>".
 MATRIX_CHOICES = {
     "all": list(APPROACH_ORDER),
-    "single-qprompt": [(Architecture.SINGLE_LLM, PromptStrategy.QPROMPT)],
-    "single-gprompt": [(Architecture.SINGLE_LLM, PromptStrategy.GPROMPT)],
-    "multi-qprompt": [(Architecture.MULTI_AGENT, PromptStrategy.QPROMPT)],
-    "multi-gprompt": [(Architecture.MULTI_AGENT, PromptStrategy.GPROMPT)],
+    **{f"{arch.value}-{strategy.value}": [(arch, strategy)] for arch, strategy in APPROACH_ORDER},
 }
 
 
@@ -267,7 +258,7 @@ def replay(trace_path, verify):
         click.echo(f"{event.sequence:4d}  {event.stage.value:<12} {subject:<22} {summary}")
 
     if verify:
-        problems = verify_trace_shape(events)
+        problems = verify_trace(events)
         if problems:
             for problem in problems:
                 click.echo(f"invariant violation: {problem}", err=True)
@@ -290,24 +281,6 @@ def _summarize_payload(event) -> str:
     if event.stage is Stage.WARNING:
         return str(payload.get("message", ""))[:100]
     return ""
-
-
-def verify_trace_shape(events) -> list[str]:
-    """Check the multi-agent trace invariants; returns a list of violations."""
-    problems = []
-    sequences = [e.sequence for e in events]
-    if any(b <= a for a, b in zip(sequences, sequences[1:])):
-        problems.append("sequence numbers are not strictly increasing")
-    counts = {stage: sum(1 for e in events if e.stage is stage) for stage in Stage}
-    if counts[Stage.ROUTING] != 1:
-        problems.append(f"expected exactly one ROUTING event, found {counts[Stage.ROUTING]}")
-    if counts[Stage.FANOUT] != 1:
-        problems.append(f"expected exactly one FANOUT event, found {counts[Stage.FANOUT]}")
-    if counts[Stage.AGGREGATE] != 1:
-        problems.append(f"expected exactly one AGGREGATE event, found {counts[Stage.AGGREGATE]}")
-    elif not events or events[-1].stage is not Stage.AGGREGATE:
-        problems.append("AGGREGATE is not the last event")
-    return problems
 
 
 def main():

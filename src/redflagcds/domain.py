@@ -151,13 +151,16 @@ class GraphState:
     """
 
     note: Vignette
-    messages: list[tuple[str, str]] = field(default_factory=list)
     pending: set[RedFlag] = field(default_factory=set)
-    completed: set[RedFlag] = field(default_factory=set)
     routing: Optional[RoutingDecision] = None
     outputs: dict[RedFlag, AgentVerdict] = field(default_factory=dict)
     trace: list[TraceEvent] = field(default_factory=list)
     _seq: int = 0
+
+    @property
+    def completed(self):
+        """The agents that have a verdict: a read-only view of outputs' keys."""
+        return self.outputs.keys()
 
     def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> TraceEvent:
         self._seq += 1
@@ -170,7 +173,6 @@ class GraphState:
         if verdict.flag not in self.pending:
             raise NotPending(verdict.flag.value)
         self.pending.discard(verdict.flag)
-        self.completed.add(verdict.flag)
         self.outputs[verdict.flag] = verdict
         stage = Stage.AGENT_ERROR if verdict.decision is Decision.ERROR else Stage.AGENT_DONE
         self.add_event(

@@ -34,6 +34,10 @@ class PendingNotEmpty(RuntimeError):
     """Aggregation reached with agents still pending; an engine bug, not an agent failure."""
 
 
+# Orchestrator calls per case before the seven-agent fallback: the first and one re-prompt.
+ROUTE_ATTEMPTS = 2
+
+
 class Architecture(enum.Enum):
     MULTI_AGENT = "multi"
     SINGLE_LLM = "single"
@@ -53,7 +57,6 @@ class RunConfig:
     prompts: PromptLibrary
     fanout_mode: FanoutMode = FanoutMode.ROUTED
     strict_evidence: bool = False
-    orchestrator_retry: int = 1
     concurrency: Optional[int] = None  # None = unbounded
 
 
@@ -71,59 +74,44 @@ def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
 def route(state: GraphState, cfg: RunConfig) -> GraphState:
     """Ask the orchestrator for a routing decision; set the pending agent set.
 
-    An unusable output is re-prompted up to cfg.orchestrator_retry times; if it
-    stays unusable, fall back to all seven agents so no red flag is silently
+    An unusable output is re-prompted until ROUTE_ATTEMPTS calls are made; if
+    it stays unusable, fall back to all seven agents so no red flag is silently
     skipped.
     """
     vignette = state.note
     prompt = cfg.prompts.orchestrator_prompt(vignette)
-    attempts = cfg.orchestrator_retry + 1
-    for attempt in range(1, attempts + 1):
+    fallback = {}
+    for attempt in range(1, ROUTE_ATTEMPTS + 1):
         raw = cfg.backend.complete(
             user_request(cfg.model, prompt), case_id=vignette.id, agent_role=ROLE_ORCHESTRATOR
         )
-        state.messages.append(("user", prompt))
-        state.messages.append(("assistant", raw))
         try:
             decision, warnings = parse_routing(raw, vignette, cfg.strict_evidence)
+            break
         except (NoJsonFound, SchemaUnusable) as exc:
             state.add_event(
                 Stage.WARNING,
                 message=f"unusable orchestrator output on attempt {attempt}: {exc}",
                 raw=raw,
             )
-            continue
-        state.routing = decision
-        state.pending = set(decision.next)
+    else:
         state.add_event(
-            Stage.ROUTING,
-            raw=raw,
-            next=[f.value for f in decision.next],
-            why=decision.why,
-            evidence=list(decision.evidence),
-            warnings=warnings,
-            attempt=attempt,
+            Stage.WARNING,
+            message=f"orchestrator output unusable after {ROUTE_ATTEMPTS} attempts; exhaustive fallback",
         )
-        return state
-
-    fallback = RoutingDecision(
-        next=list(RedFlag), why="fallback: orchestrator output unusable", evidence=[]
-    )
-    state.routing = fallback
-    state.pending = set(RedFlag)
-    state.add_event(
-        Stage.WARNING,
-        message=f"orchestrator output unusable after {attempts} attempts; exhaustive fallback",
-    )
+        decision = RoutingDecision(next=list(RedFlag), why="fallback: orchestrator output unusable")
+        raw, warnings, fallback = None, [], {"fallback": True}
+    state.routing = decision
+    state.pending = set(decision.next)
     state.add_event(
         Stage.ROUTING,
-        raw=None,
-        next=[f.value for f in fallback.next],
-        why=fallback.why,
-        evidence=[],
-        warnings=[],
-        attempt=attempts,
-        fallback=True,
+        raw=raw,
+        next=[f.value for f in decision.next],
+        why=decision.why,
+        evidence=list(decision.evidence),
+        warnings=warnings,
+        attempt=attempt,
+        **fallback,
     )
     return state
 
@@ -195,12 +183,13 @@ def manual_fanout(state: GraphState, cfg: RunConfig) -> GraphState:
     return state
 
 
-def aggregate(state: GraphState) -> CaseResult:
-    """Step 4: fold all verdicts into the unified case result."""
+def aggregate(state: GraphState, raw: Optional[str] = None) -> CaseResult:
+    """Step 4: fold all verdicts into the unified case result; `raw` is the baseline's output."""
     if state.pending:
         raise PendingNotEmpty(sorted(f.value for f in state.pending))
     predicted = sorted(f.value for f, v in state.outputs.items() if v.decision is Decision.YES)
-    state.add_event(Stage.AGGREGATE, predicted=predicted, verdict_count=len(state.outputs))
+    extra = {} if raw is None else {"raw": raw}
+    state.add_event(Stage.AGGREGATE, **extra, predicted=predicted, verdict_count=len(state.outputs))
     return CaseResult.build(state.note.id, state.outputs, state.routing, state.trace)
 
 
@@ -211,12 +200,8 @@ def run_single_llm(vignette: Vignette, cfg: RunConfig) -> CaseResult:
     raw = cfg.backend.complete(
         user_request(cfg.model, prompt), case_id=vignette.id, agent_role=ROLE_BASELINE
     )
-    state.messages.append(("user", prompt))
-    state.messages.append(("assistant", raw))
     verdicts = parse_baseline(raw)
     state.pending = set(RedFlag)
     for flag in canonical_order(verdicts):
         state.apply_verdict(verdicts[flag])
-    predicted = sorted(f.value for f, v in state.outputs.items() if v.decision is Decision.YES)
-    state.add_event(Stage.AGGREGATE, raw=raw, predicted=predicted, verdict_count=len(state.outputs))
-    return CaseResult.build(vignette.id, state.outputs, None, state.trace)
+    return aggregate(state, raw)

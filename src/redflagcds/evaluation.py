@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import RedFlag, TraceEvent, Vignette, parse_red_flag
+from .domain import RedFlag, Vignette, parse_red_flag
 from .encoding import read_text_fallback
 from .engine import Architecture, RunConfig, run_case
 from .prompts import PromptStrategy
+from .trace import BadRecord, trace_stem, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -23,17 +24,7 @@ class MissingFile(FileNotFoundError):
     pass
 
 
-class BadRecord(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
 class EmptyRun(ValueError):
-    pass
-
-
-class IoFailure(OSError):
     pass
 
 
@@ -93,12 +84,15 @@ def load_dataset(path) -> list[GoldCase]:
 
     Unknown flag names are a hard error; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
+    A repeated id, or two ids that share a trace file name, is a BadRecord:
+    one case's trace would silently overwrite the other's.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
     text = read_text_fallback(path)
     cases: list[GoldCase] = []
+    seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -114,6 +108,15 @@ def load_dataset(path) -> list[GoldCase]:
             flag_names = record["red_flags"]
         except KeyError as exc:
             raise BadRecord(lineno, f"missing field {exc}") from exc
+        stem = trace_stem(case_id)
+        if stem in seen:
+            other, other_line = seen[stem]
+            if other == case_id:
+                raise BadRecord(lineno, f"duplicate id {case_id!r} (first on line {other_line})")
+            raise BadRecord(
+                lineno, f"id {case_id!r} has the trace file name of {other!r} (line {other_line})"
+            )
+        seen[stem] = (case_id, lineno)
         if not isinstance(note_text, str) or not note_text.strip():
             raise BadRecord(lineno, "text is empty")
         if not isinstance(flag_names, list):
@@ -128,40 +131,6 @@ def load_dataset(path) -> list[GoldCase]:
     return cases
 
 
-_UNSAFE_ID = re.compile(r"[\\/]")
-
-
-def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
-    """Write one case's trace as line-delimited JSON; overwrites any previous file."""
-    directory = Path(directory)
-    safe_id = _UNSAFE_ID.sub("_", case_id)
-    if safe_id != case_id:
-        logger.warning("case id %r sanitized to %r for the trace filename", case_id, safe_id)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{safe_id}.trace.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            for event in trace:
-                fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    return path
-
-
-def read_trace(path) -> list[TraceEvent]:
-    """Parse a trace file back into events."""
-    text = read_text_fallback(path)
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(TraceEvent.from_json_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise BadRecord(lineno, f"malformed trace event: {exc}") from exc
-    return events
-
-
 APPROACH_LABELS = {
     (Architecture.SINGLE_LLM, PromptStrategy.QPROMPT): "Single-LLM QPrompt",
     (Architecture.SINGLE_LLM, PromptStrategy.GPROMPT): "Single-LLM GPrompt",
@@ -169,13 +138,8 @@ APPROACH_LABELS = {
     (Architecture.MULTI_AGENT, PromptStrategy.GPROMPT): "Multi-agent GPrompt",
 }
 
-# Table order for the full matrix.
-APPROACH_ORDER = [
-    (Architecture.SINGLE_LLM, PromptStrategy.QPROMPT),
-    (Architecture.SINGLE_LLM, PromptStrategy.GPROMPT),
-    (Architecture.MULTI_AGENT, PromptStrategy.QPROMPT),
-    (Architecture.MULTI_AGENT, PromptStrategy.GPROMPT),
-]
+# Table order for the full matrix: the order of APPROACH_LABELS.
+APPROACH_ORDER = list(APPROACH_LABELS)
 
 CONVENTION_FOOTNOTES = (
     "Per-case 0/0 conventions: an empty predicted set against an empty truth set scores "

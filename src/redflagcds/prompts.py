@@ -8,18 +8,13 @@ with the same layout can be loaded instead.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 from .domain import RedFlag, Vignette
 from .encoding import read_text_fallback
 
 PLACEHOLDER = "{{VIGNETTE}}"
-
-ORCHESTRATOR = "orchestrator"
-BASELINE = "baseline"
 
 
 class TemplateMissing(FileNotFoundError):
@@ -35,26 +30,17 @@ class PromptStrategy(enum.Enum):
     GPROMPT = "gprompt"
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    role: str  # "orchestrator", "specialist", or "baseline"
-    flag: Optional[RedFlag]
-    strategy: Optional[PromptStrategy]
-    body: str
-    source_path: str
-
-    def render(self, vignette: Vignette) -> str:
-        return self.body.replace(PLACEHOLDER, vignette.text)
-
-
-def _template_key(role: str, flag: Optional[RedFlag], strategy: Optional[PromptStrategy]):
-    return (role, flag, strategy)
+def _specialist_path(flag: RedFlag, strategy: PromptStrategy) -> str:
+    return f"{flag.value}/{strategy.value}.txt"
 
 
 class PromptLibrary:
-    """All templates for one run, loaded once and immutable afterwards."""
+    """All templates for one run, loaded once and immutable afterwards.
 
-    def __init__(self, templates: dict):
+    Maps each template's path, relative to the template directory, to its body.
+    """
+
+    def __init__(self, templates: dict[str, str]):
         self._templates = dict(templates)
 
     @classmethod
@@ -66,35 +52,27 @@ class PromptLibrary:
         absent files and TemplateInvalid for lint failures.
         """
         directory = Path(directory)
+        paths = ["orchestrator.txt"]
+        paths += [_specialist_path(flag, strategy) for flag in RedFlag for strategy in PromptStrategy]
+        paths += [f"baseline/{strategy.value}.txt" for strategy in PromptStrategy]
         templates = {}
-
-        def read_one(rel: str, role: str, flag, strategy) -> None:
+        for rel in paths:
             path = directory / rel
             if not path.is_file():
                 raise TemplateMissing(str(path))
-            body = read_text_fallback(path)
-            templates[_template_key(role, flag, strategy)] = PromptTemplate(
-                role=role, flag=flag, strategy=strategy, body=body, source_path=str(path)
-            )
-
-        read_one("orchestrator.txt", ORCHESTRATOR, None, None)
-        for flag in RedFlag:
-            for strategy in PromptStrategy:
-                read_one(f"{flag.value}/{strategy.value}.txt", "specialist", flag, strategy)
-        for strategy in PromptStrategy:
-            read_one(f"baseline/{strategy.value}.txt", BASELINE, None, strategy)
+            templates[rel] = read_text_fallback(path)
 
         problems = []
-        for key, tpl in templates.items():
-            count = tpl.body.count(PLACEHOLDER)
+        for rel, body in templates.items():
+            count = body.count(PLACEHOLDER)
             if count != 1:
-                problems.append(f"{tpl.source_path}: {count} vignette placeholders (need exactly 1)")
+                problems.append(f"{directory / rel}: {count} vignette placeholders (need exactly 1)")
         for flag in RedFlag:
-            q = templates[_template_key("specialist", flag, PromptStrategy.QPROMPT)]
-            g = templates[_template_key("specialist", flag, PromptStrategy.GPROMPT)]
-            if len(g.body) <= len(q.body):
+            q = templates[_specialist_path(flag, PromptStrategy.QPROMPT)]
+            g = templates[_specialist_path(flag, PromptStrategy.GPROMPT)]
+            if len(g) <= len(q):
                 problems.append(f"{flag.value}: gprompt is not longer than qprompt")
-            if "Definition" not in g.body:
+            if "Definition" not in g:
                 problems.append(f"{flag.value}: gprompt lacks a Definition block")
         if problems:
             raise TemplateInvalid("; ".join(problems))
@@ -104,18 +82,18 @@ class PromptLibrary:
     def default(cls) -> "PromptLibrary":
         return cls.load(resources.files("redflagcds") / "prompt_templates")
 
-    def _get(self, role, flag, strategy) -> PromptTemplate:
+    def _render(self, rel: str, vignette: Vignette) -> str:
         try:
-            return self._templates[_template_key(role, flag, strategy)]
+            body = self._templates[rel]
         except KeyError:
-            label = flag.value if flag else role
-            raise TemplateMissing(f"{label}/{strategy.value if strategy else ''}") from None
+            raise TemplateMissing(rel) from None
+        return body.replace(PLACEHOLDER, vignette.text)
 
     def orchestrator_prompt(self, vignette: Vignette) -> str:
-        return self._get(ORCHESTRATOR, None, None).render(vignette)
+        return self._render("orchestrator.txt", vignette)
 
     def specialist_prompt(self, flag: RedFlag, strategy: PromptStrategy, vignette: Vignette) -> str:
-        return self._get("specialist", flag, strategy).render(vignette)
+        return self._render(_specialist_path(flag, strategy), vignette)
 
     def baseline_prompt(self, strategy: PromptStrategy, vignette: Vignette) -> str:
-        return self._get(BASELINE, None, strategy).render(vignette)
+        return self._render(f"baseline/{strategy.value}.txt", vignette)

@@ -44,7 +44,6 @@ class Strategy(enum.Enum):
 class RecoveryOutcome:
     value: Any
     strategy_used: Strategy
-    original_length: int
     extracted_span: tuple[int, int]
 
 
@@ -128,13 +127,9 @@ def repair_json_text(text: str) -> str:
                 i += 1
             out.append('"')
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+        if ch == "#" or text.startswith("//", i):  # skip a line comment, keep its newline
+            end = text.find("\n", i)
+            i = n if end == -1 else end
             continue
         if ch == ",":
             # drop the comma when the next significant character closes a container
@@ -156,7 +151,6 @@ def extract_json(raw: str) -> RecoveryOutcome:
     balanced brace spans, then the bounded repair set applied to brace-span
     candidates. Raises NoJsonFound when nothing parses.
     """
-    original_length = len(raw)
     stripped = raw.strip()
     if stripped:
         lead = len(raw) - len(raw.lstrip())
@@ -165,7 +159,7 @@ def extract_json(raw: str) -> RecoveryOutcome:
         except json.JSONDecodeError:
             pass
         else:
-            return RecoveryOutcome(value, Strategy.STRICT, original_length, (lead, lead + len(stripped)))
+            return RecoveryOutcome(value, Strategy.STRICT, (lead, lead + len(stripped)))
 
     for m in _FENCE_RE.finditer(raw):
         body = m.group(1)
@@ -178,7 +172,7 @@ def extract_json(raw: str) -> RecoveryOutcome:
             continue
         lead = len(body) - len(body.lstrip())
         start = m.start(1) + lead
-        return RecoveryOutcome(value, Strategy.FENCED_BLOCK, original_length, (start, start + len(inner)))
+        return RecoveryOutcome(value, Strategy.FENCED_BLOCK, (start, start + len(inner)))
 
     candidates: list[tuple[int, int]] = []
     pos = raw.find("{")
@@ -191,7 +185,7 @@ def extract_json(raw: str) -> RecoveryOutcome:
             except json.JSONDecodeError:
                 candidates.append((pos, end))
             else:
-                return RecoveryOutcome(value, Strategy.BRACE_SPAN, original_length, (pos, end))
+                return RecoveryOutcome(value, Strategy.BRACE_SPAN, (pos, end))
         pos = raw.find("{", pos + 1)
 
     for start, end in candidates:
@@ -200,9 +194,9 @@ def extract_json(raw: str) -> RecoveryOutcome:
             value = json.loads(repaired)
         except json.JSONDecodeError:
             continue
-        return RecoveryOutcome(value, Strategy.REPAIRED, original_length, (start, end))
+        return RecoveryOutcome(value, Strategy.REPAIRED, (start, end))
 
-    raise NoJsonFound(f"no parseable JSON in {original_length} chars of output")
+    raise NoJsonFound(f"no parseable JSON in {len(raw)} chars of output")
 
 
 def parse_routing(

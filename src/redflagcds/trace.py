@@ -1,0 +1,102 @@
+"""The per-case trace file: its name, its JSONL encoding, and the shape `replay --verify` checks."""
+
+from __future__ import annotations
+
+import json
+import logging
+import re
+from pathlib import Path
+from typing import Iterable
+
+from .domain import RedFlag, Stage, TraceEvent
+from .encoding import read_text_fallback
+
+logger = logging.getLogger(__name__)
+
+
+class BadRecord(ValueError):
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+
+
+class IoFailure(OSError):
+    pass
+
+
+_UNSAFE_ID = re.compile(r"[\\/]")
+
+
+def trace_stem(case_id: str) -> str:
+    """A case's trace file name without `.trace.jsonl`: path separators become underscores."""
+    return _UNSAFE_ID.sub("_", case_id)
+
+
+def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
+    """Write one case's trace as line-delimited JSON; overwrites any previous file."""
+    directory = Path(directory)
+    stem = trace_stem(case_id)
+    if stem != case_id:
+        logger.warning("case id %r sanitized to %r for the trace filename", case_id, stem)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"{stem}.trace.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            for event in trace:
+                fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    return path
+
+
+def read_trace(path) -> list[TraceEvent]:
+    """Parse a trace file back into events."""
+    text = read_text_fallback(path)
+    events = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(TraceEvent.from_json_dict(json.loads(line)))
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            raise BadRecord(lineno, f"malformed trace event: {exc}") from exc
+    return events
+
+
+_VERDICT_STAGES = (Stage.AGENT_DONE, Stage.AGENT_ERROR)
+
+
+def verify_trace(events: list[TraceEvent]) -> list[str]:
+    """Check a trace's shape in one pass over its events; returns the violations.
+
+    Sequence numbers strictly increase, and the only AGGREGATE is the last event.
+    A trace with no ROUTING, FANOUT or AGENT_START is a single-LLM trace and
+    needs one AGENT_DONE or AGENT_ERROR per red flag. Any other trace is a
+    multi-agent trace and needs exactly one ROUTING and one FANOUT.
+    """
+    counts = dict.fromkeys(Stage, 0)
+    subjects = []
+    ordered = True
+    previous = float("-inf")
+    for event in events:
+        stage = event.stage
+        if event.sequence <= previous:
+            ordered = False
+        previous = event.sequence
+        counts[stage] += 1
+        if stage in _VERDICT_STAGES:
+            subjects.append(event.subject)
+    problems = [] if ordered else ["sequence numbers are not strictly increasing"]
+    if counts[Stage.ROUTING] or counts[Stage.FANOUT] or counts[Stage.AGENT_START]:
+        for stage in (Stage.ROUTING, Stage.FANOUT):
+            if counts[stage] != 1:
+                problems.append(f"expected exactly one {stage.value} event, found {counts[stage]}")
+    elif len(subjects) != len(RedFlag) or set(subjects) != set(RedFlag):
+        problems.append(
+            "expected one AGENT_DONE or AGENT_ERROR per red flag in a single-LLM trace, "
+            f"found {len(subjects)} for {len(set(subjects))} subjects"
+        )
+    if counts[Stage.AGGREGATE] != 1:
+        problems.append(f"expected exactly one AGGREGATE event, found {counts[Stage.AGGREGATE]}")
+    elif events[-1].stage is not Stage.AGGREGATE:
+        problems.append("AGGREGATE is not the last event")
+    return problems

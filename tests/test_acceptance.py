@@ -17,9 +17,10 @@ from click.testing import CliRunner
 from redflagcds.cli import EXIT_OK, cli
 from redflagcds.domain import Decision, RedFlag, Stage
 from redflagcds.engine import FanoutMode, run_case
-from redflagcds.evaluation import case_metrics, macro_average, read_trace
+from redflagcds.evaluation import case_metrics, macro_average
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
 from redflagcds.recovery import NoJsonFound, Strategy, extract_json, parse_routing
+from redflagcds.trace import read_trace
 from tests.conftest import (
     FIXTURES_DIR,
     TABLE1_RAW,

@@ -159,6 +159,22 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
         assert "line 2" in result.output
 
+    def test_trace_name_collision_exits_2(self, runner, tmp_path):
+        records = [
+            {"id": "a/b", "text": "x", "red_flags": []},
+            {"id": "a_b", "text": "y", "red_flags": []},
+        ]
+        dataset = write_jsonl(tmp_path / "clash.jsonl", records)
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--dataset", str(dataset),
+             "--script", str(FIXTURES_DIR / "script.jsonl"),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == EXIT_USAGE
+        assert "bad dataset: line 2:" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             cli,
@@ -226,6 +242,36 @@ class TestReplay:
         trace.write_text("\n".join([routing_line] + lines) + "\n", encoding="utf-8")
         result = runner.invoke(cli, ["replay", str(trace), "--verify"])
         assert result.exit_code == EXIT_INVARIANT
+
+    def test_verify_passes_on_single_llm_trace(self, runner, note_path, tmp_path):
+        script = write_script_file(
+            tmp_path / "s.jsonl",
+            [ScriptEntry("case-7", "baseline", "meningismus: YES\nthunderclap: NO")],
+        )
+        result = runner.invoke(
+            cli, classify_args(note_path, script, tmp_path, "--arch", "single")
+        )
+        assert result.exit_code == EXIT_OK, result.output
+        trace = tmp_path / "out" / "traces" / "case-7.trace.jsonl"
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_OK, result.output
+        assert "invariants hold" in result.output
+
+    def test_verify_flags_missing_routing(self, runner, note_path, script_path, tmp_path):
+        trace = self._trace_path(runner, note_path, script_path, tmp_path)
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        kept = [l for l in lines if json.loads(l)["stage"] != "ROUTING"]
+        trace.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT
+        assert "ROUTING" in result.output
+
+    def test_verify_flags_empty_trace(self, runner, tmp_path):
+        empty = tmp_path / "failed.trace.jsonl"
+        empty.write_text("", encoding="utf-8")
+        result = runner.invoke(cli, ["replay", str(empty), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT
+        assert "AGGREGATE" in result.output
 
     def test_malformed_trace_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.trace.jsonl"

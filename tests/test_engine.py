@@ -64,7 +64,7 @@ class TestRouting:
     def test_garbage_twice_falls_back_to_all_seven(self, prompts):
         entries = full_script("case-7", "complete garbage, no json", yes_flags={RedFlag.MENINGISMUS})
         backend = ScriptedBackend(entries)
-        result = run_case(note(), multi_config(backend, prompts, orchestrator_retry=1))
+        result = run_case(note(), multi_config(backend, prompts))
         assert len(result.verdicts) == 7
         assert any(
             "exhaustive fallback" in e.payload.get("message", "")

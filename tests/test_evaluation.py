@@ -20,12 +20,11 @@ from redflagcds.evaluation import (
     case_metrics,
     load_dataset,
     macro_average,
-    read_trace,
     run_experiment,
-    write_trace,
 )
 from redflagcds.gateway import ScriptedBackend, ScriptEntry
 from redflagcds.prompts import PromptStrategy
+from redflagcds.trace import read_trace, write_trace
 from tests.conftest import FIXTURES_DIR, full_script, write_jsonl
 
 ALL = list(RedFlag)
@@ -219,6 +218,29 @@ class TestLoadDataset:
     def test_empty_text_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "a", "text": " ", "red_flags": []}])
         with pytest.raises(BadRecord):
+            load_dataset(path)
+
+    def test_duplicate_id_rejected_with_line(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [
+                {"id": "a", "text": "note", "red_flags": []},
+                {"id": "b", "text": "note", "red_flags": []},
+                {"id": "a", "text": "other note", "red_flags": []},
+            ],
+        )
+        with pytest.raises(BadRecord, match=r"line 3: duplicate id 'a' \(first on line 1\)"):
+            load_dataset(path)
+
+    def test_ids_sharing_a_trace_filename_rejected(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [
+                {"id": "a/b", "text": "note", "red_flags": []},
+                {"id": "a_b", "text": "note", "red_flags": []},
+            ],
+        )
+        with pytest.raises(BadRecord, match="line 2: id 'a_b' has the trace file name of 'a/b'"):
             load_dataset(path)
 
     def test_bom_file_parses_identically(self, tmp_path):

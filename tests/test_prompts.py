@@ -1,4 +1,5 @@
 import shutil
+from importlib import resources
 
 import pytest
 
@@ -103,6 +104,16 @@ class TestBaselinePrompts:
         rendered = prompts.baseline_prompt(PromptStrategy.GPROMPT, vignette)
         assert rendered.count("Definition:") == 7
 
+    @pytest.mark.parametrize("flag", list(RedFlag))
+    def test_gprompt_criteria_match_specialist_gprompt(self, flag):
+        root = resources.files("redflagcds") / "prompt_templates"
+        specialist = (root / flag.value / "gprompt.txt").read_text(encoding="utf-8")
+        baseline = (root / "baseline" / "gprompt.txt").read_text(encoding="utf-8")
+        section = baseline.split(f"### {flag.value}\n", 1)[1].split("\n\n", 1)[0]
+        for prefix in ("Definition:", "Answer YES if"):
+            (line,) = [l for l in specialist.splitlines() if l.startswith(prefix)]
+            assert line in section.splitlines(), (flag.value, prefix)
+
     @pytest.mark.parametrize("strategy", list(PromptStrategy))
     def test_fixed_answer_format_present(self, prompts, vignette, strategy):
         rendered = prompts.baseline_prompt(strategy, vignette)
@@ -118,8 +129,6 @@ class TestLibraryLoading:
             PromptLibrary.load(tmp_path)
 
     def _copy_default(self, tmp_path):
-        from importlib import resources
-
         src = resources.files("redflagcds") / "prompt_templates"
         dst = tmp_path / "prompt_templates"
         shutil.copytree(str(src), dst)
