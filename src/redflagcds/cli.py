@@ -2,8 +2,8 @@
 reports, and replay traces.
 
 Exit codes: 0 success (agent-level errors are reported in output, not via the
-exit code), 2 invalid arguments or unreadable input, 3 backend unreachable,
-4 trace invariant violation under --verify.
+exit code), 2 invalid arguments, unreadable input or unwritable trace output,
+3 backend unreachable, 4 trace invariant violation under --verify.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
-from .trace import BadRecord, read_trace, verify_trace, write_trace
+from .trace import BadRecord, IoFailure, read_trace, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -65,7 +65,8 @@ def _common_options(fn):
                      help="Prompt template directory (defaults to the packaged templates)."),
         click.option("--fanout", type=click.Choice(["routed", "exhaustive"]), default=None),
         click.option("--strict-evidence", is_flag=True, default=False),
-        click.option("--concurrency", type=int, default=None),
+        click.option("--concurrency", type=click.IntRange(min=1), default=None,
+                     help="Most backend calls in flight within one evaluation row (default 7)."),
         click.option("--out", "out_dir", type=click.Path(), default=None,
                      help="Output directory for traces and reports (default ./out)."),
     ]
@@ -87,6 +88,14 @@ class Settings:
         self.fanout = FanoutMode(fanout or file_cfg.get("fanout", "routed"))
         self.strict_evidence = strict_evidence or bool(file_cfg.get("strict_evidence", False))
         self.concurrency = concurrency if concurrency is not None else file_cfg.get("concurrency")
+        # the flag is range-checked by click; a config-file value arrives unchecked
+        if self.concurrency is not None and (
+            type(self.concurrency) is not int or self.concurrency < 1
+        ):
+            raise click.UsageError(
+                "config file: concurrency must be an integer of at least 1, "
+                f"got {self.concurrency!r}"
+            )
         self.out_dir = Path(out_dir or file_cfg.get("out", "out"))
 
     def prompts(self) -> PromptLibrary:
@@ -124,6 +133,11 @@ class Settings:
             strict_evidence=self.strict_evidence,
             concurrency=self.concurrency,
         )
+
+
+def _cannot_write_traces(exc: IoFailure):
+    click.echo(f"cannot write traces: {exc}", err=True)
+    sys.exit(EXIT_USAGE)
 
 
 @click.group()
@@ -164,7 +178,10 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         click.echo(f"backend unavailable: {exc}", err=True)
         sys.exit(EXIT_BACKEND)
 
-    trace_path = write_trace(case_id, result.trace, settings.out_dir / "traces")
+    try:
+        trace_path = write_trace(case_id, result.trace, settings.out_dir / "traces")
+    except IoFailure as exc:
+        _cannot_write_traces(exc)
     output = {
         "case_id": result.case_id,
         "predicted": sorted(f.value for f in result.predicted),
@@ -218,7 +235,10 @@ def evaluate(dataset_path, matrix, **kwargs):
         settings.run_config(architecture, strategy, backend, prompts)
         for architecture, strategy in MATRIX_CHOICES[matrix]
     ]
-    report = run_experiment(dataset, configs, trace_dir=settings.out_dir / "traces")
+    try:
+        report = run_experiment(dataset, configs, trace_dir=settings.out_dir / "traces")
+    except IoFailure as exc:
+        _cannot_write_traces(exc)
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = settings.out_dir / "report.csv"
     csv_path.write_text(report.to_csv(), encoding="utf-8")

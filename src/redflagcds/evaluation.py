@@ -7,13 +7,15 @@ import io
 import json
 import logging
 import re
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .domain import RedFlag, Vignette, parse_red_flag
 from .encoding import read_text_fallback
-from .engine import Architecture, RunConfig, run_case
+# run_case is not used here but stays importable from this module: bench/spans.py hooks it.
+from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
 from .prompts import PromptStrategy
 from .trace import BadRecord, trace_stem, write_trace
 
@@ -250,9 +252,11 @@ def run_experiment(
 ) -> RunReport:
     """Run every case through every configuration and macro-average the scores.
 
-    A case-level failure (orchestrator or baseline call unrecoverable) is
-    counted as an error case and scored with an empty predicted set; it never
-    aborts the batch.
+    Rows run one after another, in matrix order; within a row the cases overlap
+    under `run_cases`, and their results are scored and their traces written
+    here, in dataset order. A case-level failure (orchestrator or baseline call
+    unrecoverable) is counted as an error case and scored with an empty
+    predicted set; it never aborts the batch.
     """
     if not dataset:
         raise EmptyRun("dataset is empty")
@@ -261,19 +265,20 @@ def run_experiment(
         metrics = []
         error_cases = 0
         row_dir = Path(trace_dir) / run_row_name(cfg) if trace_dir else None
-        for case in dataset:
-            try:
-                result = run_case(case.vignette, cfg)
-                predicted = set(result.predicted)
-                trace = result.trace
-            except Exception as exc:  # noqa: BLE001 - batch resilience
-                logger.error("case %s failed: %s", case.vignette.id, exc)
-                error_cases += 1
-                predicted = set()
-                trace = []
-            metrics.append(case_metrics(predicted, case.truth))
-            if row_dir is not None:
-                write_trace(case.vignette.id, trace, row_dir)
+        outcomes = run_cases((case.vignette for case in dataset), cfg)
+        with closing(outcomes):  # a failed trace write cancels the cases not yet started
+            for case, outcome in zip(dataset, outcomes):
+                if isinstance(outcome, Exception):
+                    logger.error("case %s failed: %s", case.vignette.id, outcome)
+                    error_cases += 1
+                    predicted = set()
+                    trace = []
+                else:
+                    predicted = set(outcome.predicted)
+                    trace = outcome.trace
+                metrics.append(case_metrics(predicted, case.truth))
+                if row_dir is not None:
+                    write_trace(case.vignette.id, trace, row_dir)
         precision, recall, f1 = macro_average(metrics)
         rows.append(
             ReportRow(

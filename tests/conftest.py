@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,49 @@ def script_entry_record(entry: ScriptEntry) -> dict:
 
 def write_script_file(path: Path, entries) -> Path:
     return write_jsonl(path, [script_entry_record(e) for e in entries])
+
+
+def within(seconds: float, fn):
+    """Run fn in a thread and return its result; fail, not hang, if it takes longer."""
+    box = {}
+
+    def body():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed to the test thread below
+            box["error"] = exc
+
+    worker = threading.Thread(target=body, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"did not finish within {seconds} s (deadlock?)"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class CountingBackend:
+    """Wraps a backend: each call sleeps `delay` seconds first, and the wrapper records
+    the peak number of calls in flight and each call's (case_id, start, end)."""
+
+    def __init__(self, inner, delay: float = 0.005):
+        self.inner = inner
+        self.delay = delay
+        self.in_flight = 0
+        self.peak = 0
+        self.calls: list[tuple[str, float, float]] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request, case_id: str = "", agent_role: str = "") -> str:
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        start = time.monotonic()
+        try:
+            time.sleep(self.delay)
+            return self.inner.complete(request, case_id=case_id, agent_role=agent_role)
+        finally:
+            end = time.monotonic()
+            with self._lock:
+                self.in_flight -= 1
+                self.calls.append((case_id, start, end))

@@ -102,6 +102,17 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_BACKEND
 
+    def test_unwritable_trace_output_exits_2(self, runner, note_path, script_path, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file", encoding="utf-8")
+        result = runner.invoke(
+            cli,
+            ["classify", "--note", str(note_path), "--script", str(script_path),
+             "--out", str(blocker / "out")],
+        )
+        assert result.exit_code == EXIT_USAGE
+        assert "cannot write traces:" in result.output
+
     def test_stdin_note(self, runner, tmp_path):
         script = write_script_file(
             tmp_path / "s.jsonl", full_script("stdin", TABLE1_RAW, yes_flags=())
@@ -174,6 +185,27 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
         assert "bad dataset: line 2:" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_concurrency_below_one_exits_2(self, runner, tmp_path, value):
+        result = self._invoke(runner, tmp_path, "--concurrency", value)
+        assert result.exit_code == EXIT_USAGE
+        assert "--concurrency" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_trace_output_exits_2(self, runner, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file", encoding="utf-8")
+        result = runner.invoke(
+            cli,
+            ["evaluate",
+             "--dataset", str(FIXTURES_DIR / "cases.jsonl"),
+             "--script", str(FIXTURES_DIR / "script.jsonl"),
+             "--out", str(blocker / "out")],
+        )
+        assert result.exit_code == EXIT_USAGE
+        assert "cannot write traces:" in result.output
+        assert "Traceback" not in result.output
 
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(
@@ -307,3 +339,14 @@ class TestConfigFile:
         )
         assert result.exit_code == EXIT_OK, result.output
         assert json.loads(result.output)["routing"]["next"] == ["meningismus"]
+
+    @pytest.mark.parametrize("value", [0, -1, "4", True])
+    def test_config_concurrency_not_a_positive_integer_exits_2(
+        self, runner, note_path, script_path, tmp_path, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"concurrency": value}), encoding="utf-8")
+        result = runner.invoke(cli, classify_args(note_path, script_path, tmp_path,
+                                                  "--config", str(config)))
+        assert result.exit_code == EXIT_USAGE
+        assert "concurrency must be an integer of at least 1" in result.output

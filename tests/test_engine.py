@@ -1,8 +1,11 @@
+import itertools
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from redflagcds import engine
 from redflagcds.domain import Decision, GraphState, RedFlag, Stage, Vignette
 from redflagcds.engine import (
     Architecture,
@@ -10,6 +13,7 @@ from redflagcds.engine import (
     PendingNotEmpty,
     aggregate,
     run_case,
+    run_cases,
 )
 from redflagcds.gateway import (
     BackendUnavailable,
@@ -18,7 +22,14 @@ from redflagcds.gateway import (
     ScriptedBackend,
 )
 from redflagcds.prompts import PromptStrategy
-from tests.conftest import TABLE1_RAW, full_script, multi_config, yes_response
+from tests.conftest import (
+    TABLE1_RAW,
+    CountingBackend,
+    full_script,
+    multi_config,
+    within,
+    yes_response,
+)
 
 
 def events(result, stage):
@@ -270,3 +281,86 @@ class TestCoverageProperty:
                 assert completed == set(RedFlag)
             else:
                 assert completed >= routed
+
+
+class TestScheduler:
+    CASES = [f"c{i:02d}" for i in range(12)]
+
+    def _backend(self, orchestrator_faults=()):
+        """Each case routes to one flag; exhaustive fan-out then adds the other six."""
+        entries = []
+        for case_id in self.CASES:
+            entries += full_script(case_id, TABLE1_RAW, yes_flags={RedFlag.MENINGISMUS})
+        failed = {(case_id, "orchestrator") for case_id in orchestrator_faults}
+        entries = [e for e in entries if e.key not in failed]
+        entries += [ScriptEntry(*key, fault=Fault.HTTP_500) for key in failed]
+        return ScriptedBackend(entries)
+
+    def _notes(self):
+        return [note(case_id) for case_id in self.CASES]
+
+    @pytest.mark.parametrize("concurrency, peak", [(3, 3), (1, 1), (None, 7)])
+    def test_in_flight_calls_capped_across_cases(self, prompts, concurrency, peak):
+        backend = CountingBackend(self._backend())
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
+                           concurrency=concurrency)
+        results = within(30, lambda: list(run_cases(self._notes(), cfg)))
+        assert [r.case_id for r in results] == self.CASES  # input order
+        assert all(len(r.verdicts) == 7 for r in results)
+        assert len(backend.calls) == 12 * 8
+        assert backend.peak == peak
+        overlapping = any(
+            a[0] != b[0] and a[1] < b[2] and b[1] < a[2]
+            for a, b in itertools.combinations(backend.calls, 2)
+        )
+        assert overlapping is (peak > 1)
+
+    def test_two_executors_per_run_whatever_the_case_count(self, prompts, monkeypatch):
+        created = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", Counted)
+        cfg = multi_config(self._backend(), prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
+                           concurrency=4)
+        within(30, lambda: list(run_cases(self._notes(), cfg)))
+        assert len(created) == 2
+        within(30, lambda: run_case(note("c00"), cfg))
+        assert len(created) == 4
+
+    def test_a_failed_case_is_yielded_in_its_place(self, prompts):
+        cfg = multi_config(self._backend(orchestrator_faults={"c05"}), prompts, concurrency=4)
+        outcomes = within(30, lambda: list(run_cases(self._notes(), cfg)))
+        assert isinstance(outcomes[5], BackendUnavailable)
+        others = outcomes[:5] + outcomes[6:]
+        assert [r.case_id for r in others] == self.CASES[:5] + self.CASES[6:]
+
+    def test_closing_early_cancels_cases_not_started(self, prompts):
+        # calls long enough that the close comes while c01 is still running
+        backend = CountingBackend(self._backend(), delay=0.1)
+        cfg = multi_config(backend, prompts, concurrency=1)
+
+        def first_only():
+            outcomes = run_cases(self._notes(), cfg)
+            first = next(outcomes)
+            outcomes.close()
+            return first
+
+        assert within(30, first_only).case_id == "c00"
+        # c01 may have started before the close; nothing later ran
+        assert {case_id for case_id, _, _ in backend.calls} <= {"c00", "c01"}
+
+    def test_no_cases_no_calls(self, prompts):
+        backend = CountingBackend(self._backend())
+        assert within(30, lambda: list(run_cases([], multi_config(backend, prompts)))) == []
+        assert backend.calls == []
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    def test_concurrency_below_one_rejected(self, prompts, concurrency):
+        with pytest.raises(ValueError, match="concurrency must be at least 1"):
+            multi_config(ScriptedBackend([]), prompts, concurrency=concurrency)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import given
@@ -22,10 +23,10 @@ from redflagcds.evaluation import (
     macro_average,
     run_experiment,
 )
-from redflagcds.gateway import ScriptedBackend, ScriptEntry
+from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry, load_script
 from redflagcds.prompts import PromptStrategy
-from redflagcds.trace import read_trace, write_trace
-from tests.conftest import FIXTURES_DIR, full_script, write_jsonl
+from redflagcds.trace import IoFailure, read_trace, write_trace
+from tests.conftest import FIXTURES_DIR, CountingBackend, full_script, within, write_jsonl
 
 ALL = list(RedFlag)
 
@@ -287,9 +288,9 @@ class TestWriteTrace:
         assert read_trace(path) == trace
 
 
-def fixture_matrix(prompts, backend):
+def fixture_matrix(prompts, backend, concurrency=None):
     return [
-        RunConfig(arch, strategy, backend, "scripted", prompts)
+        RunConfig(arch, strategy, backend, "scripted", prompts, concurrency=concurrency)
         for arch, strategy in APPROACH_ORDER
     ]
 
@@ -304,6 +305,9 @@ class TestRunExperiment:
         return load_dataset(write_jsonl(tmp_path / "tiny.jsonl", records))
 
     def _backend_for(self, dataset):
+        return ScriptedBackend(self._entries_for(dataset))
+
+    def _entries_for(self, dataset):
         entries = []
         for case in dataset:
             raw = json.dumps(
@@ -314,7 +318,7 @@ class TestRunExperiment:
                 f"{f.value}: {'YES' if f in case.truth else 'NO'}" for f in RedFlag
             )
             entries.append(ScriptEntry(case.vignette.id, "baseline", baseline))
-        return ScriptedBackend(entries)
+        return entries
 
     def test_single_config_row(self, prompts, tmp_path):
         dataset = self._tiny_dataset(tmp_path)
@@ -391,6 +395,88 @@ class TestRunExperiment:
     def test_empty_dataset_rejected(self, prompts):
         with pytest.raises(EmptyRun):
             run_experiment([], [])
+
+    def test_one_failed_orchestrator_is_the_only_error_case(self, prompts, tmp_path):
+        from tests.test_acceptance import _read_traces_without_wall_time  # imports this module
+
+        records = [
+            {"id": f"m{i}", "text": f"note {i}", "red_flags": ["meningismus"] if i % 2 else []}
+            for i in range(9)
+        ]
+        dataset = load_dataset(write_jsonl(tmp_path / "nine.jsonl", records))
+        entries = [e for e in self._entries_for(dataset) if e.key != ("m4", "orchestrator")]
+        entries.append(ScriptEntry("m4", "orchestrator", fault=Fault.HTTP_500))
+
+        def run(concurrency):
+            trace_dir = tmp_path / f"c{concurrency}"
+            cfg = RunConfig(Architecture.MULTI_AGENT, PromptStrategy.GPROMPT,
+                            ScriptedBackend(entries), "scripted", prompts, concurrency=concurrency)
+            (row,) = run_experiment(dataset, [cfg], trace_dir=trace_dir).rows
+            return row, _read_traces_without_wall_time(trace_dir)
+
+        (serial, serial_traces), (overlapped, overlapped_traces) = within(
+            30, lambda: (run(1), run(4)))
+        assert overlapped.error_case_count == serial.error_case_count == 1
+        assert overlapped == serial
+        assert overlapped_traces == serial_traces
+        assert overlapped_traces["scripted_multi_gprompt/m4.trace.jsonl"] == []
+        assert all(overlapped_traces[f"scripted_multi_gprompt/m{i}.trace.jsonl"]
+                   for i in range(9) if i != 4)
+
+    def test_failed_trace_write_cancels_cases_not_started(self, prompts, tmp_path):
+        records = [{"id": f"w{i}", "text": f"note {i}", "red_flags": []} for i in range(12)]
+        dataset = load_dataset(write_jsonl(tmp_path / "twelve.jsonl", records))
+        # calls long enough that the failed write closes the run while w1 is still running
+        backend = CountingBackend(self._backend_for(dataset), delay=0.1)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file", encoding="utf-8")
+        cfg = RunConfig(Architecture.MULTI_AGENT, PromptStrategy.GPROMPT, backend, "scripted",
+                        prompts, concurrency=1)
+
+        def run():
+            with pytest.raises(IoFailure) as raised:
+                run_experiment(dataset, [cfg], trace_dir=blocker / "traces")
+            # `raised` keeps the failed run's frames alive, so only an explicit close
+            # can have stopped its cases and joined its threads by now
+            return raised, [t for t in threading.enumerate() if t.name.startswith("redflagcds-")]
+
+        _, threads_left = within(30, run)
+        assert threads_left == []
+        # w0's trace write failed; w1 may have started before that; no later case ran
+        assert {case_id for case_id, _, _ in backend.calls} <= {"w0", "w1"}
+
+
+def test_serial_and_overlapped_fixture_runs_match(prompts, tmp_path):
+    from tests.test_acceptance import _read_traces_without_wall_time  # imports this module
+
+    dataset = load_dataset(FIXTURES_DIR / "cases.jsonl")
+    entries = load_script(FIXTURES_DIR / "script.jsonl")
+
+    def run(concurrency):
+        trace_dir = tmp_path / f"c{concurrency}"
+        matrix = fixture_matrix(prompts, ScriptedBackend(entries), concurrency)
+        report = run_experiment(dataset, matrix, trace_dir=trace_dir)
+        return report, _read_traces_without_wall_time(trace_dir)
+
+    (serial, serial_traces), (overlapped, overlapped_traces) = within(
+        60, lambda: (run(1), run(8)))
+    assert overlapped.rows == serial.rows
+    assert overlapped_traces == serial_traces
+    assert len(serial_traces) == 4 * 22
+    # case19's DROPPED meningismus fires once, in the first multi-agent row, and
+    # fan-out recovers it there
+    for row, dropped in (("multi_qprompt", True), ("multi_gprompt", False)):
+        events = overlapped_traces[f"scripted_{row}/case19.trace.jsonl"]
+        warnings = [e for e in events if e["stage"] == "WARNING"
+                    and "tool call dropped" in e["payload"]["message"]]
+        (fanout,) = [e for e in events if e["stage"] == "FANOUT"]
+        assert bool(warnings) is dropped
+        assert ("meningismus" in fanout["payload"]["missing"]) is dropped
+        assert "meningismus" in events[-1]["payload"]["predicted"]
+    # case18's HTTP_500 papilledema specialist stays an agent-level ERROR
+    events = overlapped_traces["scripted_multi_gprompt/case18.trace.jsonl"]
+    errors = [e for e in events if e["stage"] == "AGENT_ERROR"]
+    assert [e["subject"] for e in errors] == ["papilledema"]
 
 
 class TestReportRendering:
