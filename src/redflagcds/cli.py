@@ -2,8 +2,8 @@
 reports, and replay traces.
 
 Exit codes: 0 success (agent-level errors are reported in output, not via the
-exit code), 2 invalid arguments, unreadable input or unwritable trace output,
-3 backend unreachable, 4 trace invariant violation under --verify.
+exit code), 2 invalid arguments, unreadable input or unwritable trace or report
+output, 3 backend unreachable, 4 trace invariant violation under --verify.
 """
 
 from __future__ import annotations
@@ -44,31 +44,53 @@ MATRIX_CHOICES = {
 }
 
 
-def _load_config_file(path):
+# Config-file keys, each named after its option's parameter, and the JSON type each takes.
+CONFIG_TYPES = {
+    **dict.fromkeys(("endpoint", "model", "script", "prompt_dir", "fanout", "out"), str),
+    "strict_evidence": bool,
+    "concurrency": int,
+}
+_EXPECTED = {str: "a string", bool: "true or false", int: "an integer of at least 1"}
+
+
+def _load_config_file(ctx, _param, path):
+    """Eager --config callback: the file's values become the defaults of their options,
+    so an explicit flag still wins and click checks a file value as it checks its flag."""
     if not path:
-        return {}
+        return
     try:
-        return json.loads(read_text_fallback(path))
+        file_cfg = json.loads(read_text_fallback(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}")
+    if not isinstance(file_cfg, dict):
+        raise click.UsageError(f"config file: expected a JSON object, got {type(file_cfg).__name__}")
+    defaults = {key: file_cfg[key] for key in CONFIG_TYPES if key in file_cfg}
+    for key, value in defaults.items():
+        kind = CONFIG_TYPES[key]
+        if type(value) is not kind or (kind is int and value < 1):
+            raise click.UsageError(f"config file: {key} must be {_EXPECTED[kind]}, got {value!r}")
+    ctx.default_map = defaults
 
 
 def _common_options(fn):
     decorators = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
+        click.option("--config", type=click.Path(), is_eager=True, expose_value=False,
+                     callback=_load_config_file,
                      help="JSON config file; explicit flags override its values."),
         click.option("--endpoint", default=None, help="OpenAI-compatible endpoint URL."),
-        click.option("--model", default=None, help="Model identifier sent to the backend."),
-        click.option("--script", "script_path", type=click.Path(), default=None,
+        click.option("--model", default="scripted", show_default=True,
+                     help="Model identifier sent to the backend."),
+        click.option("--script", type=click.Path(), default=None,
                      help="JSONL script file; use the deterministic scripted backend."),
         click.option("--prompt-dir", type=click.Path(), default=None,
                      help="Prompt template directory (defaults to the packaged templates)."),
-        click.option("--fanout", type=click.Choice(["routed", "exhaustive"]), default=None),
+        click.option("--fanout", type=click.Choice(["routed", "exhaustive"]), default="routed",
+                     show_default=True),
         click.option("--strict-evidence", is_flag=True, default=False),
         click.option("--concurrency", type=click.IntRange(min=1), default=None,
                      help="Most backend calls in flight within one evaluation row (default 7)."),
-        click.option("--out", "out_dir", type=click.Path(), default=None,
-                     help="Output directory for traces and reports (default ./out)."),
+        click.option("--out", type=click.Path(), default="out", show_default=True,
+                     help="Output directory for traces and reports."),
     ]
     for dec in reversed(decorators):
         fn = dec(fn)
@@ -76,27 +98,18 @@ def _common_options(fn):
 
 
 class Settings:
-    """Merged configuration: file values overridden by explicit flags."""
+    """The settings of one command, each from its flag, else the config file, else its default."""
 
-    def __init__(self, config_path, endpoint, model, script_path, prompt_dir,
-                 fanout, strict_evidence, concurrency, out_dir):
-        file_cfg = _load_config_file(config_path)
-        self.endpoint = endpoint or file_cfg.get("endpoint")
-        self.model = model or file_cfg.get("model") or "scripted"
-        self.script_path = script_path or file_cfg.get("script")
-        self.prompt_dir = prompt_dir or file_cfg.get("prompt_dir")
-        self.fanout = FanoutMode(fanout or file_cfg.get("fanout", "routed"))
-        self.strict_evidence = strict_evidence or bool(file_cfg.get("strict_evidence", False))
-        self.concurrency = concurrency if concurrency is not None else file_cfg.get("concurrency")
-        # the flag is range-checked by click; a config-file value arrives unchecked
-        if self.concurrency is not None and (
-            type(self.concurrency) is not int or self.concurrency < 1
-        ):
-            raise click.UsageError(
-                "config file: concurrency must be an integer of at least 1, "
-                f"got {self.concurrency!r}"
-            )
-        self.out_dir = Path(out_dir or file_cfg.get("out", "out"))
+    def __init__(self, endpoint, model, script, prompt_dir, fanout, strict_evidence,
+                 concurrency, out):
+        self.endpoint = endpoint
+        self.model = model
+        self.script = script
+        self.prompt_dir = prompt_dir
+        self.fanout = FanoutMode(fanout)
+        self.strict_evidence = strict_evidence
+        self.concurrency = concurrency
+        self.out = Path(out)
 
     def prompts(self) -> PromptLibrary:
         try:
@@ -107,9 +120,9 @@ class Settings:
             raise click.UsageError(f"prompt templates: {exc}")
 
     def backend(self):
-        if self.script_path:
+        if self.script:
             try:
-                return ScriptedBackend(load_script(self.script_path))
+                return ScriptedBackend(load_script(self.script))
             except (OSError, ValueError, DuplicateKey) as exc:
                 raise click.UsageError(f"script file: {exc}")
         if not self.endpoint:
@@ -135,8 +148,8 @@ class Settings:
         )
 
 
-def _cannot_write_traces(exc: IoFailure):
-    click.echo(f"cannot write traces: {exc}", err=True)
+def _cannot_write(what: str, exc: OSError):
+    click.echo(f"cannot write {what}: {exc}", err=True)
     sys.exit(EXIT_USAGE)
 
 
@@ -179,9 +192,9 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         sys.exit(EXIT_BACKEND)
 
     try:
-        trace_path = write_trace(case_id, result.trace, settings.out_dir / "traces")
+        trace_path = write_trace(case_id, result.trace, settings.out / "traces")
     except IoFailure as exc:
-        _cannot_write_traces(exc)
+        _cannot_write("traces", exc)
     output = {
         "case_id": result.case_id,
         "predicted": sorted(f.value for f in result.predicted),
@@ -236,12 +249,15 @@ def evaluate(dataset_path, matrix, **kwargs):
         for architecture, strategy in MATRIX_CHOICES[matrix]
     ]
     try:
-        report = run_experiment(dataset, configs, trace_dir=settings.out_dir / "traces")
+        report = run_experiment(dataset, configs, trace_dir=settings.out / "traces")
     except IoFailure as exc:
-        _cannot_write_traces(exc)
-    settings.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = settings.out_dir / "report.csv"
-    csv_path.write_text(report.to_csv(), encoding="utf-8")
+        _cannot_write("traces", exc)
+    csv_path = settings.out / "report.csv"
+    try:
+        settings.out.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text(report.to_csv(), encoding="utf-8")
+    except OSError as exc:
+        _cannot_write("report", exc)
     click.echo(report.render_table())
     click.echo(f"\nCSV written to {csv_path}")
 

@@ -4,10 +4,12 @@ aggregate) and `run_cases`, the one scheduler that runs it.
 `run_cases` runs each case's steps on a case coordinator thread and sends every
 backend call of every case (orchestrator, specialist, fan-out and baseline) to
 one call executor with `concurrency` workers, so at most `concurrency` calls are
-in flight across the cases of a run. Coordinators wait on calls; calls wait on
-nothing, so the bound cannot deadlock. Specialist results pass through a single
-serialized merge into GraphState in canonical flag order, so traces are
-deterministic for a scripted backend whatever order the calls finish in.
+in flight across the cases of a run. The call executor runs only backend calls:
+prompts are rendered and outputs parsed on the coordinator. Coordinators wait on
+calls; calls wait on nothing, so the bound cannot deadlock. Specialist results
+pass through a single serialized merge into GraphState in canonical flag order,
+so traces are deterministic for a scripted backend whatever order the calls
+finish in.
 """
 
 from __future__ import annotations
@@ -132,10 +134,10 @@ def _coordinate(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResu
     return aggregate(state)
 
 
-def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> str:
-    """One backend call on the call executor, waited for."""
+def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Future:
+    """Submit one backend call to the call executor."""
     request = user_request(cfg.model, prompt)
-    return calls.submit(cfg.backend.complete, request, case_id=case_id, agent_role=role).result()
+    return calls.submit(cfg.backend.complete, request, case_id=case_id, agent_role=role)
 
 
 def route(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
@@ -149,7 +151,7 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
     prompt = cfg.prompts.orchestrator_prompt(vignette)
     fallback = {}
     for attempt in range(1, ROUTE_ATTEMPTS + 1):
-        raw = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
+        raw = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR).result()
         try:
             decision, warnings = parse_routing(raw, vignette, cfg.strict_evidence)
             break
@@ -181,14 +183,6 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
     return state
 
 
-def _invoke_specialist(cfg: RunConfig, vignette: Vignette, flag: RedFlag) -> AgentVerdict:
-    prompt = cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette)
-    raw = cfg.backend.complete(
-        user_request(cfg.model, prompt), case_id=vignette.id, agent_role=flag.value
-    )
-    return parse_verdict(raw, flag)
-
-
 def _run_agents(
     state: GraphState, cfg: RunConfig, calls: Executor, flags: list[RedFlag], fanout_phase: bool
 ) -> None:
@@ -201,12 +195,15 @@ def _run_agents(
         return
     for flag in flags:
         state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value)
+    vignette = state.note
     futures: dict[RedFlag, Future] = {
-        flag: calls.submit(_invoke_specialist, cfg, state.note, flag) for flag in flags
+        flag: _call(calls, cfg, cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette),
+                    vignette.id, flag.value)
+        for flag in flags
     }
     for flag in flags:
         try:
-            verdict = futures[flag].result()
+            verdict = parse_verdict(futures[flag].result(), flag)
         except DroppedToolCall as exc:
             if fanout_phase:
                 verdict = AgentVerdict(flag=flag, decision=Decision.ERROR, error_detail=str(exc))
@@ -260,7 +257,7 @@ def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseR
     """Baseline path: one call classifies all seven red flags at once."""
     state = GraphState(note=vignette)
     prompt = cfg.prompts.baseline_prompt(cfg.strategy, vignette)
-    raw = _call(calls, cfg, prompt, vignette.id, ROLE_BASELINE)
+    raw = _call(calls, cfg, prompt, vignette.id, ROLE_BASELINE).result()
     verdicts = parse_baseline(raw)
     state.pending = set(RedFlag)
     for flag in canonical_order(verdicts):

@@ -23,8 +23,8 @@ logger = logging.getLogger(__name__)
 ROLE_ORCHESTRATOR = "orchestrator"
 ROLE_BASELINE = "baseline"
 
-DEFAULT_MAX_TOKENS = 1024
-DEFAULT_BACKOFF_BASE = 1.0
+# Deterministic sampling: every request is sent at temperature 0 and top_p 1.
+MAX_TOKENS = 1024
 
 
 class BackendUnavailable(RuntimeError):
@@ -53,21 +53,15 @@ class DroppedToolCall(RuntimeError):
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion request. Defaults follow the deterministic-sampling setting."""
+    """One chat-completion request."""
 
     model: str
     messages: tuple[dict, ...]
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
 
 
-def user_request(model: str, prompt: str, **overrides) -> ChatRequest:
-    """Build a single-user-message request with default sampling parameters."""
-    return ChatRequest(model=model, messages=({"role": "user", "content": prompt},), **overrides)
+def user_request(model: str, prompt: str) -> ChatRequest:
+    """Build a single-user-message request."""
+    return ChatRequest(model=model, messages=({"role": "user", "content": prompt},))
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,9 @@ class BackendConfig:
 def with_retries(
     fn: Callable[[], str],
     max_retries: int,
-    backoff_base: float = DEFAULT_BACKOFF_BASE,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
-    """Call fn, retrying TransientError up to max_retries times with exponential backoff."""
+    """Call fn, retrying TransientError up to max_retries times after 1 s, 2 s, 4 s, ..."""
     attempt = 0
     while True:
         try:
@@ -99,7 +92,7 @@ def with_retries(
         except TransientError as exc:
             if attempt >= max_retries:
                 raise BackendUnavailable(f"retries exhausted after {attempt + 1} attempts: {exc}") from exc
-            sleep(backoff_base * (2 ** attempt))
+            sleep(2 ** attempt)
             attempt += 1
 
 
@@ -133,9 +126,9 @@ class HttpBackend:
         body = {
             "model": request.model,
             "messages": list(request.messages),
-            "temperature": request.temperature,
-            "top_p": request.top_p,
-            "max_tokens": request.max_tokens,
+            "temperature": 0.0,
+            "top_p": 1.0,
+            "max_tokens": MAX_TOKENS,
         }
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
@@ -163,7 +156,6 @@ class Fault(enum.Enum):
     TIMEOUT = "TIMEOUT"
     HTTP_500 = "HTTP_500"
     EMPTY = "EMPTY"
-    MALFORMED_AS_GIVEN = "MALFORMED_AS_GIVEN"
     DROPPED = "DROPPED"  # one-shot: first call vanishes, later calls succeed
 
 
@@ -182,8 +174,7 @@ class ScriptEntry:
 class ScriptedBackend:
     """Deterministic backend replaying scripted responses and injecting faults."""
 
-    def __init__(self, entries, max_retries: int = 2):
-        self.max_retries = max_retries
+    def __init__(self, entries):
         self._entries: dict[tuple[str, str], ScriptEntry] = {}
         for entry in entries:
             if entry.key in self._entries:
@@ -204,8 +195,9 @@ class ScriptedBackend:
         if entry is None:
             raise ScriptMiss(f"no script entry for {key}")
         if entry.fault in (Fault.TIMEOUT, Fault.HTTP_500):
-            raise BackendUnavailable(
-                f"scripted {entry.fault.value} persisted through {self.max_retries} retries for {key}"
+            raise BackendUnavailable(  # as after HttpBackend's default retries
+                f"scripted {entry.fault.value} persisted through "
+                f"{BackendConfig.max_retries} retries for {key}"
             )
         if entry.fault is Fault.EMPTY:
             return ""
@@ -215,7 +207,7 @@ class ScriptedBackend:
                     self._dropped_once.add(key)
                     raise DroppedToolCall(f"scripted drop of first call for {key}")
             return entry.response
-        return entry.response  # plain and MALFORMED_AS_GIVEN: verbatim bytes
+        return entry.response  # verbatim bytes
 
 
 def load_script(path) -> list[ScriptEntry]:
@@ -230,7 +222,9 @@ def load_script(path) -> list[ScriptEntry]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        fault = Fault(record["fault"]) if record.get("fault") else None
+        # MALFORMED_AS_GIVEN is the old name for no fault: the response is returned verbatim
+        fault = record.get("fault")
+        fault = Fault(fault) if fault and fault != "MALFORMED_AS_GIVEN" else None
         entry = ScriptEntry(
             case_id=str(record["case_id"]),
             agent_role=str(record["agent_role"]),

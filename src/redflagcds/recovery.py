@@ -44,7 +44,6 @@ class Strategy(enum.Enum):
 class RecoveryOutcome:
     value: Any
     strategy_used: Strategy
-    extracted_span: tuple[int, int]
 
 
 _FENCE_RE = re.compile(r"```[A-Za-z0-9_+-]*[ \t]*\r?\n?(.*?)```", re.DOTALL)
@@ -153,48 +152,37 @@ def extract_json(raw: str) -> RecoveryOutcome:
     """
     stripped = raw.strip()
     if stripped:
-        lead = len(raw) - len(raw.lstrip())
         try:
-            value = json.loads(stripped)
+            return RecoveryOutcome(json.loads(stripped), Strategy.STRICT)
         except json.JSONDecodeError:
             pass
-        else:
-            return RecoveryOutcome(value, Strategy.STRICT, (lead, lead + len(stripped)))
 
     for m in _FENCE_RE.finditer(raw):
-        body = m.group(1)
-        inner = body.strip()
+        inner = m.group(1).strip()
         if not inner:
             continue
         try:
-            value = json.loads(inner)
+            return RecoveryOutcome(json.loads(inner), Strategy.FENCED_BLOCK)
         except json.JSONDecodeError:
             continue
-        lead = len(body) - len(body.lstrip())
-        start = m.start(1) + lead
-        return RecoveryOutcome(value, Strategy.FENCED_BLOCK, (start, start + len(inner)))
 
-    candidates: list[tuple[int, int]] = []
+    candidates: list[str] = []
     pos = raw.find("{")
     while pos != -1:
         end = _balanced_brace_span(raw, pos)
         if end is not None:
             span_text = raw[pos:end]
             try:
-                value = json.loads(span_text)
+                return RecoveryOutcome(json.loads(span_text), Strategy.BRACE_SPAN)
             except json.JSONDecodeError:
-                candidates.append((pos, end))
-            else:
-                return RecoveryOutcome(value, Strategy.BRACE_SPAN, (pos, end))
+                candidates.append(span_text)
         pos = raw.find("{", pos + 1)
 
-    for start, end in candidates:
-        repaired = repair_json_text(raw[start:end])
+    for span_text in candidates:
         try:
-            value = json.loads(repaired)
+            return RecoveryOutcome(json.loads(repair_json_text(span_text)), Strategy.REPAIRED)
         except json.JSONDecodeError:
             continue
-        return RecoveryOutcome(value, Strategy.REPAIRED, (start, end))
 
     raise NoJsonFound(f"no parseable JSON in {len(raw)} chars of output")
 

@@ -321,7 +321,6 @@ def test_criterion_10_orchestrator_fallback(prompts, vignette):
             vignette.id,
             "orchestrator",
             "I am unable to provide structured output today.",
-            fault=Fault.MALFORMED_AS_GIVEN,
         )
         result = run_case(vignette, multi_config(ScriptedBackend(entries), prompts))
         elapsed = time.monotonic() - started

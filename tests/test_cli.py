@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -207,6 +208,13 @@ class TestEvaluate:
         assert "cannot write traces:" in result.output
         assert "Traceback" not in result.output
 
+    def test_unwritable_report_exits_2(self, runner, tmp_path):
+        (tmp_path / "out" / "report.csv").mkdir(parents=True)
+        result = self._invoke(runner, tmp_path, "--matrix", "multi-gprompt")
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "cannot write report:" in result.output
+        assert "Traceback" not in result.output
+
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             cli,
@@ -350,3 +358,53 @@ class TestConfigFile:
                                                   "--config", str(config)))
         assert result.exit_code == EXIT_USAGE
         assert "concurrency must be an integer of at least 1" in result.output
+
+    @pytest.mark.parametrize("content, named", [
+        ({"fanout": "bogus"}, "fanout"),
+        ({"script": 5}, "script"),
+        ({"prompt_dir": 7}, "prompt_dir"),
+        ({"model": 5}, "model"),
+        ([1, 2], "JSON object"),
+        ({"strict_evidence": "false"}, "strict_evidence"),
+    ])
+    def test_bad_config_value_exits_2_naming_the_key(self, runner, tmp_path, content, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content), encoding="utf-8")
+        script = [] if "script" in content else ["--script", str(FIXTURES_DIR / "script.jsonl")]
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--dataset", str(FIXTURES_DIR / "cases.jsonl"),
+             "--matrix", "multi-gprompt", "--config", str(config),
+             "--out", str(tmp_path / "out"), *script],
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert named in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_take_effect_and_flags_override_them(
+        self, runner, note_path, script_path, tmp_path
+    ):
+        def run(file_values, *flags):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(file_values), encoding="utf-8")
+            result = runner.invoke(cli, ["classify", "--note", str(note_path),
+                                         "--script", str(script_path),
+                                         "--config", str(config), *flags])
+            assert result.exit_code == EXIT_OK, result.output
+            trace_file = Path(json.loads(result.output)["trace_file"])
+            trace = [json.loads(line) for line in trace_file.read_text("utf-8").splitlines()]
+            (routing,) = [e["payload"] for e in trace if e["stage"] == "ROUTING"]
+            (fanout,) = [e["payload"] for e in trace if e["stage"] == "FANOUT"]
+            strict = any(w.startswith("EvidenceNotInNote") for w in routing["warnings"])
+            return trace_file.relative_to(tmp_path).parts[0], len(fanout["missing"]), strict
+
+        from_file = run({"fanout": "exhaustive", "strict_evidence": True,
+                         "out": str(tmp_path / "file_out")})
+        # routed to meningismus only, so exhaustive fan-out adds the other six
+        assert from_file == ("file_out", 6, True)
+        from_flags = run({"fanout": "exhaustive", "strict_evidence": False,
+                          "out": str(tmp_path / "file_out")},
+                         "--fanout", "routed", "--strict-evidence",
+                         "--out", str(tmp_path / "flag_out"))
+        assert from_flags == ("flag_out", 0, True)
+        assert run({"out": str(tmp_path / "default_out")}) == ("default_out", 0, False)

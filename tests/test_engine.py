@@ -21,7 +21,7 @@ from redflagcds.gateway import (
     ScriptEntry,
     ScriptedBackend,
 )
-from redflagcds.prompts import PromptStrategy
+from redflagcds.prompts import PromptLibrary, PromptStrategy, TemplateMissing
 from tests.conftest import (
     TABLE1_RAW,
     CountingBackend,
@@ -139,6 +139,14 @@ class TestErrorIsolation:
         assert result.verdicts[RedFlag.MENINGISMUS].decision is Decision.YES
         assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.ERROR
         assert {f.value for f in result.predicted} == {"meningismus"}
+
+    def test_missing_specialist_template_fails_the_case(self):
+        # specialist prompts render on the case's coordinator, like the orchestrator's;
+        # only a hand-built library can lack one, as PromptLibrary.load checks them all
+        library = PromptLibrary({"orchestrator.txt": "Route this note."})
+        backend = ScriptedBackend(full_script("case-7", TABLE1_RAW))
+        with pytest.raises(TemplateMissing, match="meningismus/gprompt.txt"):
+            run_case(note(), multi_config(backend, library))
 
     def test_empty_output_becomes_error_verdict(self, prompts):
         entries = full_script("case-7", TABLE1_RAW)

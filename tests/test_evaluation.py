@@ -479,6 +479,20 @@ def test_serial_and_overlapped_fixture_runs_match(prompts, tmp_path):
     assert [e["subject"] for e in errors] == ["papilledema"]
 
 
+def test_fixture_traces_match_pinned_digests(tmp_path):
+    from scripts.trace_digests import fixture_trace_digests, read_digests
+
+    pinned = read_digests()
+    assert len(pinned) == 4 * 22
+    actual = within(60, lambda: fixture_trace_digests(tmp_path))
+    differing = sorted(name for name in pinned.keys() | actual.keys()
+                       if pinned.get(name) != actual.get(name))
+    assert not differing, (
+        f"{len(differing)} fixture traces differ from tests/fixture_trace_digests.txt "
+        f"(regenerate with scripts/trace_digests.py only for an intended change): {differing}"
+    )
+
+
 class TestReportRendering:
     def _report(self, prompts, tmp_path):
         dataset = TestRunExperiment()._tiny_dataset(tmp_path)

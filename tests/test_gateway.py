@@ -23,12 +23,6 @@ from tests.conftest import TABLE1_RAW, write_script_file
 
 
 class TestChatRequest:
-    def test_deterministic_sampling_defaults(self):
-        req = user_request("m", "hello")
-        assert req.temperature == 0
-        assert req.top_p == 1
-        assert req.max_tokens == 1024
-
     def test_single_user_message(self):
         req = user_request("m", "hello")
         assert req.messages == ({"role": "user", "content": "hello"},)
@@ -62,10 +56,8 @@ class TestScriptedBackend:
             )
 
     def test_http_500_fault(self):
-        backend = ScriptedBackend(
-            [ScriptEntry("a", "thunderclap", fault=Fault.HTTP_500)], max_retries=0
-        )
-        with pytest.raises(BackendUnavailable):
+        backend = ScriptedBackend([ScriptEntry("a", "thunderclap", fault=Fault.HTTP_500)])
+        with pytest.raises(BackendUnavailable, match="HTTP_500 persisted through 2 retries"):
             backend.complete(user_request("m", "p"), "a", "thunderclap")
 
     def test_timeout_fault(self):
@@ -77,10 +69,15 @@ class TestScriptedBackend:
         backend = ScriptedBackend([ScriptEntry("a", "thunderclap", "ignored", fault=Fault.EMPTY)])
         assert backend.complete(user_request("m", "p"), "a", "thunderclap") == ""
 
-    def test_malformed_as_given_is_verbatim(self):
-        backend = ScriptedBackend(
-            [ScriptEntry("a", "orchestrator", "not json {", fault=Fault.MALFORMED_AS_GIVEN)]
-        )
+    def test_malformed_as_given_is_verbatim(self, tmp_path):
+        # the old fault name loads as no fault: the response comes back as given
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"case_id": "a", "agent_role": "orchestrator",
+                                    "response": "not json {", "fault": "MALFORMED_AS_GIVEN"}),
+                        encoding="utf-8")
+        (entry,) = load_script(path)
+        assert entry.fault is None
+        backend = ScriptedBackend([entry])
         assert backend.complete(user_request("m", "p"), "a", "orchestrator") == "not json {"
 
     def test_dropped_is_one_shot(self):
@@ -152,7 +149,7 @@ class TestRetries:
         delays = []
         fn, _ = self._flaky(fail_times=4)
         with pytest.raises(BackendUnavailable):
-            with_retries(fn, max_retries=3, backoff_base=1.0, sleep=delays.append)
+            with_retries(fn, max_retries=3, sleep=delays.append)
         assert delays == [1.0, 2.0, 4.0]
 
 
@@ -193,6 +190,7 @@ class TestHttpBackend:
         assert sent[0]["url"] == "http://llm.local/v1/chat/completions"
         assert sent[0]["json"]["temperature"] == 0
         assert sent[0]["json"]["top_p"] == 1
+        assert sent[0]["json"]["max_tokens"] == 1024
         assert sent[0]["headers"]["Authorization"] == "Bearer secret"
 
     def test_retries_on_500_then_succeeds(self, monkeypatch):
