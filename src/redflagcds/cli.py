@@ -17,7 +17,7 @@ import click
 
 from .domain import EmptyVignette, Stage, Vignette
 from .encoding import read_text_fallback
-from .engine import Architecture, FanoutMode, RunConfig, run_case
+from .engine import DEFAULT_CONCURRENCY, Architecture, FanoutMode, RunConfig, run_case
 from .evaluation import APPROACH_ORDER, RunReport, load_dataset, run_experiment
 from .gateway import (
     BackendConfig,
@@ -88,7 +88,7 @@ def _common_options(fn):
                      show_default=True),
         click.option("--strict-evidence", is_flag=True, default=False),
         click.option("--concurrency", type=click.IntRange(min=1), default=None,
-                     help="Most backend calls in flight within one evaluation row (default 7)."),
+                     help="Most backend calls in flight across the whole run (default 7)."),
         click.option("--out", type=click.Path(), default="out", show_default=True,
                      help="Output directory for traces and reports."),
     ]
@@ -132,7 +132,8 @@ class Settings:
                 endpoint_url=self.endpoint,
                 model=self.model,
                 api_key=os.environ.get(API_KEY_ENV),
-            )
+            ),
+            connections=self.concurrency or DEFAULT_CONCURRENCY,
         )
 
     def run_config(self, architecture, strategy, backend, prompts) -> RunConfig:
@@ -238,6 +239,19 @@ def evaluate(dataset_path, matrix, **kwargs):
 
     backend = settings.backend()
     prompts = settings.prompts()
+    # an output that cannot be written fails the run before the first backend call
+    csv_path = settings.out / "report.csv"
+    try:
+        (settings.out / "traces").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _cannot_write("traces", exc)
+    try:  # append keeps an existing report until the run replaces it; a probe file goes
+        existed = csv_path.exists()
+        csv_path.open("a", encoding="utf-8").close()
+        if not existed:
+            csv_path.unlink()
+    except OSError as exc:
+        _cannot_write("report", exc)
     try:
         backend.preflight()
     except BackendUnavailable as exc:
@@ -252,9 +266,7 @@ def evaluate(dataset_path, matrix, **kwargs):
         report = run_experiment(dataset, configs, trace_dir=settings.out / "traces")
     except IoFailure as exc:
         _cannot_write("traces", exc)
-    csv_path = settings.out / "report.csv"
     try:
-        settings.out.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(report.to_csv(), encoding="utf-8")
     except OSError as exc:
         _cannot_write("report", exc)

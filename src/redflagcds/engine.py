@@ -1,15 +1,18 @@
 """The four-step orchestrated workflow (route, parallel specialists, manual fan-out,
 aggregate) and `run_cases`, the one scheduler that runs it.
 
-`run_cases` runs each case's steps on a case coordinator thread and sends every
-backend call of every case (orchestrator, specialist, fan-out and baseline) to
-one call executor with `concurrency` workers, so at most `concurrency` calls are
-in flight across the cases of a run. The call executor runs only backend calls:
-prompts are rendered and outputs parsed on the coordinator. Coordinators wait on
-calls; calls wait on nothing, so the bound cannot deadlock. Specialist results
-pass through a single serialized merge into GraphState in canonical flag order,
-so traces are deterministic for a scripted backend whatever order the calls
-finish in.
+`run_cases` runs a whole evaluation, every case under every row of the matrix. It
+runs each case-run's steps on a case coordinator thread and sends every backend
+call (orchestrator, specialist, fan-out and baseline) to one call executor with
+`concurrency` workers, so at most `concurrency` calls are in flight across the
+cases and rows of a run, and rows overlap. The call executor runs only backend
+calls: prompts are rendered and outputs parsed on the coordinator. Coordinators
+wait on calls; calls wait on nothing, so the bound cannot deadlock. A case runs
+its rows in matrix order: its run under one row starts after its run under the
+row before has ended, so a backend sees the calls for one (case, role) in matrix
+order. Specialist results pass through a single serialized merge into GraphState
+in canonical flag order, so traces are deterministic for a scripted backend
+whatever order the calls finish in.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 import enum
 import logging
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from typing import Iterable, Iterator, Optional, Union
 
 from .domain import (
@@ -74,7 +77,7 @@ class RunConfig:
     prompts: PromptLibrary
     fanout_mode: FanoutMode = FanoutMode.ROUTED
     strict_evidence: bool = False
-    concurrency: Optional[int] = None  # backend calls in flight at most; None = DEFAULT_CONCURRENCY
+    concurrency: Optional[int] = None  # calls in flight at most in a run; None = DEFAULT_CONCURRENCY
 
     def __post_init__(self):
         if self.concurrency is not None and self.concurrency < 1:
@@ -82,32 +85,43 @@ class RunConfig:
 
 
 def run_cases(
-    vignettes: Iterable[Vignette], cfg: RunConfig
+    vignettes: Iterable[Vignette], *matrix: RunConfig
 ) -> Iterator[Union[CaseResult, Exception]]:
-    """Run the cases concurrently; yield each one's CaseResult, or the exception it raised,
-    in input order.
+    """Run every case under every row of `matrix` concurrently; yield each case-run's
+    CaseResult, or the exception it raised, row by row and in input order within a row.
 
-    Closing the generator before the end cancels the cases that have not
-    started; the ones already running finish first.
+    Every row must have the same `concurrency`, the call bound of the whole run;
+    otherwise the first `next()` raises ValueError, before any call. Closing the
+    generator before the end cancels the case-runs that have not started; the
+    ones already running finish first.
     """
-    limit = cfg.concurrency or DEFAULT_CONCURRENCY
+    limits = {cfg.concurrency or DEFAULT_CONCURRENCY for cfg in matrix}
+    if len(limits) > 1:
+        raise ValueError(f"every row needs the same concurrency, got {sorted(limits)}")
+    limit = limits.pop() if limits else DEFAULT_CONCURRENCY
     calls = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="redflagcds-call")
     # One coordinator per call slot: a running case has a call outstanding nearly all the time.
     cases = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="redflagcds-case")
-    todo = iter(vignettes)
-    pending: deque[Future] = deque()
+    todo = product(matrix, enumerate(vignettes))
+    latest: dict[int, Future] = {}  # case index -> its latest run, until that run is read
+    pending: deque[tuple[int, Future]] = deque()
     try:
         while True:
-            pending.extend(
-                cases.submit(_coordinate, vignette, cfg, calls)
-                for vignette in islice(todo, CASES_AHEAD * limit - len(pending))
-            )
+            for cfg, (index, vignette) in islice(todo, CASES_AHEAD * limit - len(pending)):
+                # the case's run under the row before was submitted first, so it is
+                # running or done when this one starts and waits for it
+                latest[index] = cases.submit(
+                    _coordinate, vignette, cfg, calls, latest.get(index))
+                pending.append((index, latest[index]))
             if not pending:
                 return
+            index, future = pending.popleft()
             try:
-                outcome = pending.popleft().result()
+                outcome = future.result()
             except Exception as exc:  # a case-level failure is its caller's to count
                 outcome = exc
+            if latest[index] is future:
+                del latest[index]
             yield outcome
     finally:
         cases.shutdown(cancel_futures=True)
@@ -123,8 +137,13 @@ def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
     return outcome
 
 
-def _coordinate(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResult:
-    """One case's steps, in order; its backend calls go to `calls`."""
+def _coordinate(
+    vignette: Vignette, cfg: RunConfig, calls: Executor, after: Optional[Future]
+) -> CaseResult:
+    """One case-run's steps, in order, once the case's run `after` has ended; its backend
+    calls go to `calls`."""
+    if after is not None:
+        wait([after])
     if cfg.architecture is Architecture.SINGLE_LLM:
         return run_single_llm(vignette, cfg, calls)
     state = GraphState(note=vignette)

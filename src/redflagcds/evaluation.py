@@ -252,21 +252,22 @@ def run_experiment(
 ) -> RunReport:
     """Run every case through every configuration and macro-average the scores.
 
-    Rows run one after another, in matrix order; within a row the cases overlap
-    under `run_cases`, and their results are scored and their traces written
-    here, in dataset order. A case-level failure (orchestrator or baseline call
-    unrecoverable) is counted as an error case and scored with an empty
-    predicted set; it never aborts the batch.
+    One `run_cases` runs the whole matrix: rows overlap under one call bound, and
+    each case runs its rows in matrix order. Outcomes come back row by row, and
+    each row's are scored and their traces written here, in dataset order. A
+    case-level failure (orchestrator or baseline call unrecoverable) is counted
+    as an error case and scored with an empty predicted set; it never aborts the
+    batch.
     """
     if not dataset:
         raise EmptyRun("dataset is empty")
     rows: list[ReportRow] = []
-    for cfg in matrix:
-        metrics = []
-        error_cases = 0
-        row_dir = Path(trace_dir) / run_row_name(cfg) if trace_dir else None
-        outcomes = run_cases((case.vignette for case in dataset), cfg)
-        with closing(outcomes):  # a failed trace write cancels the cases not yet started
+    outcomes = run_cases([case.vignette for case in dataset], *matrix)
+    with closing(outcomes):  # a failed trace write cancels the case-runs not yet started
+        for cfg in matrix:
+            metrics = []
+            error_cases = 0
+            row_dir = Path(trace_dir) / run_row_name(cfg) if trace_dir else None
             for case, outcome in zip(dataset, outcomes):
                 if isinstance(outcome, Exception):
                     logger.error("case %s failed: %s", case.vignette.id, outcome)
@@ -279,17 +280,17 @@ def run_experiment(
                 metrics.append(case_metrics(predicted, case.truth))
                 if row_dir is not None:
                     write_trace(case.vignette.id, trace, row_dir)
-        precision, recall, f1 = macro_average(metrics)
-        rows.append(
-            ReportRow(
-                model=cfg.model,
-                architecture=cfg.architecture,
-                strategy=cfg.strategy,
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                case_count=len(dataset),
-                error_case_count=error_cases,
+            precision, recall, f1 = macro_average(metrics)
+            rows.append(
+                ReportRow(
+                    model=cfg.model,
+                    architecture=cfg.architecture,
+                    strategy=cfg.strategy,
+                    precision=precision,
+                    recall=recall,
+                    f1=f1,
+                    case_count=len(dataset),
+                    error_case_count=error_cases,
+                )
             )
-        )
     return RunReport(rows)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .encoding import read_text_fallback
 
@@ -97,12 +98,21 @@ def with_retries(
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions client. Safe for concurrent use."""
+    """OpenAI-compatible chat-completions client. Safe for concurrent use.
 
-    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep):
+    The session keeps up to `connections` idle connections per host for reuse.
+    Give it the run's call bound: with fewer, the connections beyond the pool
+    are closed when their calls end, and later calls open new ones.
+    """
+
+    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep,
+                 connections: int = DEFAULT_POOLSIZE):
         self.config = config
         self._sleep = sleep
         self._session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=connections)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
 
     @property
     def url(self) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -65,35 +66,68 @@ def read_trace(path) -> list[TraceEvent]:
 _VERDICT_STAGES = (Stage.AGENT_DONE, Stage.AGENT_ERROR)
 
 
+def _names(flags) -> str:
+    return ", ".join(sorted(flag.value if flag else "-" for flag in flags))
+
+
 def verify_trace(events: list[TraceEvent]) -> list[str]:
-    """Check a trace's shape in one pass over its events; returns the violations.
+    """Check a trace's shape and event order in one pass over its events; returns the
+    violations.
 
     Sequence numbers strictly increase, and the only AGGREGATE is the last event.
     A trace with no ROUTING, FANOUT or AGENT_START is a single-LLM trace and
     needs one AGENT_DONE or AGENT_ERROR per red flag. Any other trace is a
-    multi-agent trace and needs exactly one ROUTING and one FANOUT.
+    multi-agent trace. It needs exactly one ROUTING, before any AGENT_START, and
+    exactly one FANOUT, after the ROUTING. Each started flag ends with exactly
+    one AGENT_DONE or AGENT_ERROR, and a flag never started has none. A start
+    left without a verdict (a dropped call) is closed by a WARNING on that flag
+    before the flag is started again.
     """
     counts = dict.fromkeys(Stage, 0)
-    subjects = []
+    verdicts: Counter = Counter()  # flag -> its AGENT_DONE and AGENT_ERROR events
+    started, awaiting = set(), set()  # awaiting: started, not yet closed by a verdict or WARNING
+    order = []
     ordered = True
     previous = float("-inf")
     for event in events:
-        stage = event.stage
+        stage, flag = event.stage, event.subject
         if event.sequence <= previous:
             ordered = False
         previous = event.sequence
         counts[stage] += 1
-        if stage in _VERDICT_STAGES:
-            subjects.append(event.subject)
+        if stage is Stage.AGENT_START:
+            if not counts[Stage.ROUTING]:
+                order.append(f"AGENT_START of {_names([flag])} before ROUTING")
+            if flag in awaiting:
+                order.append(f"{_names([flag])} started again with its last start unclosed")
+            started.add(flag)
+            awaiting.add(flag)
+        elif stage in _VERDICT_STAGES:
+            verdicts[flag] += 1
+            awaiting.discard(flag)
+        elif stage is Stage.WARNING:
+            awaiting.discard(flag)
+        elif stage is Stage.FANOUT and not counts[Stage.ROUTING]:
+            order.append("FANOUT before ROUTING")
     problems = [] if ordered else ["sequence numbers are not strictly increasing"]
     if counts[Stage.ROUTING] or counts[Stage.FANOUT] or counts[Stage.AGENT_START]:
         for stage in (Stage.ROUTING, Stage.FANOUT):
             if counts[stage] != 1:
                 problems.append(f"expected exactly one {stage.value} event, found {counts[stage]}")
-    elif len(subjects) != len(RedFlag) or set(subjects) != set(RedFlag):
+        problems += order
+        never_started = verdicts.keys() - started
+        if never_started:
+            problems.append(f"verdict for a flag never started: {_names(never_started)}")
+        unclosed = [flag for flag in started if verdicts[flag] != 1 or flag in awaiting]
+        if unclosed:
+            problems.append(
+                f"expected each started flag to end with exactly one AGENT_DONE or AGENT_ERROR: "
+                f"{_names(unclosed)}"
+            )
+    elif sum(verdicts.values()) != len(RedFlag) or verdicts.keys() != set(RedFlag):
         problems.append(
             "expected one AGENT_DONE or AGENT_ERROR per red flag in a single-LLM trace, "
-            f"found {len(subjects)} for {len(set(subjects))} subjects"
+            f"found {sum(verdicts.values())} for {len(verdicts)} subjects"
         )
     if counts[Stage.AGGREGATE] != 1:
         problems.append(f"expected exactly one AGGREGATE event, found {counts[Stage.AGGREGATE]}")

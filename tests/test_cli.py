@@ -1,11 +1,16 @@
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, cli
-from redflagcds.gateway import Fault, ScriptEntry
+from redflagcds.domain import RedFlag
+from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, Settings, cli
+from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry, user_request
 from redflagcds.recovery import Strategy, extract_json
 from tests.conftest import FIXTURES_DIR, TABLE1_RAW, full_script, write_jsonl, write_script_file
 
@@ -208,12 +213,15 @@ class TestEvaluate:
         assert "cannot write traces:" in result.output
         assert "Traceback" not in result.output
 
-    def test_unwritable_report_exits_2(self, runner, tmp_path):
+    def test_unwritable_report_exits_2(self, runner, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ScriptedBackend, "complete", lambda *args, **kw: calls.append(kw))
         (tmp_path / "out" / "report.csv").mkdir(parents=True)
         result = self._invoke(runner, tmp_path, "--matrix", "multi-gprompt")
         assert result.exit_code == EXIT_USAGE, result.output
         assert "cannot write report:" in result.output
         assert "Traceback" not in result.output
+        assert calls == []  # checked before the first backend call
 
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(
@@ -222,6 +230,70 @@ class TestEvaluate:
              "--script", str(FIXTURES_DIR / "script.jsonl")],
         )
         assert result.exit_code == EXIT_USAGE
+
+
+class _CountingStub(ThreadingHTTPServer):
+    """Local chat-completions stub over HTTP/1.1 keep-alive: answers every call "NO."
+    after 10 ms and counts the connections it accepts."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _StubHandler)
+        self.connections = 0
+        self.lock = threading.Lock()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 10
+
+    def setup(self):  # once per accepted connection
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_GET(self):
+        self._send(b"")
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        time.sleep(0.01)
+        self._send(json.dumps({"choices": [{"message": {"content": "NO."}}]}).encode())
+
+    def _send(self, body):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_backend_keeps_a_connection_per_call_slot():
+    """At concurrency 12 the backend opens at most 12 connections, even when all 12
+    calls end together and start again: a session's default pool keeps only 10."""
+    stub = _CountingStub()
+    threading.Thread(target=stub.serve_forever, args=(0.01,), daemon=True).start()
+    settings = Settings(endpoint=stub.url, model="m", script=None, prompt_dir=None,
+                        fanout="routed", strict_evidence=False, concurrency=12, out="out")
+    backend = settings.backend()
+    request = user_request("m", "prompt")
+    try:
+        with ThreadPoolExecutor(max_workers=12) as pool:
+            for _ in range(3):
+                replies = list(pool.map(lambda _: backend.complete(request), range(12)))
+                assert replies == ["NO."] * 12
+    finally:
+        stub.shutdown()
+        stub.server_close()
+    assert 1 <= stub.connections <= 12
 
 
 class TestReport:
@@ -312,6 +384,44 @@ class TestReplay:
         result = runner.invoke(cli, ["replay", str(empty), "--verify"])
         assert result.exit_code == EXIT_INVARIANT
         assert "AGGREGATE" in result.output
+
+    def _dropped_trace(self, runner, note_path, tmp_path):
+        """ROUTING, AGENT_START, WARNING (the call dropped), FANOUT, AGENT_START,
+        AGENT_DONE, AGGREGATE: meningismus's first call drops and fan-out re-runs it."""
+        script = write_script_file(
+            tmp_path / "s.jsonl",
+            full_script("case-7", TABLE1_RAW, faults={RedFlag.MENINGISMUS: Fault.DROPPED}),
+        )
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
+        assert result.exit_code == EXIT_OK, result.output
+        return tmp_path / "out" / "traces" / "case-7.trace.jsonl"
+
+    def test_verify_passes_on_dropped_call_recovered_by_fanout(self, runner, note_path, tmp_path):
+        trace = self._dropped_trace(runner, note_path, tmp_path)
+        stages = [json.loads(l)["stage"] for l in trace.read_text(encoding="utf-8").splitlines()]
+        assert stages == ["ROUTING", "AGENT_START", "WARNING", "FANOUT", "AGENT_START",
+                          "AGENT_DONE", "AGGREGATE"]
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_OK, result.output
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: [e[1], e[0], *e[2:]], "AGENT_START of meningismus before ROUTING"),
+        (lambda e: [e[3], *e[:3], *e[4:]], "FANOUT before ROUTING"),
+        (lambda e: [e[0], e[3], *e[5:]], "verdict for a flag never started: meningismus"),
+        (lambda e: [*e[:6], dict(e[5]), e[6]], "exactly one AGENT_DONE or AGENT_ERROR: meningismus"),
+        (lambda e: [*e[:4], e[6]], "exactly one AGENT_DONE or AGENT_ERROR: meningismus"),
+        (lambda e: [*e[:2], *e[3:]], "meningismus started again with its last start unclosed"),
+    ], ids=["start-before-routing", "fanout-before-routing", "verdict-never-started",
+            "two-verdicts", "dropped-never-rerun", "restart-without-warning"])
+    def test_verify_flags_event_order(self, runner, note_path, tmp_path, edit, message):
+        trace = self._dropped_trace(runner, note_path, tmp_path)
+        events = edit([json.loads(l) for l in trace.read_text(encoding="utf-8").splitlines()])
+        for sequence, event in enumerate(events, start=1):
+            event["sequence"] = sequence
+        write_jsonl(trace, events)
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT
+        assert message in result.output
 
     def test_malformed_trace_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.trace.jsonl"

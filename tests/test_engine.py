@@ -338,6 +338,8 @@ class TestScheduler:
         assert len(created) == 2
         within(30, lambda: run_case(note("c00"), cfg))
         assert len(created) == 4
+        within(30, lambda: list(run_cases(self._notes(), cfg, cfg, cfg)))  # one run, three rows
+        assert len(created) == 6
 
     def test_a_failed_case_is_yielded_in_its_place(self, prompts):
         cfg = multi_config(self._backend(orchestrator_faults={"c05"}), prompts, concurrency=4)
@@ -364,6 +366,60 @@ class TestScheduler:
     def test_no_cases_no_calls(self, prompts):
         backend = CountingBackend(self._backend())
         assert within(30, lambda: list(run_cases([], multi_config(backend, prompts)))) == []
+        assert backend.calls == []
+
+
+class TestMatrixScheduler:
+    """Two rows through one `run_cases` at concurrency 3. c00 routes to all seven flags,
+    and every specialist call drops once, so its row-1 run needs a fan-out round and
+    lasts long after c01 and c02, which route to none, have freed their coordinators.
+    Each row's backend records that row's calls; both wrap one shared backend that
+    sees every call of the run."""
+
+    CASES = ["c00", "c01", "c02"]
+
+    def _run(self, prompts):
+        route_all = json.dumps(
+            {"next": [f.value for f in RedFlag], "why": "all seven", "evidence": ["stiff neck"]})
+        route_none = json.dumps({"next": [], "why": "no red flag", "evidence": []})
+        entries = full_script("c00", route_all, faults=dict.fromkeys(RedFlag, Fault.DROPPED))
+        for case_id in self.CASES[1:]:
+            entries += full_script(case_id, route_none)
+        shared = CountingBackend(ScriptedBackend(entries), delay=0.02)
+        rows = [CountingBackend(shared, delay=0), CountingBackend(shared, delay=0)]
+        matrix = [multi_config(rows[0], prompts, strategy=PromptStrategy.QPROMPT, concurrency=3),
+                  multi_config(rows[1], prompts, concurrency=3)]
+        notes = [note(case_id) for case_id in self.CASES]
+        outcomes = within(30, lambda: list(run_cases(notes, *matrix)))
+        assert [r.case_id for r in outcomes] == self.CASES * 2  # row by row, input order
+        return shared, rows, outcomes
+
+    def test_a_case_runs_its_rows_in_matrix_order(self, prompts):
+        _, (first, second), outcomes = self._run(prompts)
+        for case_id in self.CASES:
+            row1_end = max(end for c, _, end in first.calls if c == case_id)
+            row2_start = min(start for c, start, _ in second.calls if c == case_id)
+            assert row1_end <= row2_start, case_id
+        # so every one-shot drop lands in row 1, and fan-out recovers it there
+        assert len(first.calls) == 1 + 7 + 7 + 2 and len(second.calls) == 1 + 7 + 2
+        assert len(events(outcomes[0], Stage.WARNING)) == 7
+        assert events(outcomes[3], Stage.WARNING) == []
+
+    def test_rows_overlap(self, prompts):
+        _, (first, second), _ = self._run(prompts)
+        assert min(start for _, start, _ in second.calls) < max(end for _, _, end in first.calls)
+
+    def test_in_flight_calls_capped_across_rows(self, prompts):
+        shared, _, _ = self._run(prompts)
+        assert len(shared.calls) == 17 + 10
+        assert shared.peak == 3
+
+    def test_rows_with_different_concurrency_rejected(self, prompts):
+        backend = CountingBackend(ScriptedBackend(full_script("c00", TABLE1_RAW)))
+        matrix = [multi_config(backend, prompts, concurrency=2),
+                  multi_config(backend, prompts, concurrency=3)]
+        with pytest.raises(ValueError, match="same concurrency"):
+            list(run_cases([note("c00")], *matrix))
         assert backend.calls == []
 
 
