@@ -127,14 +127,17 @@ class Settings:
                 raise click.UsageError(f"script file: {exc}")
         if not self.endpoint:
             raise click.UsageError("either --script or --endpoint is required")
-        return HttpBackend(
-            BackendConfig(
-                endpoint_url=self.endpoint,
-                model=self.model,
-                api_key=os.environ.get(API_KEY_ENV),
-            ),
-            connections=self.concurrency or DEFAULT_CONCURRENCY,
-        )
+        try:
+            return HttpBackend(
+                BackendConfig(
+                    endpoint_url=self.endpoint,
+                    model=self.model,
+                    api_key=os.environ.get(API_KEY_ENV),
+                ),
+                connections=self.concurrency or DEFAULT_CONCURRENCY,
+            )
+        except ValueError as exc:
+            raise click.UsageError(f"--endpoint: {exc}")
 
     def run_config(self, architecture, strategy, backend, prompts) -> RunConfig:
         return RunConfig(
@@ -300,10 +303,13 @@ def replay(trace_path, verify):
         click.echo(f"malformed trace: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
+    lines = []
     for event in events:
         subject = event.subject.value if event.subject else "-"
         summary = _summarize_payload(event)
-        click.echo(f"{event.sequence:4d}  {event.stage.value:<12} {subject:<22} {summary}")
+        lines.append(f"{event.sequence:4d}  {event.stage.value:<12} {subject:<22} {summary}")
+    if lines:  # one write: echoing per event costs more than formatting the listing
+        click.echo("\n".join(lines))
 
     if verify:
         problems = verify_trace(events)

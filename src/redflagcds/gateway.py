@@ -7,15 +7,17 @@ can inject faults, which makes every workflow scenario reproducible offline.
 from __future__ import annotations
 
 import enum
+import http.client
 import json
 import logging
+import select
+import ssl
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import requests
-from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
+from urllib.parse import urlsplit
 
 from .encoding import read_text_fallback
 
@@ -93,36 +95,90 @@ def with_retries(
         except TransientError as exc:
             if attempt >= max_retries:
                 raise BackendUnavailable(f"retries exhausted after {attempt + 1} attempts: {exc}") from exc
+            logger.warning("attempt %d of %d failed, retrying in %d s: %s",
+                           attempt + 1, max_retries + 1, 2 ** attempt, exc)
             sleep(2 ** attempt)
             attempt += 1
 
 
-class HttpBackend:
-    """OpenAI-compatible chat-completions client. Safe for concurrent use.
+def _readable(sock) -> bool:
+    """True if a read would not block: on an idle keep-alive socket, the server closed it."""
+    if hasattr(select, "poll"):  # select.select cannot take descriptors past FD_SETSIZE
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
-    The session keeps up to `connections` idle connections per host for reuse.
-    Give it the run's call bound: with fewer, the connections beyond the pool
-    are closed when their calls end, and later calls open new ones.
+
+def _close_all(connections) -> None:
+    for conn in connections:
+        conn.close()
+
+
+class HttpBackend:
+    """OpenAI-compatible chat-completions client on `http.client`. Safe for concurrent use.
+
+    Calls reuse keep-alive connections from a pool that keeps up to `connections`
+    idle ones. Give it the run's call bound: with fewer, the connections beyond the
+    pool are closed when their calls end, and later calls open new ones. The client
+    talks to the endpoint directly: it reads no proxy, netrc or CA-bundle variables
+    (HTTP_PROXY, NO_PROXY, ~/.netrc, REQUESTS_CA_BUNDLE), and it verifies HTTPS
+    certificates and host names against the system trust store.
     """
 
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep,
-                 connections: int = DEFAULT_POOLSIZE):
+                 connections: int = 10):
         self.config = config
         self._sleep = sleep
-        self._session = requests.Session()
-        adapter = HTTPAdapter(pool_maxsize=connections)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        url = urlsplit(config.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"not an http:// or https:// URL: {config.endpoint_url!r}")
+        self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._root = url.path or "/"
+        self._chat = url.path.rstrip("/") + "/chat/completions"
+        self._idle: list[http.client.HTTPConnection] = []
+        self._max_idle = connections
+        weakref.finalize(self, _close_all, self._idle)  # idle sockets close with the backend
+        self._lock = threading.Lock()
 
-    @property
-    def url(self) -> str:
-        return self.config.endpoint_url.rstrip("/") + "/chat/completions"
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, else a new one."""
+        with self._lock:
+            while self._idle:
+                conn = self._idle.pop()
+                if not _readable(conn.sock):
+                    return conn
+                conn.close()
+        timeout = self.config.timeout_seconds
+        if self._tls is None:
+            return http.client.HTTPConnection(*self._address, timeout=timeout)
+        return http.client.HTTPSConnection(*self._address, timeout=timeout, context=self._tls)
+
+    def _request(self, method: str, path: str, body: Optional[bytes] = None,
+                 headers: Optional[dict] = None) -> tuple[int, bytes]:
+        conn = self._connection()
+        try:
+            conn.request(method, path, body, headers or {})
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException as exc:
+            conn.close()
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise TransientError(f"{type(exc).__name__}: {exc}") from exc
+            raise
+        with self._lock:
+            if resp.will_close or len(self._idle) >= self._max_idle:
+                conn.close()
+            else:
+                self._idle.append(conn)
+        return resp.status, data
 
     def preflight(self) -> None:
         """Cheap reachability check; any HTTP answer counts as reachable."""
         try:
-            self._session.get(self.config.endpoint_url, timeout=self.config.timeout_seconds)
-        except requests.RequestException as exc:
+            self._request("GET", self._root)
+        except TransientError as exc:
             raise BackendUnavailable(f"endpoint unreachable: {exc}") from exc
 
     def complete(self, request: ChatRequest, case_id: str = "", agent_role: str = "") -> str:
@@ -143,18 +199,13 @@ class HttpBackend:
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
+        status, data = self._request("POST", self._chat, json.dumps(body).encode("utf-8"), headers)
+        if status == 429 or status >= 500:
+            raise TransientError(f"HTTP {status}")
+        if status >= 400:
+            raise BadResponse(f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}")
         try:
-            resp = self._session.post(
-                self.url, json=body, headers=headers, timeout=self.config.timeout_seconds
-            )
-        except requests.RequestException as exc:
-            raise TransientError(str(exc)) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientError(f"HTTP {resp.status_code}")
-        if resp.status_code >= 400:
-            raise BadResponse(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BadResponse(f"response lacks an assistant message: {exc}") from exc
         if not isinstance(content, str):

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,87 @@ class CountingBackend:
             with self._lock:
                 self.in_flight -= 1
                 self.calls.append((case_id, start, end))
+
+
+def chat_reply(content: str) -> tuple[int, bytes]:
+    """A 200 chat-completions answer carrying `content` as the assistant message."""
+    return 200, json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+
+class _CountingStub(ThreadingHTTPServer):
+    """Local chat-completions stub on 127.0.0.1 over HTTP/1.1 keep-alive. It counts the
+    connections it accepts and records each POST's path, headers and JSON body. Each
+    POST waits `delay` seconds, then takes the next (status, body) from `replies`, or
+    answers "NO." once they run out. With `close_idle`, it closes every connection after
+    one answer without saying so, as a server ending an idle keep-alive connection does;
+    `closed` is set once it has."""
+
+    daemon_threads = True
+
+    def __init__(self, replies=(), delay=0.01, close_idle=False):
+        super().__init__(("127.0.0.1", 0), _StubHandler)
+        self.connections = 0
+        self.posts: list[dict] = []
+        self.replies = list(replies)
+        self.delay = delay
+        self.close_idle = close_idle
+        self.closed = threading.Event()
+        self.lock = threading.Lock()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 10
+
+    def setup(self):  # once per accepted connection
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_GET(self):
+        self._send(200, b"")
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        time.sleep(self.server.delay)
+        with self.server.lock:
+            self.server.posts.append({"path": self.path, "headers": self.headers, "json": body})
+            status, reply = self.server.replies.pop(0) if self.server.replies else chat_reply("NO.")
+        self._send(status, reply)
+
+    def _send(self, status, body):
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        if self.server.close_idle:
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def serve_stub():
+    """Start `_CountingStub` servers for one test (same arguments) and stop them after it."""
+    stubs = []
+
+    def start(**options):
+        stub = _CountingStub(**options)
+        threading.Thread(target=stub.serve_forever, args=(0.01,), daemon=True).start()
+        stubs.append(stub)
+        return stub
+
+    yield start
+    for stub in stubs:
+        stub.shutdown()
+        stub.server_close()

@@ -1,8 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,15 @@ from redflagcds.domain import RedFlag
 from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, Settings, cli
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry, user_request
 from redflagcds.recovery import Strategy, extract_json
-from tests.conftest import FIXTURES_DIR, TABLE1_RAW, full_script, write_jsonl, write_script_file
+from tests.conftest import (
+    FIXTURES_DIR,
+    REPO_ROOT,
+    TABLE1_RAW,
+    _CountingStub,
+    full_script,
+    write_jsonl,
+    write_script_file,
+)
 
 
 @pytest.fixture
@@ -232,50 +241,6 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
 
 
-class _CountingStub(ThreadingHTTPServer):
-    """Local chat-completions stub over HTTP/1.1 keep-alive: answers every call "NO."
-    after 10 ms and counts the connections it accepts."""
-
-    daemon_threads = True
-
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _StubHandler)
-        self.connections = 0
-        self.lock = threading.Lock()
-
-    @property
-    def url(self):
-        return f"http://127.0.0.1:{self.server_address[1]}/v1"
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    timeout = 10
-
-    def setup(self):  # once per accepted connection
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-    def do_GET(self):
-        self._send(b"")
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        time.sleep(0.01)
-        self._send(json.dumps({"choices": [{"message": {"content": "NO."}}]}).encode())
-
-    def _send(self, body):
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
 def test_http_backend_keeps_a_connection_per_call_slot():
     """At concurrency 12 the backend opens at most 12 connections, even when all 12
     calls end together and start again: a session's default pool keeps only 10."""
@@ -294,6 +259,28 @@ def test_http_backend_keeps_a_connection_per_call_slot():
         stub.shutdown()
         stub.server_close()
     assert 1 <= stub.connections <= 12
+
+
+def test_malformed_endpoint_exits_2(runner, tmp_path):
+    result = runner.invoke(
+        cli,
+        ["evaluate", "--dataset", str(FIXTURES_DIR / "cases.jsonl"),
+         "--endpoint", "llm.local/v1", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "--endpoint: not an http:// or https:// URL" in result.output
+
+
+def test_importing_the_cli_loads_no_http_library():
+    """The HTTP client is stdlib only: importing the CLI pulls in neither requests
+    nor urllib3, and pays neither's import time or memory."""
+    code = "import sys, redflagcds.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestReport:

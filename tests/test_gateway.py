@@ -1,4 +1,10 @@
 import json
+import logging
+import socket
+import ssl
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,7 +25,7 @@ from redflagcds.gateway import (
     user_request,
     with_retries,
 )
-from tests.conftest import TABLE1_RAW, write_script_file
+from tests.conftest import TABLE1_RAW, chat_reply, within, write_script_file
 
 
 class TestChatRequest:
@@ -152,62 +158,122 @@ class TestRetries:
             with_retries(fn, max_retries=3, sleep=delays.append)
         assert delays == [1.0, 2.0, 4.0]
 
-
-class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+    def test_each_retry_logs_one_warning(self, caplog):
+        fn, _ = self._flaky(fail_times=2)
+        with caplog.at_level(logging.WARNING, logger="redflagcds.gateway"):
+            assert with_retries(fn, max_retries=2, sleep=lambda _t: None) == "ok"
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, "attempt 1 of 3 failed, retrying in 1 s: attempt 1"),
+            (logging.WARNING, "attempt 2 of 3 failed, retrying in 2 s: attempt 2"),
+        ]
 
 
 class TestHttpBackend:
-    def _backend(self, monkeypatch, responses, api_key=None):
-        config = BackendConfig(
-            endpoint_url="http://llm.local/v1", model="m", api_key=api_key, max_retries=2
-        )
-        backend = HttpBackend(config, sleep=lambda _t: None)
-        sent = []
+    """Against a real HTTP/1.1 server on 127.0.0.1 (tests/conftest.py `_CountingStub`)."""
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            sent.append({"url": url, "json": json, "headers": headers})
-            return responses.pop(0)
+    def _backend(self, serve_stub, replies, api_key=None, **stub_options):
+        stub = serve_stub(replies=replies, delay=0, **stub_options)
+        config = BackendConfig(endpoint_url=stub.url, model="m", api_key=api_key, max_retries=2)
+        sleeps = []
+        return HttpBackend(config, sleep=sleeps.append), stub, sleeps
 
-        monkeypatch.setattr(backend._session, "post", fake_post)
-        return backend, sent
-
-    def _ok(self, content):
-        return _FakeResponse(200, {"choices": [{"message": {"content": content}}]})
-
-    def test_request_shape_and_bearer_token(self, monkeypatch):
-        backend, sent = self._backend(monkeypatch, [self._ok("hi")], api_key="secret")
+    def test_request_shape_and_bearer_token(self, serve_stub):
+        backend, stub, _ = self._backend(serve_stub, [chat_reply("hi")], api_key="secret")
         out = backend.complete(user_request("m", "prompt"))
         assert out == "hi"
-        assert sent[0]["url"] == "http://llm.local/v1/chat/completions"
-        assert sent[0]["json"]["temperature"] == 0
-        assert sent[0]["json"]["top_p"] == 1
-        assert sent[0]["json"]["max_tokens"] == 1024
-        assert sent[0]["headers"]["Authorization"] == "Bearer secret"
+        (sent,) = stub.posts
+        assert sent["path"] == "/v1/chat/completions"
+        assert sent["headers"]["Host"] == f"127.0.0.1:{stub.server_address[1]}"
+        assert sent["headers"]["Content-Type"] == "application/json"
+        assert sent["json"] == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "prompt"}],
+            "temperature": 0,
+            "top_p": 1,
+            "max_tokens": 1024,
+        }
+        assert sent["headers"]["Authorization"] == "Bearer secret"
 
-    def test_retries_on_500_then_succeeds(self, monkeypatch):
-        backend, sent = self._backend(
-            monkeypatch, [_FakeResponse(500), _FakeResponse(503), self._ok("recovered")]
+    def test_netrc_does_not_replace_the_api_key(self, serve_stub, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login u password p\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        backend, stub, _ = self._backend(serve_stub, [chat_reply("hi")], api_key="secret")
+        assert backend.complete(user_request("m", "prompt")) == "hi"
+        assert stub.posts[0]["headers"]["Authorization"] == "Bearer secret"
+
+    def test_retries_on_500_then_succeeds(self, serve_stub):
+        backend, stub, sleeps = self._backend(
+            serve_stub, [(500, b""), (503, b""), chat_reply("recovered")]
         )
         assert backend.complete(user_request("m", "p")) == "recovered"
-        assert len(sent) == 3
+        assert len(stub.posts) == 3
+        assert sleeps == [1, 2]
 
-    def test_gives_up_after_retries(self, monkeypatch):
-        backend, _ = self._backend(
-            monkeypatch, [_FakeResponse(500), _FakeResponse(500), _FakeResponse(500)]
-        )
+    def test_gives_up_after_retries(self, serve_stub):
+        backend, stub, _ = self._backend(serve_stub, [(500, b"")] * 3)
         with pytest.raises(BackendUnavailable):
             backend.complete(user_request("m", "p"))
+        assert len(stub.posts) == 3
 
-    def test_missing_assistant_message(self, monkeypatch):
-        backend, _ = self._backend(monkeypatch, [_FakeResponse(200, {"choices": []})])
+    def test_missing_assistant_message(self, serve_stub):
+        backend, _, _ = self._backend(serve_stub, [(200, b'{"choices": []}')])
         with pytest.raises(BadResponse):
             backend.complete(user_request("m", "p"))
+
+    def test_client_error_carries_the_body_prefix_without_retry(self, serve_stub):
+        body = "a" * 150 + "b" * 100
+        backend, stub, sleeps = self._backend(serve_stub, [(404, body.encode())])
+        with pytest.raises(BadResponse) as info:
+            backend.complete(user_request("m", "p"))
+        assert str(info.value) == "HTTP 404: " + body[:200]
+        assert len(stub.posts) == 1
+        assert sleeps == []
+
+    def test_refused_connection_retries_then_gives_up(self):
+        with socket.socket() as bound:  # bound, never listening: connections are refused
+            bound.bind(("127.0.0.1", 0))
+            config = BackendConfig(endpoint_url=f"http://127.0.0.1:{bound.getsockname()[1]}/v1",
+                                   model="m", max_retries=2)
+            sleeps = []
+            with pytest.raises(BackendUnavailable):
+                HttpBackend(config, sleep=sleeps.append).complete(user_request("m", "p"))
+        assert sleeps == [1, 2]
+
+    def test_connection_closed_while_idle_costs_no_retry(self, serve_stub):
+        backend, stub, sleeps = self._backend(serve_stub, [], close_idle=True)
+        backend.preflight()  # leaves one idle connection, which the stub then closes
+        assert stub.closed.wait(5)
+        time.sleep(0.05)  # let the close reach the client's socket
+        assert backend.complete(user_request("m", "p")) == "NO."
+        assert sleeps == []
+        assert len(stub.posts) == 1
+        assert stub.connections == 2
+
+    def test_concurrent_calls_never_share_a_connection(self, serve_stub):
+        """More callers than cores, switching threads as often as the interpreter allows:
+        a connection handed to two callers at once fails a call, which shows as a retry."""
+        backend, stub, sleeps = self._backend(serve_stub, [])
+        request = user_request("m", "p")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                replies = within(60, lambda: list(pool.map(lambda _: backend.complete(request),
+                                                           range(200))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == ["NO."] * 200
+        assert sleeps == []
+        assert len(stub.posts) == 200
+        assert stub.connections <= 8
+
+    def test_https_verifies_certificates(self):
+        backend = HttpBackend(BackendConfig(endpoint_url="https://llm.local/v1", model="m"))
+        assert backend._tls.verify_mode == ssl.CERT_REQUIRED
+        assert backend._tls.check_hostname
+
+    @pytest.mark.parametrize("endpoint", ["llm.local/v1", "ftp://llm.local/v1", "http:///v1"])
+    def test_rejects_an_endpoint_that_is_not_an_http_url(self, endpoint):
+        with pytest.raises(ValueError, match="not an http:// or https:// URL"):
+            HttpBackend(BackendConfig(endpoint_url=endpoint, model="m"))
