@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate tests/fixture_trace_digests.txt, the pinned digests of the fixture traces.
 
-Runs the full experiment matrix over fixtures/ with the scripted backend and
-writes one line per trace, `<row>/<case>.trace.jsonl <sha256>`. Each sha256
-covers the trace's events without `wall_time`, one
+Runs the full experiment matrix over fixtures/ with the scripted backend, then
+its two multi-agent rows again under exhaustive fan-out into `exhaustive/`, and
+writes one line per trace, `[exhaustive/]<row>/<case>.trace.jsonl <sha256>`.
+Each sha256 covers the trace's events without `wall_time`, one
 `json.dumps(event, sort_keys=True, ensure_ascii=False)` per line, so a digest
 changes only when what a trace records changes. tests/test_evaluation.py runs
 the same matrix and names every trace whose digest differs.
@@ -18,7 +19,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from redflagcds.engine import RunConfig
+from redflagcds.engine import Architecture, FanoutMode, RunConfig
 from redflagcds.evaluation import APPROACH_ORDER, load_dataset, run_experiment
 from redflagcds.gateway import ScriptedBackend, load_script
 from redflagcds.prompts import PromptLibrary
@@ -38,12 +39,20 @@ def trace_digest(path: Path) -> str:
 
 
 def fixture_trace_digests(trace_dir: Path) -> dict[str, str]:
-    """Run the fixture matrix into trace_dir; map each trace's relative path to its digest."""
+    """Run the fixture matrix, then its multi-agent rows under exhaustive fan-out into
+    trace_dir/exhaustive; map each trace's relative path to its digest."""
     prompts = PromptLibrary.default()
-    backend = ScriptedBackend(load_script(FIXTURES / "script.jsonl"))
-    matrix = [RunConfig(arch, strategy, backend, "scripted", prompts)
-              for arch, strategy in APPROACH_ORDER]
-    run_experiment(load_dataset(FIXTURES / "cases.jsonl"), matrix, trace_dir=trace_dir)
+    dataset = load_dataset(FIXTURES / "cases.jsonl")
+    script = load_script(FIXTURES / "script.jsonl")
+    for fanout, approaches, out in (
+        (FanoutMode.ROUTED, APPROACH_ORDER, trace_dir),
+        (FanoutMode.EXHAUSTIVE,
+         [a for a in APPROACH_ORDER if a[0] is Architecture.MULTI_AGENT], trace_dir / "exhaustive"),
+    ):
+        backend = ScriptedBackend(script)  # a fresh one: a DROPPED entry drops only its first call
+        matrix = [RunConfig(arch, strategy, backend, "scripted", prompts, fanout_mode=fanout)
+                  for arch, strategy in approaches]
+        run_experiment(dataset, matrix, trace_dir=out)
     return {
         path.relative_to(trace_dir).as_posix(): trace_digest(path)
         for path in sorted(trace_dir.rglob("*.trace.jsonl"))

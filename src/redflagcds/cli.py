@@ -3,7 +3,8 @@ reports, and replay traces.
 
 Exit codes: 0 success (agent-level errors are reported in output, not via the
 exit code), 2 invalid arguments, unreadable input or unwritable trace or report
-output, 3 backend unreachable, 4 trace invariant violation under --verify.
+output, or a script without an entry for a call, 3 backend unreachable or answering
+with an unusable response, 4 trace invariant violation under --verify.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from .evaluation import APPROACH_ORDER, RunReport, load_dataset, run_experiment
 from .gateway import (
     BackendConfig,
     BackendUnavailable,
+    BadResponse,
     DuplicateKey,
     HttpBackend,
     ScriptedBackend,
+    ScriptMiss,
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
@@ -191,8 +194,13 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
     )
     try:
         result = run_case(vignette, cfg)
+    except ScriptMiss as exc:
+        raise click.UsageError(f"script file: {exc.args[0]}")
     except BackendUnavailable as exc:
         click.echo(f"backend unavailable: {exc}", err=True)
+        sys.exit(EXIT_BACKEND)
+    except BadResponse as exc:
+        click.echo(f"unusable backend response: {exc}", err=True)
         sys.exit(EXIT_BACKEND)
 
     try:

@@ -13,6 +13,14 @@ row before has ended, so a backend sees the calls for one (case, role) in matrix
 order. Specialist results pass through a single serialized merge into GraphState
 in canonical flag order, so traces are deterministic for a scripted backend
 whatever order the calls finish in.
+
+Once routing is known, step 2 sends the routed specialists' calls together with
+those of the expected flags that were not routed (all seven minus the routed ones
+under EXHAUSTIVE fan-out, none under ROUTED): step 2 never runs those flags, so
+step 3 is sure to fan out to them. Step 3 takes their calls up in flight, and only
+the re-runs of dropped routed calls wait for step 2 to end. So an unrouted flag is
+called once, a routed flag again only after its step-2 call was dropped, and the
+trace records the unrouted flags in step 3.
 """
 
 from __future__ import annotations
@@ -148,8 +156,8 @@ def _coordinate(
         return run_single_llm(vignette, cfg, calls)
     state = GraphState(note=vignette)
     route(state, cfg, calls)
-    execute_specialists(state, cfg, calls)
-    manual_fanout(state, cfg, calls)
+    sent = execute_specialists(state, cfg, calls)
+    manual_fanout(state, cfg, calls, sent)
     return aggregate(state)
 
 
@@ -202,24 +210,37 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
     return state
 
 
+def _expected(state: GraphState, cfg: RunConfig) -> set[RedFlag]:
+    """The flags that must have a verdict after step 3: all seven under EXHAUSTIVE
+    fan-out, else the routed ones."""
+    if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:
+        return set(RedFlag)
+    return set(state.routing.next) if state.routing else set()
+
+
+def _send(
+    state: GraphState, cfg: RunConfig, calls: Executor, flags: list[RedFlag]
+) -> dict[RedFlag, Future]:
+    """Render every flag's specialist prompt, then submit their calls in `flags` order,
+    so a prompt that cannot be rendered fails the case before any of them is sent."""
+    vignette = state.note
+    prompts = [cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette) for flag in flags]
+    return {flag: _call(calls, cfg, prompt, vignette.id, flag.value)
+            for flag, prompt in zip(flags, prompts)}
+
+
 def _run_agents(
-    state: GraphState, cfg: RunConfig, calls: Executor, flags: list[RedFlag], fanout_phase: bool
+    state: GraphState, cfg: RunConfig, flags: list[RedFlag], futures: dict[RedFlag, Future],
+    fanout_phase: bool,
 ) -> None:
-    """Dispatch agents concurrently and apply results through the serialized merge point.
+    """Record the agents' starts, then apply their calls' results through the serialized
+    merge point.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
     """
-    if not flags:
-        return
     for flag in flags:
         state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value)
-    vignette = state.note
-    futures: dict[RedFlag, Future] = {
-        flag: _call(calls, cfg, cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette),
-                    vignette.id, flag.value)
-        for flag in flags
-    }
     for flag in flags:
         try:
             verdict = parse_verdict(futures[flag].result(), flag)
@@ -239,26 +260,37 @@ def _run_agents(
         state.apply_verdict(verdict)
 
 
-def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
-    """Step 2: run every pending specialist in parallel with error isolation."""
-    _run_agents(state, cfg, calls, canonical_order(state.pending), fanout_phase=False)
-    return state
+def execute_specialists(
+    state: GraphState, cfg: RunConfig, calls: Executor
+) -> dict[RedFlag, Future]:
+    """Step 2: run every pending specialist in parallel with error isolation.
+
+    Also sends, after the pending ones, the calls of the expected flags that were not
+    routed: step 2 never runs them, so step 3 is sure to fan out to them. Every prompt
+    is rendered before the first call is sent. Returns those early calls by flag.
+    """
+    routed = canonical_order(state.pending)
+    early = canonical_order(_expected(state, cfg) - state.pending)
+    futures = _send(state, cfg, calls, routed + early)
+    _run_agents(state, cfg, routed, futures, fanout_phase=False)
+    return {flag: futures[flag] for flag in early}
 
 
-def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
+def manual_fanout(
+    state: GraphState, cfg: RunConfig, calls: Executor, sent: dict[RedFlag, Future]
+) -> GraphState:
     """Step 3: detect and execute expected-but-not-completed agents.
 
     Expected is the routing list under ROUTED mode, or all seven under
-    EXHAUSTIVE mode. Always emits exactly one FANOUT event.
+    EXHAUSTIVE mode. The missing agents whose calls step 2 sent early (`sent`)
+    are taken up in flight; only routed agents whose call was dropped are called
+    again here. Always emits exactly one FANOUT event.
     """
-    if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:
-        expected = set(RedFlag)
-    else:
-        expected = set(state.routing.next) if state.routing else set()
-    missing = canonical_order(expected - state.completed)
+    missing = canonical_order(_expected(state, cfg) - state.completed)
     state.add_event(Stage.FANOUT, missing=[f.value for f in missing])
     state.pending.update(missing)
-    _run_agents(state, cfg, calls, missing, fanout_phase=True)
+    futures = {**sent, **_send(state, cfg, calls, [f for f in missing if f not in sent])}
+    _run_agents(state, cfg, missing, futures, fanout_phase=True)
     return state
 
 

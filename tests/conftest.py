@@ -3,6 +3,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -109,16 +110,23 @@ def within(seconds: float, fn):
     return box["value"]
 
 
+class Call(NamedTuple):
+    case_id: str
+    start: float
+    end: float
+    role: str
+
+
 class CountingBackend:
     """Wraps a backend: each call sleeps `delay` seconds first, and the wrapper records
-    the peak number of calls in flight and each call's (case_id, start, end)."""
+    the peak number of calls in flight and each call's Call(case_id, start, end, role)."""
 
     def __init__(self, inner, delay: float = 0.005):
         self.inner = inner
         self.delay = delay
         self.in_flight = 0
         self.peak = 0
-        self.calls: list[tuple[str, float, float]] = []
+        self.calls: list[Call] = []
         self._lock = threading.Lock()
 
     def complete(self, request, case_id: str = "", agent_role: str = "") -> str:
@@ -133,7 +141,7 @@ class CountingBackend:
             end = time.monotonic()
             with self._lock:
                 self.in_flight -= 1
-                self.calls.append((case_id, start, end))
+                self.calls.append(Call(case_id, start, end, agent_role))
 
 
 def chat_reply(content: str) -> tuple[int, bytes]:

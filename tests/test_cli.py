@@ -117,6 +117,21 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_BACKEND
 
+    def test_case_missing_from_script_exits_2(self, runner, note_path, script_path, tmp_path):
+        result = runner.invoke(
+            cli, classify_args(note_path, script_path, tmp_path, "--case-id", "nosuch"))
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "script file: no script entry for ('nosuch', 'orchestrator')" in result.output
+
+    def test_client_error_from_the_endpoint_exits_3(self, runner, note_path, tmp_path,
+                                                     serve_stub):
+        stub = serve_stub(replies=[(404, b"no such model")], delay=0)
+        result = runner.invoke(cli, ["classify", "--note", str(note_path),
+                                     "--endpoint", stub.url, "--out", str(tmp_path / "out")])
+        assert result.exit_code == EXIT_BACKEND, result.output
+        assert "unusable backend response: HTTP 404: no such model" in result.output
+        assert len(stub.posts) == 1  # a client error is not retried
+
     def test_unwritable_trace_output_exits_2(self, runner, note_path, script_path, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file", encoding="utf-8")

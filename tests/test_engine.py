@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -127,6 +128,70 @@ class TestFanout:
         assert started == {RedFlag.MENINGISMUS, RedFlag.TEMPORAL_ARTERITIS}
 
 
+class TestEarlySends:
+    """Once routing is known, step 2 also sends the calls that step 3 is sure to make:
+    those of the expected flags that were not routed."""
+
+    def _run(self, prompts, entries, mode, delay=0.05):
+        backend = CountingBackend(ScriptedBackend(entries), delay=delay)
+        result = within(30, lambda: run_case(note(), multi_config(backend, prompts,
+                                                                   fanout_mode=mode)))
+        return backend.calls, result
+
+    def test_exhaustive_sends_all_seven_specialists_at_once(self, prompts):
+        calls, result = self._run(prompts, full_script("case-7", TABLE1_RAW),
+                                  FanoutMode.EXHAUSTIVE)
+        (route_call,) = [c for c in calls if c.role == "orchestrator"]
+        specialists = [c for c in calls if c.role != "orchestrator"]
+        assert sorted(c.role for c in specialists) == sorted(f.value for f in RedFlag)
+        assert route_call.end <= min(c.start for c in specialists)  # routing first
+        assert max(c.start for c in specialists) < min(c.end for c in specialists)
+        # the trace still records the six unrouted flags in step 3
+        (fanout,) = events(result, Stage.FANOUT)
+        assert len(fanout.payload["missing"]) == 6
+        starts = [e.subject for e in events(result, Stage.AGENT_START)
+                  if e.sequence > fanout.sequence]
+        assert starts == [f for f in RedFlag if f is not RedFlag.MENINGISMUS]
+
+    def test_routed_mode_sends_nothing_early(self, prompts):
+        entries = full_script("case-7", ROUTE_TWO, faults={RedFlag.MENINGISMUS: Fault.DROPPED})
+        calls, _ = self._run(prompts, entries, FanoutMode.ROUTED)
+        route_call, *specialists = sorted(calls, key=lambda c: c.start)
+        assert route_call.role == "orchestrator"
+        assert sorted(c.role for c in specialists) == [
+            "meningismus", "meningismus", "temporal_arteritis"]
+        *step2, rerun = specialists
+        assert rerun.role == "meningismus"
+        assert route_call.end <= min(c.start for c in step2)
+        assert max(c.end for c in step2) <= rerun.start  # the re-run waits for step 2
+
+    @pytest.mark.parametrize("mode", list(FanoutMode))
+    def test_calls_per_role_and_dropped_outcomes(self, prompts, mode):
+        # temporal_arteritis is routed and dropped: its re-run recovers it. Papilledema
+        # is unrouted and dropped: under EXHAUSTIVE its one call ends in ERROR.
+        faults = {RedFlag.TEMPORAL_ARTERITIS: Fault.DROPPED, RedFlag.PAPILLEDEMA: Fault.DROPPED}
+        entries = full_script("case-7", ROUTE_TWO, yes_flags={RedFlag.TEMPORAL_ARTERITIS},
+                              faults=faults)
+        calls, result = self._run(prompts, entries, mode, delay=0.01)
+        per_role = collections.Counter(c.role for c in calls)
+        expected = {"orchestrator": 1, "meningismus": 1, "temporal_arteritis": 2}
+        if mode is FanoutMode.EXHAUSTIVE:
+            expected.update({f.value: 1 for f in RedFlag if f.value not in expected})
+        assert per_role == expected
+        first, rerun = [c for c in calls if c.role == "temporal_arteritis"]
+        assert first.end <= rerun.start
+        assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.YES
+        if mode is FanoutMode.EXHAUSTIVE:
+            verdict = result.verdicts[RedFlag.PAPILLEDEMA]
+            assert verdict.decision is Decision.ERROR
+            assert "scripted drop" in verdict.error_detail
+            (fanout,) = events(result, Stage.FANOUT)
+            assert "temporal_arteritis" in fanout.payload["missing"]
+            assert "papilledema" in fanout.payload["missing"]
+        else:
+            assert RedFlag.PAPILLEDEMA not in result.verdicts
+
+
 class TestErrorIsolation:
     def test_one_failing_agent_does_not_stop_the_other(self, prompts):
         entries = full_script(
@@ -140,13 +205,22 @@ class TestErrorIsolation:
         assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.ERROR
         assert {f.value for f in result.predicted} == {"meningismus"}
 
-    def test_missing_specialist_template_fails_the_case(self):
+    @pytest.mark.parametrize("mode, templates, missing", [
+        (FanoutMode.ROUTED, {}, "meningismus/gprompt.txt"),
+        (FanoutMode.EXHAUSTIVE, {}, "meningismus/gprompt.txt"),
+        # the routed flag renders; an unrouted one, sent early, does not
+        (FanoutMode.EXHAUSTIVE, {"meningismus/gprompt.txt": "Meningismus?"},
+         "thunderclap/gprompt.txt"),
+    ])
+    def test_missing_specialist_template_fails_the_case(self, mode, templates, missing):
         # specialist prompts render on the case's coordinator, like the orchestrator's;
         # only a hand-built library can lack one, as PromptLibrary.load checks them all
-        library = PromptLibrary({"orchestrator.txt": "Route this note."})
-        backend = ScriptedBackend(full_script("case-7", TABLE1_RAW))
-        with pytest.raises(TemplateMissing, match="meningismus/gprompt.txt"):
-            run_case(note(), multi_config(backend, library))
+        library = PromptLibrary({"orchestrator.txt": "Route this note.", **templates})
+        backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0)
+        with pytest.raises(TemplateMissing, match=missing):
+            run_case(note(), multi_config(backend, library, fanout_mode=mode))
+        # every prompt of step 2 renders before its first call is sent
+        assert [call.role for call in backend.calls] == ["orchestrator"]
 
     def test_empty_output_becomes_error_verdict(self, prompts):
         entries = full_script("case-7", TABLE1_RAW)
@@ -361,7 +435,7 @@ class TestScheduler:
 
         assert within(30, first_only).case_id == "c00"
         # c01 may have started before the close; nothing later ran
-        assert {case_id for case_id, _, _ in backend.calls} <= {"c00", "c01"}
+        assert {call.case_id for call in backend.calls} <= {"c00", "c01"}
 
     def test_no_cases_no_calls(self, prompts):
         backend = CountingBackend(self._backend())
@@ -397,8 +471,8 @@ class TestMatrixScheduler:
     def test_a_case_runs_its_rows_in_matrix_order(self, prompts):
         _, (first, second), outcomes = self._run(prompts)
         for case_id in self.CASES:
-            row1_end = max(end for c, _, end in first.calls if c == case_id)
-            row2_start = min(start for c, start, _ in second.calls if c == case_id)
+            row1_end = max(c.end for c in first.calls if c.case_id == case_id)
+            row2_start = min(c.start for c in second.calls if c.case_id == case_id)
             assert row1_end <= row2_start, case_id
         # so every one-shot drop lands in row 1, and fan-out recovers it there
         assert len(first.calls) == 1 + 7 + 7 + 2 and len(second.calls) == 1 + 7 + 2
@@ -407,7 +481,7 @@ class TestMatrixScheduler:
 
     def test_rows_overlap(self, prompts):
         _, (first, second), _ = self._run(prompts)
-        assert min(start for _, start, _ in second.calls) < max(end for _, _, end in first.calls)
+        assert min(c.start for c in second.calls) < max(c.end for c in first.calls)
 
     def test_in_flight_calls_capped_across_rows(self, prompts):
         shared, _, _ = self._run(prompts)

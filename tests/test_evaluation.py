@@ -443,7 +443,7 @@ class TestRunExperiment:
         _, threads_left = within(30, run)
         assert threads_left == []
         # w0's trace write failed; w1 may have started before that; no later case ran
-        assert {case_id for case_id, _, _ in backend.calls} <= {"w0", "w1"}
+        assert {call.case_id for call in backend.calls} <= {"w0", "w1"}
 
 
 def test_serial_and_overlapped_fixture_runs_match(prompts, tmp_path):
@@ -483,7 +483,7 @@ def test_fixture_traces_match_pinned_digests(tmp_path):
     from scripts.trace_digests import fixture_trace_digests, read_digests
 
     pinned = read_digests()
-    assert len(pinned) == 4 * 22
+    assert len(pinned) == (4 + 2) * 22  # the matrix, then its multi-agent rows exhaustive
     actual = within(60, lambda: fixture_trace_digests(tmp_path))
     differing = sorted(name for name in pinned.keys() | actual.keys()
                        if pinned.get(name) != actual.get(name))
