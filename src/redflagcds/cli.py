@@ -3,8 +3,8 @@ reports, and replay traces.
 
 Exit codes: 0 success (agent-level errors are reported in output, not via the
 exit code), 2 invalid arguments, unreadable input or unwritable trace or report
-output, or a script without an entry for a call, 3 backend unreachable or answering
-with an unusable response, 4 trace invariant violation under --verify.
+output, or a script without an entry for a call, 3 backend unreachable, answering
+with an unusable response or dropping the call, 4 trace invariant violation under --verify.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .gateway import (
     BackendConfig,
     BackendUnavailable,
     BadResponse,
+    DroppedToolCall,
     DuplicateKey,
     HttpBackend,
     ScriptedBackend,
@@ -39,6 +40,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BACKEND = 3
 EXIT_INVARIANT = 4
+
+# What classify prints before a backend failure of its case's call, which exits EXIT_BACKEND.
+CASE_FAILURES = {BackendUnavailable: "backend unavailable", BadResponse: "unusable backend response",
+                 DroppedToolCall: "backend dropped the call"}
 
 # "all", plus one single-row choice per approach, named "<architecture>-<strategy>".
 MATRIX_CHOICES = {
@@ -196,11 +201,8 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         result = run_case(vignette, cfg)
     except ScriptMiss as exc:
         raise click.UsageError(f"script file: {exc.args[0]}")
-    except BackendUnavailable as exc:
-        click.echo(f"backend unavailable: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
-    except BadResponse as exc:
-        click.echo(f"unusable backend response: {exc}", err=True)
+    except tuple(CASE_FAILURES) as exc:
+        click.echo(f"{CASE_FAILURES[type(exc)]}: {exc}", err=True)
         sys.exit(EXIT_BACKEND)
 
     try:

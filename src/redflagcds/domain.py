@@ -162,11 +162,9 @@ class GraphState:
         """The agents that have a verdict: a read-only view of outputs' keys."""
         return self.outputs.keys()
 
-    def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> TraceEvent:
+    def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
         self._seq += 1
-        event = TraceEvent(self._seq, stage, subject, payload, time.time())
-        self.trace.append(event)
-        return event
+        self.trace.append(TraceEvent(self._seq, stage, subject, payload, time.time()))
 
     def apply_verdict(self, verdict: AgentVerdict) -> None:
         """Move the agent from pending to completed and record its output."""

@@ -14,13 +14,10 @@ order. Specialist results pass through a single serialized merge into GraphState
 in canonical flag order, so traces are deterministic for a scripted backend
 whatever order the calls finish in.
 
-Once routing is known, step 2 sends the routed specialists' calls together with
-those of the expected flags that were not routed (all seven minus the routed ones
-under EXHAUSTIVE fan-out, none under ROUTED): step 2 never runs those flags, so
-step 3 is sure to fan out to them. Step 3 takes their calls up in flight, and only
-the re-runs of dropped routed calls wait for step 2 to end. So an unrouted flag is
-called once, a routed flag again only after its step-2 call was dropped, and the
-trace records the unrouted flags in step 3.
+Step 1 sends the calls of the flags expected before routing is known (all seven
+under EXHAUSTIVE fan-out, none under ROUTED) right after the first orchestrator
+call. Step 2 takes up the routed ones in flight, step 3 the rest; only the re-runs
+of dropped routed calls wait for step 2. Events are still written in step order.
 """
 
 from __future__ import annotations
@@ -155,8 +152,8 @@ def _coordinate(
     if cfg.architecture is Architecture.SINGLE_LLM:
         return run_single_llm(vignette, cfg, calls)
     state = GraphState(note=vignette)
-    route(state, cfg, calls)
-    sent = execute_specialists(state, cfg, calls)
+    sent = route(state, cfg, calls)
+    sent = execute_specialists(state, cfg, calls, sent)
     manual_fanout(state, cfg, calls, sent)
     return aggregate(state)
 
@@ -167,18 +164,25 @@ def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str)
     return calls.submit(cfg.backend.complete, request, case_id=case_id, agent_role=role)
 
 
-def route(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
-    """Ask the orchestrator for a routing decision; set the pending agent set.
+def route(state: GraphState, cfg: RunConfig, calls: Executor) -> dict[RedFlag, Future]:
+    """Step 1: ask the orchestrator for a routing decision; set the pending agent set.
 
-    An unusable output is re-prompted until ROUTE_ATTEMPTS calls are made; if
-    it stays unusable, fall back to all seven agents so no red flag is silently
-    skipped.
+    Right after the first orchestrator call, sends the calls of the flags expected
+    before routing, every prompt rendered first, and returns them by flag. An unusable
+    output is re-prompted until ROUTE_ATTEMPTS calls are made; if it stays unusable,
+    fall back to all seven agents so no red flag is silently skipped.
     """
     vignette = state.note
     prompt = cfg.prompts.orchestrator_prompt(vignette)
+    early = _prompts(state, cfg, canonical_order(_expected(state, cfg)))
+    first = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
+    sent = _send(calls, cfg, vignette.id, early)  # after it: routing is on the critical path
     fallback = {}
     for attempt in range(1, ROUTE_ATTEMPTS + 1):
-        raw = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR).result()
+        answer = first if attempt == 1 else _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
+        if answer.exception() is not None:
+            wait(sent.values())  # fail after the calls sent with it: the next row's run follows
+        raw = answer.result()
         try:
             decision, warnings = parse_routing(raw, vignette, cfg.strict_evidence)
             break
@@ -207,26 +211,26 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor) -> GraphState:
         attempt=attempt,
         **fallback,
     )
-    return state
+    return sent
 
 
 def _expected(state: GraphState, cfg: RunConfig) -> set[RedFlag]:
     """The flags that must have a verdict after step 3: all seven under EXHAUSTIVE
-    fan-out, else the routed ones."""
+    fan-out, else the routed ones (none before routing is known)."""
     if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:
         return set(RedFlag)
     return set(state.routing.next) if state.routing else set()
 
 
-def _send(
-    state: GraphState, cfg: RunConfig, calls: Executor, flags: list[RedFlag]
-) -> dict[RedFlag, Future]:
-    """Render every flag's specialist prompt, then submit their calls in `flags` order,
-    so a prompt that cannot be rendered fails the case before any of them is sent."""
-    vignette = state.note
-    prompts = [cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette) for flag in flags]
-    return {flag: _call(calls, cfg, prompt, vignette.id, flag.value)
-            for flag, prompt in zip(flags, prompts)}
+def _prompts(state: GraphState, cfg: RunConfig, flags, sent=()) -> dict[RedFlag, str]:
+    """Render the specialist prompts of the `flags` without a call in `sent`, in order."""
+    return {flag: cfg.prompts.specialist_prompt(flag, cfg.strategy, state.note)
+            for flag in flags if flag not in sent}
+
+
+def _send(calls: Executor, cfg: RunConfig, case_id: str, prompts: dict) -> dict[RedFlag, Future]:
+    """Submit the specialist calls of `prompts` (from `_prompts`), in order."""
+    return {flag: _call(calls, cfg, prompt, case_id, flag.value) for flag, prompt in prompts.items()}
 
 
 def _run_agents(
@@ -261,19 +265,14 @@ def _run_agents(
 
 
 def execute_specialists(
-    state: GraphState, cfg: RunConfig, calls: Executor
+    state: GraphState, cfg: RunConfig, calls: Executor, sent: dict[RedFlag, Future]
 ) -> dict[RedFlag, Future]:
-    """Step 2: run every pending specialist in parallel with error isolation.
-
-    Also sends, after the pending ones, the calls of the expected flags that were not
-    routed: step 2 never runs them, so step 3 is sure to fan out to them. Every prompt
-    is rendered before the first call is sent. Returns those early calls by flag.
-    """
+    """Step 2: run every pending specialist in parallel with error isolation, taking up
+    the calls that step 1 sent (`sent`) in flight; returns the rest of `sent` by flag."""
     routed = canonical_order(state.pending)
-    early = canonical_order(_expected(state, cfg) - state.pending)
-    futures = _send(state, cfg, calls, routed + early)
+    futures = {**sent, **_send(calls, cfg, state.note.id, _prompts(state, cfg, routed, sent))}
     _run_agents(state, cfg, routed, futures, fanout_phase=False)
-    return {flag: futures[flag] for flag in early}
+    return {flag: future for flag, future in sent.items() if flag not in routed}
 
 
 def manual_fanout(
@@ -282,14 +281,14 @@ def manual_fanout(
     """Step 3: detect and execute expected-but-not-completed agents.
 
     Expected is the routing list under ROUTED mode, or all seven under
-    EXHAUSTIVE mode. The missing agents whose calls step 2 sent early (`sent`)
-    are taken up in flight; only routed agents whose call was dropped are called
+    EXHAUSTIVE mode. The missing agents whose calls step 1 sent (`sent`) are
+    taken up in flight; only routed agents whose call was dropped are called
     again here. Always emits exactly one FANOUT event.
     """
     missing = canonical_order(_expected(state, cfg) - state.completed)
     state.add_event(Stage.FANOUT, missing=[f.value for f in missing])
     state.pending.update(missing)
-    futures = {**sent, **_send(state, cfg, calls, [f for f in missing if f not in sent])}
+    futures = {**sent, **_send(calls, cfg, state.note.id, _prompts(state, cfg, missing, sent))}
     _run_agents(state, cfg, missing, futures, fanout_phase=True)
     return state
 

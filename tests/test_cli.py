@@ -132,6 +132,23 @@ class TestClassify:
         assert "unusable backend response: HTTP 404: no such model" in result.output
         assert len(stub.posts) == 1  # a client error is not retried
 
+    @pytest.mark.parametrize("arch, role, fanout", [
+        ("multi", "orchestrator", "routed"),
+        ("multi", "orchestrator", "exhaustive"),  # the specialist answers are discarded
+        ("single", "baseline", "routed"),
+    ])
+    def test_dropped_call_exits_3(self, runner, note_path, tmp_path, arch, role, fanout):
+        entries = full_script("case-7", TABLE1_RAW) + [ScriptEntry("case-7", "baseline", "")]
+        entries = [ScriptEntry("case-7", role, "", fault=Fault.DROPPED) if e.agent_role == role
+                   else e for e in entries]
+        script = write_script_file(tmp_path / "s.jsonl", entries)
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path,
+                                                  "--arch", arch, "--fanout", fanout))
+        assert result.exit_code == EXIT_BACKEND, result.output
+        assert ("backend dropped the call: scripted drop of first call for "
+                f"('case-7', '{role}')") in result.output
+        assert not (tmp_path / "out" / "traces").exists()
+
     def test_unwritable_trace_output_exits_2(self, runner, note_path, script_path, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file", encoding="utf-8")

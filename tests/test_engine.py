@@ -18,6 +18,7 @@ from redflagcds.engine import (
 )
 from redflagcds.gateway import (
     BackendUnavailable,
+    DroppedToolCall,
     Fault,
     ScriptEntry,
     ScriptedBackend,
@@ -129,23 +130,22 @@ class TestFanout:
 
 
 class TestEarlySends:
-    """Once routing is known, step 2 also sends the calls that step 3 is sure to make:
-    those of the expected flags that were not routed."""
+    """Step 1 sends, with the first routing call, the calls of the flags expected before
+    routing is known: all seven under EXHAUSTIVE, none under ROUTED."""
 
     def _run(self, prompts, entries, mode, delay=0.05):
         backend = CountingBackend(ScriptedBackend(entries), delay=delay)
-        result = within(30, lambda: run_case(note(), multi_config(backend, prompts,
-                                                                   fanout_mode=mode)))
+        cfg = multi_config(backend, prompts, fanout_mode=mode, concurrency=8)
+        result = within(30, lambda: run_case(note(), cfg))
         return backend.calls, result
 
     def test_exhaustive_sends_all_seven_specialists_at_once(self, prompts):
         calls, result = self._run(prompts, full_script("case-7", TABLE1_RAW),
                                   FanoutMode.EXHAUSTIVE)
-        (route_call,) = [c for c in calls if c.role == "orchestrator"]
-        specialists = [c for c in calls if c.role != "orchestrator"]
-        assert sorted(c.role for c in specialists) == sorted(f.value for f in RedFlag)
-        assert route_call.end <= min(c.start for c in specialists)  # routing first
-        assert max(c.start for c in specialists) < min(c.end for c in specialists)
+        assert sorted(c.role for c in calls) == sorted(
+            ["orchestrator", *(f.value for f in RedFlag)])
+        # all eight calls start before the first one ends: one call round, not two
+        assert max(c.start for c in calls) < min(c.end for c in calls)
         # the trace still records the six unrouted flags in step 3
         (fanout,) = events(result, Stage.FANOUT)
         assert len(fanout.payload["missing"]) == 6
@@ -191,6 +191,35 @@ class TestEarlySends:
         else:
             assert RedFlag.PAPILLEDEMA not in result.verdicts
 
+    @pytest.mark.parametrize("mode, specialist_calls", [
+        (FanoutMode.ROUTED, 0), (FanoutMode.EXHAUSTIVE, len(RedFlag))])
+    def test_hard_orchestrator_fault_costs_the_calls_sent_with_it(
+            self, prompts, mode, specialist_calls):
+        entries = full_script("case-7", TABLE1_RAW)
+        entries[0] = ScriptEntry("case-7", "orchestrator", fault=Fault.TIMEOUT)
+        backend = CountingBackend(ScriptedBackend(entries), delay=0.01)
+        cfg = multi_config(backend, prompts, fanout_mode=mode, concurrency=8)
+        with pytest.raises(BackendUnavailable, match="TIMEOUT"):
+            within(30, lambda: run_case(note(), cfg))
+        # the specialist calls sent with the routing call are not cancelled, and their
+        # answers are discarded: the count does not depend on timing
+        per_role = collections.Counter(c.role for c in backend.calls)
+        assert per_role.pop("orchestrator") == 1
+        assert sum(per_role.values()) == specialist_calls
+        assert set(per_role.values()) <= {1}
+
+    def test_fallback_takes_up_the_calls_in_flight(self, prompts):
+        entries = full_script("case-7", "no routing here", yes_flags={RedFlag.PAPILLEDEMA})
+        calls, result = self._run(prompts, entries, FanoutMode.EXHAUSTIVE, delay=0.01)
+        per_role = collections.Counter(c.role for c in calls)
+        assert per_role == {"orchestrator": 2, **{f.value: 1 for f in RedFlag}}
+        (routing,) = events(result, Stage.ROUTING)
+        assert routing.payload["fallback"] is True
+        (fanout,) = events(result, Stage.FANOUT)
+        assert fanout.payload["missing"] == []  # the fallback routed all seven in step 2
+        assert {f.value for f in result.predicted} == {"papilledema"}
+        assert all(v.decision is not Decision.ERROR for v in result.verdicts.values())
+
 
 class TestErrorIsolation:
     def test_one_failing_agent_does_not_stop_the_other(self, prompts):
@@ -207,8 +236,10 @@ class TestErrorIsolation:
 
     @pytest.mark.parametrize("mode, templates, missing", [
         (FanoutMode.ROUTED, {}, "meningismus/gprompt.txt"),
-        (FanoutMode.EXHAUSTIVE, {}, "meningismus/gprompt.txt"),
-        # the routed flag renders; an unrouted one, sent early, does not
+        # under EXHAUSTIVE, step 1 renders all seven before its first call: the routed
+        # flag's template is missing, then an unrouted one's
+        (FanoutMode.EXHAUSTIVE, {"thunderclap/gprompt.txt": "Thunderclap?"},
+         "meningismus/gprompt.txt"),
         (FanoutMode.EXHAUSTIVE, {"meningismus/gprompt.txt": "Meningismus?"},
          "thunderclap/gprompt.txt"),
     ])
@@ -219,8 +250,10 @@ class TestErrorIsolation:
         backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0)
         with pytest.raises(TemplateMissing, match=missing):
             run_case(note(), multi_config(backend, library, fanout_mode=mode))
-        # every prompt of step 2 renders before its first call is sent
-        assert [call.role for call in backend.calls] == ["orchestrator"]
+        # every prompt of a step renders before its first call is sent: under ROUTED the
+        # routed flag's renders after routing, under EXHAUSTIVE no call is made
+        roles = ["orchestrator"] if mode is FanoutMode.ROUTED else []
+        assert [call.role for call in backend.calls] == roles
 
     def test_empty_output_becomes_error_verdict(self, prompts):
         entries = full_script("case-7", TABLE1_RAW)
@@ -495,6 +528,45 @@ class TestMatrixScheduler:
         with pytest.raises(ValueError, match="same concurrency"):
             list(run_cases([note("c00")], *matrix))
         assert backend.calls == []
+
+
+class TestExhaustiveMatrixOrder:
+    """Both multi-agent rows through one `run_cases` under EXHAUSTIVE fan-out, where step 1
+    sends every specialist call with the routing call. Each row's backend records that
+    row's calls; both wrap one shared scripted backend, whose DROPPED faults are one-shot."""
+
+    def _run(self, prompts, entries, concurrency=8):
+        shared = CountingBackend(ScriptedBackend(entries), delay=0.02)
+        rows = [CountingBackend(shared, delay=0), CountingBackend(shared, delay=0)]
+        matrix = [multi_config(row, prompts, strategy=strategy, concurrency=concurrency,
+                               fanout_mode=FanoutMode.EXHAUSTIVE)
+                  for row, strategy in zip(rows, [PromptStrategy.QPROMPT, PromptStrategy.GPROMPT])]
+        outcomes = within(30, lambda: list(run_cases([note()], *matrix)))
+        first, second = rows
+        assert max(c.end for c in first.calls) <= min(c.start for c in second.calls)
+        return first.calls, second.calls, outcomes
+
+    def test_drop_of_an_unrouted_flag_lands_in_row_1(self, prompts):
+        # TABLE1_RAW routes to meningismus only; papilledema is unrouted
+        entries = full_script("case-7", TABLE1_RAW, faults={RedFlag.PAPILLEDEMA: Fault.DROPPED})
+        first, second, (row1, row2) = self._run(prompts, entries)
+        assert len(first) == len(second) == 1 + len(RedFlag)
+        verdict = row1.verdicts[RedFlag.PAPILLEDEMA]
+        assert verdict.decision is Decision.ERROR
+        assert "scripted drop" in verdict.error_detail
+        assert row2.verdicts[RedFlag.PAPILLEDEMA].decision is Decision.NO
+        assert events(row2, Stage.AGENT_ERROR) == []
+
+    def test_a_failed_case_run_ends_after_the_calls_it_sent(self, prompts):
+        # row 1's routing call is dropped, so its case fails; the seven specialist calls
+        # sent with it still end before row 2 starts, and one of them takes the drop
+        entries = full_script("case-7", TABLE1_RAW, faults={RedFlag.PAPILLEDEMA: Fault.DROPPED})
+        entries[0] = ScriptEntry("case-7", "orchestrator", TABLE1_RAW, fault=Fault.DROPPED)
+        first, second, (row1, row2) = self._run(prompts, entries, concurrency=2)
+        assert isinstance(row1, DroppedToolCall)
+        assert len(first) == len(second) == 1 + len(RedFlag)
+        assert events(row2, Stage.AGENT_ERROR) == []
+        assert len(row2.verdicts) == len(RedFlag)
 
 
 class TestRunConfig:
