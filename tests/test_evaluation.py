@@ -493,6 +493,33 @@ def test_fixture_traces_match_pinned_digests(tmp_path):
     )
 
 
+def test_corpus_traces_match_oracle_and_pinned_digests(tmp_path):
+    """The seed-7 corpus reaches every recovery tier, the re-prompt, the seven-agent
+    fallback and every fault: its exhaustive case-runs predict what the generator's
+    oracle expects, and every trace of both fan-out modes matches its pinned digest."""
+    from scripts.trace_digests import CORPUS_DIGESTS_FILE, corpus_trace_digests, read_digests
+
+    pinned = read_digests(CORPUS_DIGESTS_FILE)
+    assert len(pinned) == (4 + 2) * 200  # all rows exhaustive, then the multi-agent rows routed
+    actual = within(60, lambda: corpus_trace_digests(tmp_path))
+    with open(tmp_path / "corpus" / "expected.jsonl", encoding="utf-8") as fh:
+        expected = {(r["case_id"], f"scripted_{r['config']}"): sorted(r["predicted"])
+                    for r in map(json.loads, fh)}
+    wrong = []
+    for (case_id, row), want in expected.items():  # the oracle assumes exhaustive fan-out
+        events = read_trace(tmp_path / "traces" / "exhaustive" / row / f"{case_id}.trace.jsonl")
+        if sorted(events[-1].payload["predicted"]) != want:
+            wrong.append(f"{row}/{case_id}")
+    assert len(expected) == 4 * 200
+    assert not wrong, f"{len(wrong)} exhaustive case-runs differ from expected.jsonl: {wrong}"
+    differing = sorted(name for name in pinned.keys() | actual.keys()
+                       if pinned.get(name) != actual.get(name))
+    assert not differing, (
+        f"{len(differing)} corpus traces differ from tests/corpus_trace_digests.txt "
+        f"(regenerate with scripts/trace_digests.py only for an intended change): {differing}"
+    )
+
+
 class TestReportRendering:
     def _report(self, prompts, tmp_path):
         dataset = TestRunExperiment()._tiny_dataset(tmp_path)
