@@ -28,6 +28,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from redflagcds.encoding import read_jsonl
 from redflagcds.engine import Architecture, FanoutMode, RunConfig
 from redflagcds.evaluation import APPROACH_ORDER, load_dataset, run_experiment
 from redflagcds.gateway import ScriptedBackend, load_script
@@ -44,8 +45,7 @@ MULTI_AGENT = [a for a in APPROACH_ORDER if a[0] is Architecture.MULTI_AGENT]
 
 def trace_digest(path: Path) -> str:
     lines = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        event = json.loads(line)
+    for _, event in read_jsonl(path):
         event.pop("wall_time", None)
         lines.append(json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n")
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()

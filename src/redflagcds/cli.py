@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from .domain import EmptyVignette, Stage, Vignette
-from .encoding import read_text_fallback
+from .encoding import BadRecord, read_text_fallback
 from .engine import DEFAULT_CONCURRENCY, Architecture, FanoutMode, RunConfig, run_case
 from .evaluation import APPROACH_ORDER, RunReport, load_dataset, run_experiment
 from .gateway import (
@@ -32,7 +32,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
-from .trace import BadRecord, IoFailure, read_trace, verify_trace, write_trace
+from .trace import IoFailure, read_trace, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -96,7 +96,8 @@ def _common_options(fn):
                      show_default=True),
         click.option("--strict-evidence", is_flag=True, default=False),
         click.option("--concurrency", type=click.IntRange(min=1), default=None,
-                     help="Most backend calls in flight across the whole run (default 7)."),
+                     help="Most backend calls in flight across the whole run "
+                          f"(default {DEFAULT_CONCURRENCY})."),
         click.option("--out", type=click.Path(), default="out", show_default=True,
                      help="Output directory for traces and reports."),
     ]
@@ -243,7 +244,7 @@ def evaluate(dataset_path, matrix, **kwargs):
     settings = Settings(**kwargs)
     try:
         dataset = load_dataset(dataset_path)
-    except Exception as exc:  # MissingFile, BadRecord, UnknownAgentName, IO errors
+    except Exception as exc:  # OSError, BadRecord, UnknownAgentName
         click.echo(f"bad dataset: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     if not dataset:

@@ -40,7 +40,7 @@ _WIRE_TO_FLAG = {f.value: f for f in RedFlag}
 
 def parse_red_flag(name: str) -> RedFlag:
     """Map a wire name (case/whitespace tolerant) to its RedFlag, or raise UnknownAgentName."""
-    key = name.strip().lower()
+    key = str(name).strip().lower()
     try:
         return _WIRE_TO_FLAG[key]
     except KeyError:

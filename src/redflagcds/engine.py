@@ -55,8 +55,9 @@ class PendingNotEmpty(RuntimeError):
 # Orchestrator calls per case before the seven-agent fallback: the first and one re-prompt.
 ROUTE_ATTEMPTS = 2
 
-# Backend calls in flight when RunConfig.concurrency is None: all seven specialists of one case.
-DEFAULT_CONCURRENCY = len(RedFlag)
+# Backend calls in flight when RunConfig.concurrency is None: all an exhaustive screen sends
+# at once, its routing call and its seven specialist calls.
+DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 
 # Cases submitted ahead of the one being read, per call slot: enough that a slow case at
 # the head keeps the others busy, few enough that finished results do not pile up.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import re
 from contextlib import closing
@@ -13,17 +12,13 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .domain import RedFlag, Vignette, parse_red_flag
-from .encoding import read_text_fallback
+from .encoding import BadRecord, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
 from .prompts import PromptStrategy
-from .trace import BadRecord, trace_stem, write_trace
+from .trace import trace_stem, write_trace
 
 logger = logging.getLogger(__name__)
-
-
-class MissingFile(FileNotFoundError):
-    pass
 
 
 class EmptyRun(ValueError):
@@ -89,27 +84,10 @@ def load_dataset(path) -> list[GoldCase]:
     A repeated id, or two ids that share a trace file name, is a BadRecord:
     one case's trace would silently overwrite the other's.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    text = read_text_fallback(path)
     cases: list[GoldCase] = []
     seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise BadRecord(lineno, f"invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise BadRecord(lineno, "record is not an object")
-        try:
-            case_id = str(record["id"])
-            note_text = record["text"]
-            flag_names = record["red_flags"]
-        except KeyError as exc:
-            raise BadRecord(lineno, f"missing field {exc}") from exc
+    for lineno, record in read_jsonl(path, required=("id", "text", "red_flags")):
+        case_id, note_text, flag_names = str(record["id"]), record["text"], record["red_flags"]
         stem = trace_stem(case_id)
         if stem in seen:
             other, other_line = seen[stem]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 from urllib.parse import urlsplit
 
-from .encoding import read_text_fallback
+from .encoding import BadRecord, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -273,16 +273,9 @@ class ScriptedBackend:
 
 def load_script(path) -> list[ScriptEntry]:
     """Load a JSONL script file (one entry per line) through the encoding fallback chain."""
-    text = read_text_fallback(path)
     entries: list[ScriptEntry] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, record in read_jsonl(path, required=("case_id", "agent_role")):
         # MALFORMED_AS_GIVEN is the old name for no fault: the response is returned verbatim
         fault = record.get("fault")
         fault = Fault(fault) if fault and fault != "MALFORMED_AS_GIVEN" else None
@@ -292,6 +285,8 @@ def load_script(path) -> list[ScriptEntry]:
             response=record.get("response", ""),
             fault=fault,
         )
+        if not isinstance(entry.response, str):
+            raise BadRecord(lineno, "response is not a string")
         if entry.key in seen:
             raise DuplicateKey(f"{path}:{lineno}: duplicate script key {entry.key}")
         seen.add(entry.key)

@@ -10,14 +10,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .domain import RedFlag, Stage, TraceEvent
-from .encoding import read_text_fallback
+from .encoding import BadRecord, read_jsonl
 
 logger = logging.getLogger(__name__)
-
-
-class BadRecord(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
 
 
 class IoFailure(OSError):
@@ -50,15 +45,12 @@ def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
 
 
 def read_trace(path) -> list[TraceEvent]:
-    """Parse a trace file back into events."""
-    text = read_text_fallback(path)
+    """Parse a trace file back into events; an event that is not one is a BadRecord."""
     events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, record in read_jsonl(path, required=("sequence", "stage")):
         try:
-            events.append(TraceEvent.from_json_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            events.append(TraceEvent.from_json_dict(record))
+        except (TypeError, ValueError) as exc:  # a field of the wrong type or value
             raise BadRecord(lineno, f"malformed trace event: {exc}") from exc
     return events
 

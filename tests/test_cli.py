@@ -160,6 +160,19 @@ class TestClassify:
         assert result.exit_code == EXIT_USAGE
         assert "cannot write traces:" in result.output
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"case_id": "case-7", "response": "NO"}', "missing field 'agent_role'"),
+        ('["case-7", "orchestrator"]', "record is not an object"),
+        ('{"case_id": "case-7", "agent_role": "orchestrator", "response": 7}',
+         "response is not a string"),
+    ])
+    def test_bad_script_line_exits_2_naming_it(self, runner, note_path, tmp_path, line, message):
+        script = tmp_path / "script.jsonl"
+        script.write_text(line + "\n", encoding="utf-8")
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert f"script file: line 1: {message}" in result.output
+
     def test_stdin_note(self, runner, tmp_path):
         script = write_script_file(
             tmp_path / "s.jsonl", full_script("stdin", TABLE1_RAW, yes_flags=())
@@ -447,6 +460,20 @@ class TestReplay:
         bad.write_text("this is not json\n", encoding="utf-8")
         result = runner.invoke(cli, ["replay", str(bad)])
         assert result.exit_code == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", [
+        '{"sequence": 1, "stage": "WARNING", "subject": 7}',
+        '{"sequence": 1, "stage": "WARNING", "payload": [1, 2]}',
+        '{"sequence": null, "stage": "WARNING"}',
+        '{"sequence": 1, "stage": "WARNING", "wall_time": null}',
+        "[1]",
+    ])
+    def test_malformed_event_exits_2_naming_its_line(self, runner, tmp_path, line):
+        bad = tmp_path / "bad.trace.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        result = runner.invoke(cli, ["replay", str(bad)])
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "malformed trace: line 1: " in result.output
 
 
 class TestConfigFile:

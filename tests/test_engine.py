@@ -414,7 +414,7 @@ class TestScheduler:
     def _notes(self):
         return [note(case_id) for case_id in self.CASES]
 
-    @pytest.mark.parametrize("concurrency, peak", [(3, 3), (1, 1), (None, 7)])
+    @pytest.mark.parametrize("concurrency, peak", [(3, 3), (1, 1), (None, 8)])
     def test_in_flight_calls_capped_across_cases(self, prompts, concurrency, peak):
         backend = CountingBackend(self._backend())
         cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,

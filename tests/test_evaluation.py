@@ -9,14 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redflagcds.domain import RedFlag, Stage, TraceEvent, UnknownAgentName
-from redflagcds.encoding import LATIN1, UTF8, UTF8_BOM, decode_fallback, read_text_fallback
+from redflagcds.encoding import (
+    LATIN1,
+    UTF8,
+    UTF8_BOM,
+    decode_fallback,
+    read_jsonl,
+    read_text_fallback,
+)
 from redflagcds.engine import Architecture, RunConfig
 from redflagcds.evaluation import (
     APPROACH_ORDER,
     BadRecord,
     CaseMetrics,
     EmptyRun,
-    MissingFile,
     RunReport,
     case_metrics,
     load_dataset,
@@ -179,6 +185,21 @@ class TestEncodingFallback:
         assert decode_fallback(b"plain")[1] == UTF8
 
 
+# JSON allows these raw inside a string; str.splitlines() would end a record at each.
+LINE_BREAKS = "\x85\u2028\u2029"
+
+
+@given(st.lists(st.dictionaries(st.text(), st.text(st.characters() | st.sampled_from(LINE_BREAKS)),
+                                max_size=3), max_size=4))
+def test_jsonl_records_read_back_equal(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    path.write_text(
+        "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records),
+        encoding="utf-8",
+    )
+    assert list(read_jsonl(path)) == list(enumerate(records, start=1))
+
+
 class TestLoadDataset:
     def _write(self, tmp_path, records):
         return write_jsonl(tmp_path / "data.jsonl", records)
@@ -252,8 +273,21 @@ class TestLoadDataset:
         bom.write_bytes(b"\xef\xbb\xbf" + (record + "\n").encode("utf-8"))
         assert load_dataset(plain) == load_dataset(bom)
 
+    def test_raw_0x85_byte_loads(self, tmp_path):
+        path = tmp_path / "data.jsonl"  # CP1252's ellipsis byte, which Latin-1 reads as U+0085
+        path.write_bytes(b'{"id": "a", "text": "worst ever\x85", "red_flags": []}\n')
+        (case,) = load_dataset(path)
+        assert case.vignette.text == "worst ever\x85"
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        record = '{"id": "a", "text": "sudden\u2028onset", "red_flags": ["thunderclap"]}\r\n'
+        path.write_bytes(record.encode("utf-8"))
+        (case,) = load_dataset(path)
+        assert (case.vignette.text, case.truth) == ("sudden\u2028onset", {RedFlag.THUNDERCLAP})
+
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.jsonl")
 
 
@@ -285,6 +319,12 @@ class TestWriteTrace:
     def test_round_trip_through_read_trace(self, tmp_path):
         trace = make_trace(3)
         path = write_trace("case1", trace, tmp_path)
+        assert read_trace(path) == trace
+
+    def test_line_breaks_in_a_payload_round_trip(self, tmp_path):
+        trace = [TraceEvent(1, Stage.WARNING, None, {"message": f"a{LINE_BREAKS}b"}, 0.0)]
+        path = write_trace("case1", trace, tmp_path)
+        assert path.read_bytes().count(b"\n") == 1
         assert read_trace(path) == trace
 
 
@@ -502,9 +542,8 @@ def test_corpus_traces_match_oracle_and_pinned_digests(tmp_path):
     pinned = read_digests(CORPUS_DIGESTS_FILE)
     assert len(pinned) == (4 + 2) * 200  # all rows exhaustive, then the multi-agent rows routed
     actual = within(60, lambda: corpus_trace_digests(tmp_path))
-    with open(tmp_path / "corpus" / "expected.jsonl", encoding="utf-8") as fh:
-        expected = {(r["case_id"], f"scripted_{r['config']}"): sorted(r["predicted"])
-                    for r in map(json.loads, fh)}
+    expected = {(r["case_id"], f"scripted_{r['config']}"): sorted(r["predicted"])
+                for _, r in read_jsonl(tmp_path / "corpus" / "expected.jsonl")}
     wrong = []
     for (case_id, row), want in expected.items():  # the oracle assumes exhaustive fan-out
         events = read_trace(tmp_path / "traces" / "exhaustive" / row / f"{case_id}.trace.jsonl")
