@@ -25,7 +25,6 @@ from .gateway import (
     BackendUnavailable,
     BadResponse,
     DroppedToolCall,
-    DuplicateKey,
     HttpBackend,
     ScriptedBackend,
     ScriptMiss,
@@ -132,19 +131,12 @@ class Settings:
         if self.script:
             try:
                 return ScriptedBackend(load_script(self.script))
-            except (OSError, ValueError, DuplicateKey) as exc:
+            except (OSError, ValueError) as exc:
                 raise click.UsageError(f"script file: {exc}")
         if not self.endpoint:
             raise click.UsageError("either --script or --endpoint is required")
         try:
-            return HttpBackend(
-                BackendConfig(
-                    endpoint_url=self.endpoint,
-                    model=self.model,
-                    api_key=os.environ.get(API_KEY_ENV),
-                ),
-                connections=self.concurrency or DEFAULT_CONCURRENCY,
-            )
+            return HttpBackend(BackendConfig(self.endpoint, self.model, os.environ.get(API_KEY_ENV)))
         except ValueError as exc:
             raise click.UsageError(f"--endpoint: {exc}")
 

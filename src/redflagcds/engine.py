@@ -41,7 +41,7 @@ from .domain import (
     Vignette,
     canonical_order,
 )
-from .gateway import ROLE_BASELINE, ROLE_ORCHESTRATOR, DroppedToolCall, user_request
+from .gateway import ROLE_BASELINE, ROLE_ORCHESTRATOR, DroppedToolCall
 from .prompts import PromptLibrary, PromptStrategy
 from .recovery import NoJsonFound, SchemaUnusable, parse_baseline, parse_routing, parse_verdict
 
@@ -78,8 +78,8 @@ class FanoutMode(enum.Enum):
 class RunConfig:
     architecture: Architecture
     strategy: PromptStrategy
-    backend: object  # anything with complete(request, case_id, agent_role) -> str
-    model: str
+    backend: object  # anything with complete(prompt, case_id, agent_role) -> str
+    model: str  # names the row (run names, report); the backend picks the model it calls
     prompts: PromptLibrary
     fanout_mode: FanoutMode = FanoutMode.ROUTED
     strict_evidence: bool = False
@@ -161,8 +161,7 @@ def _coordinate(
 
 def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Future:
     """Submit one backend call to the call executor."""
-    request = user_request(cfg.model, prompt)
-    return calls.submit(cfg.backend.complete, request, case_id=case_id, agent_role=role)
+    return calls.submit(cfg.backend.complete, prompt, case_id=case_id, agent_role=role)
 
 
 def route(state: GraphState, cfg: RunConfig, calls: Executor) -> dict[RedFlag, Future]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import RedFlag, Vignette, parse_red_flag
+from .domain import RedFlag, UnknownAgentName, Vignette, parse_red_flag
 from .encoding import BadRecord, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
@@ -79,7 +79,7 @@ def macro_average(all_metrics: list[CaseMetrics]) -> tuple[float, float, float]:
 def load_dataset(path) -> list[GoldCase]:
     """Load a gold dataset: JSONL records with id, text, red_flags.
 
-    Unknown flag names are a hard error; gold data must be clean, unlike model
+    Unknown flag names are a BadRecord; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
     A repeated id, or two ids that share a trace file name, is a BadRecord:
     one case's trace would silently overwrite the other's.
@@ -101,9 +101,10 @@ def load_dataset(path) -> list[GoldCase]:
             raise BadRecord(lineno, "text is empty")
         if not isinstance(flag_names, list):
             raise BadRecord(lineno, "red_flags is not an array")
-        flags = []
-        for name in flag_names:
-            flags.append(parse_red_flag(name))  # UnknownAgentName propagates: hard error
+        try:
+            flags = [parse_red_flag(name) for name in flag_names]
+        except UnknownAgentName as exc:
+            raise BadRecord(lineno, f"unknown red flag {exc.args[0]!r}") from None
         truth = frozenset(flags)
         if len(truth) != len(flags):
             logger.warning("%s line %d: duplicate red_flags collapsed", path, lineno)

@@ -28,6 +28,8 @@ ROLE_BASELINE = "baseline"
 
 # Deterministic sampling: every request is sent at temperature 0 and top_p 1.
 MAX_TOKENS = 1024
+TIMEOUT_SECONDS = 60.0  # per socket operation of one HTTP request
+MAX_RETRIES = 2  # retries of a TransientError, after 1 s and 2 s
 
 
 class BackendUnavailable(RuntimeError):
@@ -55,31 +57,10 @@ class DroppedToolCall(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChatRequest:
-    """One chat-completion request."""
-
-    model: str
-    messages: tuple[dict, ...]
-
-
-def user_request(model: str, prompt: str) -> ChatRequest:
-    """Build a single-user-message request."""
-    return ChatRequest(model=model, messages=({"role": "user", "content": prompt},))
-
-
-@dataclass(frozen=True)
 class BackendConfig:
     endpoint_url: str
-    model: str
+    model: str  # sent as the request body's "model"
     api_key: Optional[str] = None
-    timeout_seconds: float = 60.0
-    max_retries: int = 2
-
-    def __post_init__(self):
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
 
 
 def with_retries(
@@ -118,16 +99,15 @@ def _close_all(connections) -> None:
 class HttpBackend:
     """OpenAI-compatible chat-completions client on `http.client`. Safe for concurrent use.
 
-    Calls reuse keep-alive connections from a pool that keeps up to `connections`
-    idle ones. Give it the run's call bound: with fewer, the connections beyond the
-    pool are closed when their calls end, and later calls open new ones. The client
+    Each prompt goes as one user message to `config.model`. Calls reuse keep-alive
+    connections: every connection a finished call returns is kept idle, so there are
+    never more than the calls that were in flight at once, which the run bounds. The client
     talks to the endpoint directly: it reads no proxy, netrc or CA-bundle variables
     (HTTP_PROXY, NO_PROXY, ~/.netrc, REQUESTS_CA_BUNDLE), and it verifies HTTPS
     certificates and host names against the system trust store.
     """
 
-    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep,
-                 connections: int = 10):
+    def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep):
         self.config = config
         self._sleep = sleep
         url = urlsplit(config.endpoint_url)
@@ -138,7 +118,6 @@ class HttpBackend:
         self._root = url.path or "/"
         self._chat = url.path.rstrip("/") + "/chat/completions"
         self._idle: list[http.client.HTTPConnection] = []
-        self._max_idle = connections
         weakref.finalize(self, _close_all, self._idle)  # idle sockets close with the backend
         self._lock = threading.Lock()
 
@@ -150,10 +129,9 @@ class HttpBackend:
                 if not _readable(conn.sock):
                     return conn
                 conn.close()
-        timeout = self.config.timeout_seconds
         if self._tls is None:
-            return http.client.HTTPConnection(*self._address, timeout=timeout)
-        return http.client.HTTPSConnection(*self._address, timeout=timeout, context=self._tls)
+            return http.client.HTTPConnection(*self._address, timeout=TIMEOUT_SECONDS)
+        return http.client.HTTPSConnection(*self._address, timeout=TIMEOUT_SECONDS, context=self._tls)
 
     def _request(self, method: str, path: str, body: Optional[bytes] = None,
                  headers: Optional[dict] = None) -> tuple[int, bytes]:
@@ -167,10 +145,10 @@ class HttpBackend:
             if isinstance(exc, (OSError, http.client.HTTPException)):
                 raise TransientError(f"{type(exc).__name__}: {exc}") from exc
             raise
-        with self._lock:
-            if resp.will_close or len(self._idle) >= self._max_idle:
-                conn.close()
-            else:
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._lock:
                 self._idle.append(conn)
         return resp.status, data
 
@@ -181,17 +159,13 @@ class HttpBackend:
         except TransientError as exc:
             raise BackendUnavailable(f"endpoint unreachable: {exc}") from exc
 
-    def complete(self, request: ChatRequest, case_id: str = "", agent_role: str = "") -> str:
-        return with_retries(
-            lambda: self._post_once(request),
-            self.config.max_retries,
-            sleep=self._sleep,
-        )
+    def complete(self, prompt: str, case_id: str = "", agent_role: str = "") -> str:
+        return with_retries(lambda: self._post_once(prompt), MAX_RETRIES, sleep=self._sleep)
 
-    def _post_once(self, request: ChatRequest) -> str:
+    def _post_once(self, prompt: str) -> str:
         body = {
-            "model": request.model,
-            "messages": list(request.messages),
+            "model": self.config.model,
+            "messages": [{"role": "user", "content": prompt}],
             "temperature": 0.0,
             "top_p": 1.0,
             "max_tokens": MAX_TOKENS,
@@ -244,13 +218,10 @@ class ScriptedBackend:
         self._dropped_once: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def preflight(self) -> None:
         pass
 
-    def complete(self, request: ChatRequest, case_id: str = "", agent_role: str = "") -> str:
+    def complete(self, prompt: str, case_id: str = "", agent_role: str = "") -> str:
         key = (case_id, agent_role)
         entry = self._entries.get(key)
         if entry is None:
@@ -258,7 +229,7 @@ class ScriptedBackend:
         if entry.fault in (Fault.TIMEOUT, Fault.HTTP_500):
             raise BackendUnavailable(  # as after HttpBackend's default retries
                 f"scripted {entry.fault.value} persisted through "
-                f"{BackendConfig.max_retries} retries for {key}"
+                f"{MAX_RETRIES} retries for {key}"
             )
         if entry.fault is Fault.EMPTY:
             return ""
@@ -274,11 +245,14 @@ class ScriptedBackend:
 def load_script(path) -> list[ScriptEntry]:
     """Load a JSONL script file (one entry per line) through the encoding fallback chain."""
     entries: list[ScriptEntry] = []
-    seen: set[tuple[str, str]] = set()
+    seen: dict[tuple[str, str], int] = {}  # key -> line it was first on
     for lineno, record in read_jsonl(path, required=("case_id", "agent_role")):
         # MALFORMED_AS_GIVEN is the old name for no fault: the response is returned verbatim
         fault = record.get("fault")
-        fault = Fault(fault) if fault and fault != "MALFORMED_AS_GIVEN" else None
+        try:
+            fault = Fault(fault) if fault and fault != "MALFORMED_AS_GIVEN" else None
+        except ValueError:
+            raise BadRecord(lineno, f"unknown fault {fault!r}") from None
         entry = ScriptEntry(
             case_id=str(record["case_id"]),
             agent_role=str(record["agent_role"]),
@@ -287,8 +261,8 @@ def load_script(path) -> list[ScriptEntry]:
         )
         if not isinstance(entry.response, str):
             raise BadRecord(lineno, "response is not a string")
-        if entry.key in seen:
-            raise DuplicateKey(f"{path}:{lineno}: duplicate script key {entry.key}")
-        seen.add(entry.key)
+        first = seen.setdefault(entry.key, lineno)
+        if first != lineno:
+            raise BadRecord(lineno, f"duplicate script key {entry.key} (first on line {first})")
         entries.append(entry)
     return entries

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from redflagcds.domain import RedFlag
 from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, Settings, cli
-from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry, user_request
+from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
 from redflagcds.recovery import Strategy, extract_json
 from tests.conftest import (
     FIXTURES_DIR,
@@ -173,6 +173,21 @@ class TestClassify:
         assert result.exit_code == EXIT_USAGE, result.output
         assert f"script file: line 1: {message}" in result.output
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"case_id": "c1", "agent_role": "orchestrator", "fault": "BOGUS"}'],
+         "line 1: unknown fault 'BOGUS'"),
+        (['{"case_id": "c1", "agent_role": "orchestrator", "response": "x"}'] * 2,
+         "line 2: duplicate script key ('c1', 'orchestrator') (first on line 1)"),
+    ])
+    def test_bad_script_entry_exits_2_naming_its_line(
+        self, runner, note_path, tmp_path, lines, message
+    ):
+        script = tmp_path / "script.jsonl"
+        script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert f"script file: {message}" in result.output
+
     def test_stdin_note(self, runner, tmp_path):
         script = write_script_file(
             tmp_path / "s.jsonl", full_script("stdin", TABLE1_RAW, yes_flags=())
@@ -229,6 +244,18 @@ class TestEvaluate:
         )
         assert result.exit_code == EXIT_USAGE
         assert "line 2" in result.output
+
+    @pytest.mark.parametrize("flag, shown", [("migraine", "'migraine'"), (7, "7")])
+    def test_unknown_red_flag_exits_2_naming_its_line(self, runner, tmp_path, flag, shown):
+        dataset = write_jsonl(tmp_path / "d.jsonl", [{"id": "a", "text": "x", "red_flags": [flag]}])
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--dataset", str(dataset),
+             "--script", str(FIXTURES_DIR / "script.jsonl"),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == EXIT_USAGE
+        assert f"bad dataset: line 1: unknown red flag {shown}\n" in result.output
 
     def test_trace_name_collision_exits_2(self, runner, tmp_path):
         records = [
@@ -288,17 +315,16 @@ class TestEvaluate:
 
 def test_http_backend_keeps_a_connection_per_call_slot():
     """At concurrency 12 the backend opens at most 12 connections, even when all 12
-    calls end together and start again: a session's default pool keeps only 10."""
+    calls end together and start again."""
     stub = _CountingStub()
     threading.Thread(target=stub.serve_forever, args=(0.01,), daemon=True).start()
     settings = Settings(endpoint=stub.url, model="m", script=None, prompt_dir=None,
                         fanout="routed", strict_evidence=False, concurrency=12, out="out")
     backend = settings.backend()
-    request = user_request("m", "prompt")
     try:
         with ThreadPoolExecutor(max_workers=12) as pool:
             for _ in range(3):
-                replies = list(pool.map(lambda _: backend.complete(request), range(12)))
+                replies = list(pool.map(lambda _: backend.complete("prompt"), range(12)))
                 assert replies == ["NO."] * 12
     finally:
         stub.shutdown()

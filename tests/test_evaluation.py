@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redflagcds.domain import RedFlag, Stage, TraceEvent, UnknownAgentName
+from redflagcds.domain import RedFlag, Stage, TraceEvent
 from redflagcds.encoding import (
     LATIN1,
     UTF8,
@@ -187,10 +187,11 @@ class TestEncodingFallback:
 
 # JSON allows these raw inside a string; str.splitlines() would end a record at each.
 LINE_BREAKS = "\x85\u2028\u2029"
+# Any character a UTF-8 file can hold: a lone surrogate cannot be written to one.
+UTF8_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from(LINE_BREAKS))
 
 
-@given(st.lists(st.dictionaries(st.text(), st.text(st.characters() | st.sampled_from(LINE_BREAKS)),
-                                max_size=3), max_size=4))
+@given(st.lists(st.dictionaries(st.text(), UTF8_TEXT, max_size=3), max_size=4))
 def test_jsonl_records_read_back_equal(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
     path.write_text(
@@ -226,7 +227,7 @@ class TestLoadDataset:
 
     def test_unknown_flag_is_hard_error(self, tmp_path):
         path = self._write(tmp_path, [{"id": "a", "text": "note", "red_flags": ["migraine"]}])
-        with pytest.raises(UnknownAgentName):
+        with pytest.raises(BadRecord, match=r"^line 1: unknown red flag 'migraine'$"):
             load_dataset(path)
 
     def test_bad_json_names_line_number(self, tmp_path):

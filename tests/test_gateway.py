@@ -4,15 +4,18 @@ import socket
 import ssl
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from redflagcds.encoding import BadRecord
+from redflagcds.engine import run_case
+from redflagcds.evaluation import run_row_name
 from redflagcds.gateway import (
     BackendConfig,
     BackendUnavailable,
     BadResponse,
-    ChatRequest,
     DroppedToolCall,
     DuplicateKey,
     Fault,
@@ -22,38 +25,21 @@ from redflagcds.gateway import (
     ScriptedBackend,
     TransientError,
     load_script,
-    user_request,
     with_retries,
 )
-from tests.conftest import TABLE1_RAW, chat_reply, within, write_script_file
-
-
-class TestChatRequest:
-    def test_single_user_message(self):
-        req = user_request("m", "hello")
-        assert req.messages == ({"role": "user", "content": "hello"},)
-
-
-class TestBackendConfig:
-    def test_rejects_nonpositive_timeout(self):
-        with pytest.raises(ValueError):
-            BackendConfig(endpoint_url="http://x", model="m", timeout_seconds=0)
-
-    def test_rejects_negative_retries(self):
-        with pytest.raises(ValueError):
-            BackendConfig(endpoint_url="http://x", model="m", max_retries=-1)
+from tests.conftest import TABLE1_RAW, chat_reply, multi_config, within, write_script_file
 
 
 class TestScriptedBackend:
     def test_verbatim_pass_through(self):
         backend = ScriptedBackend([ScriptEntry("case-7", "orchestrator", TABLE1_RAW)])
-        out = backend.complete(user_request("m", "p"), "case-7", "orchestrator")
+        out = backend.complete("p", "case-7", "orchestrator")
         assert out == TABLE1_RAW
 
     def test_miss_is_a_hard_error(self):
         backend = ScriptedBackend([])
         with pytest.raises(ScriptMiss):
-            backend.complete(user_request("m", "p"), "x", "orchestrator")
+            backend.complete("p", "x", "orchestrator")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(DuplicateKey):
@@ -64,16 +50,16 @@ class TestScriptedBackend:
     def test_http_500_fault(self):
         backend = ScriptedBackend([ScriptEntry("a", "thunderclap", fault=Fault.HTTP_500)])
         with pytest.raises(BackendUnavailable, match="HTTP_500 persisted through 2 retries"):
-            backend.complete(user_request("m", "p"), "a", "thunderclap")
+            backend.complete("p", "a", "thunderclap")
 
     def test_timeout_fault(self):
         backend = ScriptedBackend([ScriptEntry("a", "thunderclap", fault=Fault.TIMEOUT)])
         with pytest.raises(BackendUnavailable):
-            backend.complete(user_request("m", "p"), "a", "thunderclap")
+            backend.complete("p", "a", "thunderclap")
 
     def test_empty_fault_returns_empty_string(self):
         backend = ScriptedBackend([ScriptEntry("a", "thunderclap", "ignored", fault=Fault.EMPTY)])
-        assert backend.complete(user_request("m", "p"), "a", "thunderclap") == ""
+        assert backend.complete("p", "a", "thunderclap") == ""
 
     def test_malformed_as_given_is_verbatim(self, tmp_path):
         # the old fault name loads as no fault: the response comes back as given
@@ -84,13 +70,13 @@ class TestScriptedBackend:
         (entry,) = load_script(path)
         assert entry.fault is None
         backend = ScriptedBackend([entry])
-        assert backend.complete(user_request("m", "p"), "a", "orchestrator") == "not json {"
+        assert backend.complete("p", "a", "orchestrator") == "not json {"
 
     def test_dropped_is_one_shot(self):
         backend = ScriptedBackend([ScriptEntry("a", "meningismus", "YES.", fault=Fault.DROPPED)])
         with pytest.raises(DroppedToolCall):
-            backend.complete(user_request("m", "p"), "a", "meningismus")
-        assert backend.complete(user_request("m", "p"), "a", "meningismus") == "YES."
+            backend.complete("p", "a", "meningismus")
+        assert backend.complete("p", "a", "meningismus") == "YES."
 
 
 class TestLoadScript:
@@ -108,16 +94,16 @@ class TestLoadScript:
         path = tmp_path / "s.jsonl"
         line = json.dumps({"case_id": "a", "agent_role": "baseline", "response": "x"})
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(BadRecord, match=r"^line 2: duplicate script key \('a', 'baseline'\) "
+                                            r"\(first on line 1\)$"):
             load_script(path)
 
     def test_empty_file_loads_as_empty_script(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text("", encoding="utf-8")
         backend = ScriptedBackend(load_script(path))
-        assert len(backend) == 0
         with pytest.raises(ScriptMiss):
-            backend.complete(user_request("m", "p"), "a", "orchestrator")
+            backend.complete("p", "a", "orchestrator")
 
     def test_fault_field_parsed(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -173,13 +159,13 @@ class TestHttpBackend:
 
     def _backend(self, serve_stub, replies, api_key=None, **stub_options):
         stub = serve_stub(replies=replies, delay=0, **stub_options)
-        config = BackendConfig(endpoint_url=stub.url, model="m", api_key=api_key, max_retries=2)
+        config = BackendConfig(endpoint_url=stub.url, model="m", api_key=api_key)
         sleeps = []
         return HttpBackend(config, sleep=sleeps.append), stub, sleeps
 
     def test_request_shape_and_bearer_token(self, serve_stub):
         backend, stub, _ = self._backend(serve_stub, [chat_reply("hi")], api_key="secret")
-        out = backend.complete(user_request("m", "prompt"))
+        out = backend.complete("prompt")
         assert out == "hi"
         (sent,) = stub.posts
         assert sent["path"] == "/v1/chat/completions"
@@ -194,38 +180,62 @@ class TestHttpBackend:
         }
         assert sent["headers"]["Authorization"] == "Bearer secret"
 
+    def test_the_backend_names_the_model_sent_and_the_run_config_names_the_row(
+        self, serve_stub, prompts, vignette
+    ):
+        stub = serve_stub(delay=0)
+        backend = HttpBackend(BackendConfig(endpoint_url=stub.url, model="served-model"))
+        cfg = multi_config(backend, prompts, model="row-label")
+        run_case(vignette, cfg)
+        assert stub.posts
+        assert {sent["json"]["model"] for sent in stub.posts} == {"served-model"}
+        assert run_row_name(cfg) == "row-label_multi_gprompt"
+
+    def test_sequential_calls_reuse_one_connection_that_closes_with_the_backend(
+        self, serve_stub
+    ):
+        backend, stub, sleeps = self._backend(serve_stub, [])
+        assert [backend.complete("p") for _ in range(3)] == ["NO."] * 3
+        assert stub.connections == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del backend  # closes the idle connection, not left to the socket's finalizer
+        assert [w.message for w in caught if w.category is ResourceWarning] == []
+        assert stub.closed.wait(5)  # the stub holds an open connection for 10 s
+        assert sleeps == []
+
     def test_netrc_does_not_replace_the_api_key(self, serve_stub, tmp_path, monkeypatch):
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login u password p\n", encoding="utf-8")
         monkeypatch.setenv("NETRC", str(netrc))
         backend, stub, _ = self._backend(serve_stub, [chat_reply("hi")], api_key="secret")
-        assert backend.complete(user_request("m", "prompt")) == "hi"
+        assert backend.complete("prompt") == "hi"
         assert stub.posts[0]["headers"]["Authorization"] == "Bearer secret"
 
     def test_retries_on_500_then_succeeds(self, serve_stub):
         backend, stub, sleeps = self._backend(
             serve_stub, [(500, b""), (503, b""), chat_reply("recovered")]
         )
-        assert backend.complete(user_request("m", "p")) == "recovered"
+        assert backend.complete("p") == "recovered"
         assert len(stub.posts) == 3
         assert sleeps == [1, 2]
 
     def test_gives_up_after_retries(self, serve_stub):
         backend, stub, _ = self._backend(serve_stub, [(500, b"")] * 3)
         with pytest.raises(BackendUnavailable):
-            backend.complete(user_request("m", "p"))
+            backend.complete("p")
         assert len(stub.posts) == 3
 
     def test_missing_assistant_message(self, serve_stub):
         backend, _, _ = self._backend(serve_stub, [(200, b'{"choices": []}')])
         with pytest.raises(BadResponse):
-            backend.complete(user_request("m", "p"))
+            backend.complete("p")
 
     def test_client_error_carries_the_body_prefix_without_retry(self, serve_stub):
         body = "a" * 150 + "b" * 100
         backend, stub, sleeps = self._backend(serve_stub, [(404, body.encode())])
         with pytest.raises(BadResponse) as info:
-            backend.complete(user_request("m", "p"))
+            backend.complete("p")
         assert str(info.value) == "HTTP 404: " + body[:200]
         assert len(stub.posts) == 1
         assert sleeps == []
@@ -234,10 +244,10 @@ class TestHttpBackend:
         with socket.socket() as bound:  # bound, never listening: connections are refused
             bound.bind(("127.0.0.1", 0))
             config = BackendConfig(endpoint_url=f"http://127.0.0.1:{bound.getsockname()[1]}/v1",
-                                   model="m", max_retries=2)
+                                   model="m")
             sleeps = []
             with pytest.raises(BackendUnavailable):
-                HttpBackend(config, sleep=sleeps.append).complete(user_request("m", "p"))
+                HttpBackend(config, sleep=sleeps.append).complete("p")
         assert sleeps == [1, 2]
 
     def test_connection_closed_while_idle_costs_no_retry(self, serve_stub):
@@ -245,7 +255,7 @@ class TestHttpBackend:
         backend.preflight()  # leaves one idle connection, which the stub then closes
         assert stub.closed.wait(5)
         time.sleep(0.05)  # let the close reach the client's socket
-        assert backend.complete(user_request("m", "p")) == "NO."
+        assert backend.complete("p") == "NO."
         assert sleeps == []
         assert len(stub.posts) == 1
         assert stub.connections == 2
@@ -254,12 +264,11 @@ class TestHttpBackend:
         """More callers than cores, switching threads as often as the interpreter allows:
         a connection handed to two callers at once fails a call, which shows as a retry."""
         backend, stub, sleeps = self._backend(serve_stub, [])
-        request = user_request("m", "p")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                replies = within(60, lambda: list(pool.map(lambda _: backend.complete(request),
+                replies = within(60, lambda: list(pool.map(lambda _: backend.complete("p"),
                                                            range(200))))
         finally:
             sys.setswitchinterval(interval)
