@@ -54,10 +54,9 @@ MATRIX_CHOICES = {
 # Config-file keys, each named after its option's parameter, and the JSON type each takes.
 CONFIG_TYPES = {
     **dict.fromkeys(("endpoint", "model", "script", "prompt_dir", "fanout", "out"), str),
-    "strict_evidence": bool,
     "concurrency": int,
 }
-_EXPECTED = {str: "a string", bool: "true or false", int: "an integer of at least 1"}
+_EXPECTED = {str: "a string", int: "an integer of at least 1"}
 
 
 def _load_config_file(ctx, _param, path):
@@ -93,7 +92,6 @@ def _common_options(fn):
                      help="Prompt template directory (defaults to the packaged templates)."),
         click.option("--fanout", type=click.Choice(["routed", "exhaustive"]), default="routed",
                      show_default=True),
-        click.option("--strict-evidence", is_flag=True, default=False),
         click.option("--concurrency", type=click.IntRange(min=1), default=None,
                      help="Most backend calls in flight across the whole run "
                           f"(default {DEFAULT_CONCURRENCY})."),
@@ -108,14 +106,12 @@ def _common_options(fn):
 class Settings:
     """The settings of one command, each from its flag, else the config file, else its default."""
 
-    def __init__(self, endpoint, model, script, prompt_dir, fanout, strict_evidence,
-                 concurrency, out):
+    def __init__(self, endpoint, model, script, prompt_dir, fanout, concurrency, out):
         self.endpoint = endpoint
         self.model = model
         self.script = script
         self.prompt_dir = prompt_dir
         self.fanout = FanoutMode(fanout)
-        self.strict_evidence = strict_evidence
         self.concurrency = concurrency
         self.out = Path(out)
 
@@ -148,7 +144,6 @@ class Settings:
             model=self.model,
             prompts=prompts,
             fanout_mode=self.fanout,
-            strict_evidence=self.strict_evidence,
             concurrency=self.concurrency,
         )
 

@@ -199,28 +199,3 @@ class CaseResult:
         predicted = frozenset(f for f, v in verdicts.items() if v.decision is Decision.YES)
         return cls(case_id, dict(verdicts), routing, predicted, tuple(trace))
 
-
-WHY_WORD_LIMIT = 30
-
-
-def validate_routing(
-    decision: RoutingDecision,
-    note: Optional[Vignette] = None,
-    strict_evidence: bool = False,
-) -> list[str]:
-    """Check a parsed routing decision against the orchestrator's output rules.
-
-    Violations are warnings, never hard failures: lightweight models deviate from
-    the rules and the engine must stay robust to that.
-    """
-    warnings = []
-    n_words = len(decision.why.split())
-    if n_words > WHY_WORD_LIMIT:
-        warnings.append(f"WhyTooLong: 'why' has {n_words} words (limit {WHY_WORD_LIMIT})")
-    if decision.next and not decision.evidence:
-        warnings.append("EvidenceMissing: agents routed but evidence list is empty")
-    if strict_evidence and note is not None:
-        for quote in decision.evidence:
-            if quote not in note.text:
-                warnings.append(f"EvidenceNotInNote: {quote!r} is not a quote from the note")
-    return warnings

@@ -82,7 +82,6 @@ class RunConfig:
     model: str  # names the row (run names, report); the backend picks the model it calls
     prompts: PromptLibrary
     fanout_mode: FanoutMode = FanoutMode.ROUTED
-    strict_evidence: bool = False
     concurrency: Optional[int] = None  # calls in flight at most in a run; None = DEFAULT_CONCURRENCY
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor) -> dict[RedFlag, F
             wait(sent.values())  # fail after the calls sent with it: the next row's run follows
         raw = answer.result()
         try:
-            decision, warnings = parse_routing(raw, vignette, cfg.strict_evidence)
+            decision, warnings = parse_routing(raw, vignette)
             break
         except (NoJsonFound, SchemaUnusable) as exc:
             state.add_event(

@@ -97,7 +97,9 @@ def load_dataset(path) -> list[GoldCase]:
                 lineno, f"id {case_id!r} has the trace file name of {other!r} (line {other_line})"
             )
         seen[stem] = (case_id, lineno)
-        if not isinstance(note_text, str) or not note_text.strip():
+        if not isinstance(note_text, str):
+            raise BadRecord(lineno, "text is not a string")
+        if not note_text.strip():
             raise BadRecord(lineno, "text is empty")
         if not isinstance(flag_names, list):
             raise BadRecord(lineno, "red_flags is not an array")

@@ -111,12 +111,15 @@ class HttpBackend:
         self.config = config
         self._sleep = sleep
         url = urlsplit(config.endpoint_url)
+        if url.username is not None:  # checked first and never echoed: it would print the password
+            raise ValueError("a user or password in the URL is not supported; remove it")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"not an http:// or https:// URL: {config.endpoint_url!r}")
         self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
-        self._root = url.path or "/"
-        self._chat = url.path.rstrip("/") + "/chat/completions"
+        query = f"?{url.query}" if url.query else ""
+        self._root = (url.path or "/") + query
+        self._chat = url.path.rstrip("/") + "/chat/completions" + query
         self._idle: list[http.client.HTTPConnection] = []
         weakref.finalize(self, _close_all, self._idle)  # idle sockets close with the backend
         self._lock = threading.Lock()

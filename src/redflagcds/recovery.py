@@ -1,7 +1,8 @@
 """Recovery of structured content from noisy generator output.
 
 Three parsers live here: multi-strategy JSON extraction for orchestrator turns,
-schema mapping of routing documents, and token scanning for specialist verdicts.
+schema mapping of routing documents with the routing rules they are checked against,
+and token scanning for specialist verdicts.
 All functions are pure.
 """
 
@@ -21,7 +22,6 @@ from .domain import (
     UnknownAgentName,
     Vignette,
     parse_red_flag,
-    validate_routing,
 )
 
 
@@ -187,16 +187,12 @@ def extract_json(raw: str) -> RecoveryOutcome:
     raise NoJsonFound(f"no parseable JSON in {len(raw)} chars of output")
 
 
-def parse_routing(
-    raw: str,
-    note: Optional[Vignette] = None,
-    strict_evidence: bool = False,
-) -> tuple[RoutingDecision, list[str]]:
+def parse_routing(raw: str, note: Optional[Vignette] = None) -> tuple[RoutingDecision, list[str]]:
     """Recover a RoutingDecision from raw orchestrator output.
 
     Tolerates a bare-string 'next', unknown agent names, duplicates, and missing
-    'why'/'evidence', each downgraded to a warning. Raises NoJsonFound or
-    SchemaUnusable when no usable document exists.
+    'why'/'evidence', each downgraded to a warning, then adds validate_routing's
+    warnings. Raises NoJsonFound or SchemaUnusable when no usable document exists.
     """
     outcome = extract_json(raw)
     doc = outcome.value
@@ -240,8 +236,31 @@ def parse_routing(
         evidence = []
 
     decision = RoutingDecision(next=targets, why=why, evidence=evidence)
-    warnings.extend(validate_routing(decision, note, strict_evidence))
+    warnings.extend(validate_routing(decision, note))
     return decision, warnings
+
+
+WHY_WORD_LIMIT = 30
+
+
+def validate_routing(decision: RoutingDecision, note: Optional[Vignette] = None) -> list[str]:
+    """Check a parsed routing decision against the orchestrator's output rules; with a
+    note, every evidence quote must appear in it verbatim.
+
+    Violations are warnings, never hard failures: lightweight models deviate from
+    the rules and the engine must stay robust to that.
+    """
+    warnings = []
+    n_words = len(decision.why.split())
+    if n_words > WHY_WORD_LIMIT:
+        warnings.append(f"WhyTooLong: 'why' has {n_words} words (limit {WHY_WORD_LIMIT})")
+    if decision.next and not decision.evidence:
+        warnings.append("EvidenceMissing: agents routed but evidence list is empty")
+    if note is not None:
+        for quote in decision.evidence:
+            if quote not in note.text:
+                warnings.append(f"EvidenceNotInNote: {quote!r} is not a quote from the note")
+    return warnings
 
 
 _TOKEN_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)

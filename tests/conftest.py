@@ -151,7 +151,8 @@ def chat_reply(content: str) -> tuple[int, bytes]:
 
 class _CountingStub(ThreadingHTTPServer):
     """Local chat-completions stub on 127.0.0.1 over HTTP/1.1 keep-alive. It counts the
-    connections it accepts and records each POST's path, headers and JSON body. Each
+    connections it accepts and records each GET's path and each POST's path, headers and
+    JSON body. Each
     POST waits `delay` seconds, then takes the next (status, body) from `replies`, or
     answers "NO." once they run out. With `close_idle`, it closes every connection after
     one answer without saying so, as a server ending an idle keep-alive connection does;
@@ -162,6 +163,7 @@ class _CountingStub(ThreadingHTTPServer):
     def __init__(self, replies=(), delay=0.01, close_idle=False):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.connections = 0
+        self.gets: list[str] = []
         self.posts: list[dict] = []
         self.replies = list(replies)
         self.delay = delay
@@ -189,6 +191,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.server.connections += 1
 
     def do_GET(self):
+        with self.server.lock:
+            self.server.gets.append(self.path)
         self._send(200, b"")
 
     def do_POST(self):

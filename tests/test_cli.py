@@ -257,6 +257,18 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
         assert f"bad dataset: line 1: unknown red flag {shown}\n" in result.output
 
+    @pytest.mark.parametrize("text, problem", [(5, "text is not a string"), ("  ", "text is empty")])
+    def test_bad_text_exits_2_naming_the_problem(self, runner, tmp_path, text, problem):
+        dataset = write_jsonl(tmp_path / "d.jsonl", [{"id": "a", "text": text, "red_flags": []}])
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--dataset", str(dataset),
+             "--script", str(FIXTURES_DIR / "script.jsonl"),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == EXIT_USAGE
+        assert f"bad dataset: line 1: {problem}\n" in result.output
+
     def test_trace_name_collision_exits_2(self, runner, tmp_path):
         records = [
             {"id": "a/b", "text": "x", "red_flags": []},
@@ -319,7 +331,7 @@ def test_http_backend_keeps_a_connection_per_call_slot():
     stub = _CountingStub()
     threading.Thread(target=stub.serve_forever, args=(0.01,), daemon=True).start()
     settings = Settings(endpoint=stub.url, model="m", script=None, prompt_dir=None,
-                        fanout="routed", strict_evidence=False, concurrency=12, out="out")
+                        fanout="routed", concurrency=12, out="out")
     backend = settings.backend()
     try:
         with ThreadPoolExecutor(max_workers=12) as pool:
@@ -340,6 +352,19 @@ def test_malformed_endpoint_exits_2(runner, tmp_path):
     )
     assert result.exit_code == EXIT_USAGE, result.output
     assert "--endpoint: not an http:// or https:// URL" in result.output
+
+
+@pytest.mark.parametrize("scheme", ["http", "ftp"])
+def test_credentials_in_the_endpoint_exit_2_before_any_call(runner, tmp_path, scheme):
+    result = runner.invoke(
+        cli,
+        ["evaluate", "--dataset", str(FIXTURES_DIR / "cases.jsonl"),
+         "--endpoint", f"{scheme}://u:secret@127.0.0.1:9/v1", "--out", str(tmp_path / "out")],
+    )
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "--endpoint: " in result.output
+    assert "secret" not in result.output
+    assert not (tmp_path / "out").exists()  # rejected before preflight and the first call
 
 
 def test_importing_the_cli_loads_no_http_library():
@@ -547,7 +572,6 @@ class TestConfigFile:
         ({"prompt_dir": 7}, "prompt_dir"),
         ({"model": 5}, "model"),
         ([1, 2], "JSON object"),
-        ({"strict_evidence": "false"}, "strict_evidence"),
     ])
     def test_bad_config_value_exits_2_naming_the_key(self, runner, tmp_path, content, named):
         config = tmp_path / "config.json"
@@ -575,18 +599,22 @@ class TestConfigFile:
             assert result.exit_code == EXIT_OK, result.output
             trace_file = Path(json.loads(result.output)["trace_file"])
             trace = [json.loads(line) for line in trace_file.read_text("utf-8").splitlines()]
-            (routing,) = [e["payload"] for e in trace if e["stage"] == "ROUTING"]
             (fanout,) = [e["payload"] for e in trace if e["stage"] == "FANOUT"]
-            strict = any(w.startswith("EvidenceNotInNote") for w in routing["warnings"])
-            return trace_file.relative_to(tmp_path).parts[0], len(fanout["missing"]), strict
+            return trace_file.relative_to(tmp_path).parts[0], len(fanout["missing"])
 
-        from_file = run({"fanout": "exhaustive", "strict_evidence": True,
-                         "out": str(tmp_path / "file_out")})
+        from_file = run({"fanout": "exhaustive", "out": str(tmp_path / "file_out")})
         # routed to meningismus only, so exhaustive fan-out adds the other six
-        assert from_file == ("file_out", 6, True)
-        from_flags = run({"fanout": "exhaustive", "strict_evidence": False,
-                          "out": str(tmp_path / "file_out")},
-                         "--fanout", "routed", "--strict-evidence",
-                         "--out", str(tmp_path / "flag_out"))
-        assert from_flags == ("flag_out", 0, True)
-        assert run({"out": str(tmp_path / "default_out")}) == ("default_out", 0, False)
+        assert from_file == ("file_out", 6)
+        from_flags = run({"fanout": "exhaustive", "out": str(tmp_path / "file_out")},
+                         "--fanout", "routed", "--out", str(tmp_path / "flag_out"))
+        assert from_flags == ("flag_out", 0)
+        assert run({"out": str(tmp_path / "default_out")}) == ("default_out", 0)
+
+    def test_config_file_with_a_removed_key_still_loads(
+        self, runner, note_path, script_path, tmp_path
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"strict_evidence": True}), encoding="utf-8")
+        result = runner.invoke(cli, classify_args(note_path, script_path, tmp_path,
+                                                  "--config", str(config)))
+        assert result.exit_code == EXIT_OK, result.output

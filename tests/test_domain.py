@@ -14,8 +14,8 @@ from redflagcds.domain import (
     UnknownAgentName,
     Vignette,
     parse_red_flag,
-    validate_routing,
 )
+from redflagcds.recovery import validate_routing
 
 WIRE_NAMES = [
     "thunderclap",
@@ -63,40 +63,6 @@ class TestRoutingDecision:
         d = RoutingDecision(next=[], why="no criteria met", evidence=[])
         assert d.next == ()
         assert validate_routing(d) == []
-
-
-class TestValidateRouting:
-    def test_twelve_word_why_passes(self):
-        why = "patient has meningismus with stiff neck and signs of meningeal irritation"
-        d = RoutingDecision(next=[RedFlag.MENINGISMUS], why=why, evidence=["stiff neck"])
-        assert validate_routing(d) == []
-
-    def test_thirty_one_words_warns(self):
-        d = RoutingDecision(next=[], why="word " * 31, evidence=[])
-        warnings = validate_routing(d)
-        assert len(warnings) == 1
-        assert warnings[0].startswith("WhyTooLong")
-
-    def test_thirty_words_is_the_boundary(self):
-        d = RoutingDecision(next=[], why="word " * 30, evidence=[])
-        assert validate_routing(d) == []
-
-    def test_missing_evidence_with_targets_warns(self):
-        d = RoutingDecision(next=[RedFlag.PAPILLEDEMA], why="x", evidence=[])
-        warnings = validate_routing(d)
-        assert any(w.startswith("EvidenceMissing") for w in warnings)
-
-    def test_strict_evidence_checks_substrings(self, vignette):
-        d = RoutingDecision(
-            next=[RedFlag.MENINGISMUS], why="x", evidence=["stiff neck", "not in note"]
-        )
-        warnings = validate_routing(d, vignette, strict_evidence=True)
-        assert any("not in note" in w for w in warnings)
-        assert not any("stiff neck" in w for w in warnings)
-
-    def test_strict_evidence_off_by_default(self, vignette):
-        d = RoutingDecision(next=[RedFlag.MENINGISMUS], why="x", evidence=["nowhere"])
-        assert validate_routing(d, vignette) == []
 
 
 def verdict(flag, decision=Decision.YES):

@@ -74,6 +74,15 @@ class TestRouting:
         (routing_event,) = events(result, Stage.ROUTING)
         assert any("UnknownAgentName" in w for w in routing_event.payload["warnings"])
 
+    def test_evidence_not_in_the_note_warns(self, prompts):
+        raw = '{"next": ["meningismus"], "why": "x", "evidence": ["stiff neck", "papilledema"]}'
+        backend = ScriptedBackend(full_script("case-7", raw))
+        result = run_case(note(), multi_config(backend, prompts))
+        (routing_event,) = events(result, Stage.ROUTING)
+        assert routing_event.payload["warnings"] == [
+            "EvidenceNotInNote: 'papilledema' is not a quote from the note"
+        ]
+
     def test_garbage_twice_falls_back_to_all_seven(self, prompts):
         entries = full_script("case-7", "complete garbage, no json", yes_flags={RedFlag.MENINGISMUS})
         backend = ScriptedBackend(entries)

@@ -180,6 +180,14 @@ class TestHttpBackend:
         }
         assert sent["headers"]["Authorization"] == "Bearer secret"
 
+    def test_the_endpoint_query_is_sent(self, serve_stub):
+        stub = serve_stub(delay=0)
+        backend = HttpBackend(BackendConfig(f"{stub.url}?api-version=2024-02-01", "m"))
+        backend.preflight()
+        assert backend.complete("p") == "NO."
+        assert stub.gets == ["/v1?api-version=2024-02-01"]
+        assert [sent["path"] for sent in stub.posts] == ["/v1/chat/completions?api-version=2024-02-01"]
+
     def test_the_backend_names_the_model_sent_and_the_run_config_names_the_row(
         self, serve_stub, prompts, vignette
     ):

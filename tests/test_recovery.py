@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redflagcds.domain import Decision, RedFlag, Vignette
+from redflagcds.domain import Decision, RedFlag, RoutingDecision, Vignette
 from redflagcds.recovery import (
     NoJsonFound,
     SchemaUnusable,
@@ -14,6 +14,7 @@ from redflagcds.recovery import (
     parse_routing,
     parse_verdict,
     repair_json_text,
+    validate_routing,
 )
 from tests.conftest import TABLE1_RAW
 
@@ -136,7 +137,11 @@ class TestParseRouting:
         assert [f.value for f in decision.next] == ["meningismus"]
         assert decision.why.startswith("patient has meningismus")
         assert len(decision.evidence) == 7
-        assert warnings == []
+        # the fixture note lacks the CSF findings Table 1 quotes
+        assert warnings == [
+            f"EvidenceNotInNote: {quote!r} is not a quote from the note"
+            for quote in ("46 white cells (69% neutrophils)/μl", "low glucose", "high lactate")
+        ]
 
     def test_scalar_next_coerced(self, vignette):
         raw = '{"next": "thunderclap", "why": "sudden onset", "evidence": []}'
@@ -171,6 +176,37 @@ class TestParseRouting:
     def test_no_json_propagates(self, vignette):
         with pytest.raises(NoJsonFound):
             parse_routing("nothing to see", vignette)
+
+
+class TestValidateRouting:
+    def test_twelve_word_why_passes(self):
+        why = "patient has meningismus with stiff neck and signs of meningeal irritation"
+        d = RoutingDecision(next=[RedFlag.MENINGISMUS], why=why, evidence=["stiff neck"])
+        assert validate_routing(d) == []
+
+    def test_thirty_one_words_warns(self):
+        d = RoutingDecision(next=[], why="word " * 31, evidence=[])
+        warnings = validate_routing(d)
+        assert len(warnings) == 1
+        assert warnings[0].startswith("WhyTooLong")
+
+    def test_thirty_words_is_the_boundary(self):
+        d = RoutingDecision(next=[], why="word " * 30, evidence=[])
+        assert validate_routing(d) == []
+
+    def test_missing_evidence_with_targets_warns(self):
+        d = RoutingDecision(next=[RedFlag.PAPILLEDEMA], why="x", evidence=[])
+        warnings = validate_routing(d)
+        assert any(w.startswith("EvidenceMissing") for w in warnings)
+
+    def test_evidence_checked_against_the_note(self, vignette):
+        d = RoutingDecision(
+            next=[RedFlag.MENINGISMUS], why="x", evidence=["stiff neck", "not in note"]
+        )
+        warnings = validate_routing(d, vignette)
+        assert any("not in note" in w for w in warnings)
+        assert not any("stiff neck" in w for w in warnings)
+        assert validate_routing(d) == []  # without a note, quotes are not checked
 
 
 class TestParseVerdict:
