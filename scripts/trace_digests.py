@@ -8,9 +8,9 @@ fan-out into `exhaustive/`; one line per trace,
 
 tests/corpus_trace_digests.txt: the corpus `bench/corpus.py --seed 7` writes,
 all four rows under exhaustive fan-out into `exhaustive/`, then the two
-multi-agent rows routed into `routed/`, both at concurrency 8; one line per
-trace, `<mode>/<row>/<case>.trace.jsonl <sha256 prefix>`. The prefix still
-names a changed trace, and keeps the 1,200-line file small.
+multi-agent rows routed into `routed/`; one line per trace,
+`<mode>/<row>/<case>.trace.jsonl <sha256 prefix>`. The prefix still names a
+changed trace, and keeps the 1,200-line file small.
 
 Each sha256 covers the trace's events without `wall_time`, one
 `json.dumps(event, sort_keys=True, ensure_ascii=False)` per line, so a digest
@@ -51,18 +51,17 @@ def trace_digest(path: Path) -> str:
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
-def run_digests(dataset_path, script_path, runs, trace_dir: Path,
-                concurrency=None) -> dict[str, str]:
+def run_digests(dataset_path, script_path, runs, trace_dir: Path) -> dict[str, str]:
     """Run each `(fan-out mode, approaches, subdirectory)` of `runs` over the dataset, each
-    with a fresh scripted backend (a DROPPED entry drops only its first call); map each
-    trace's path relative to trace_dir to its digest."""
+    with a fresh scripted backend (a DROPPED entry drops only its first call) at the default
+    call bound, which no trace depends on; map each trace's path relative to trace_dir to
+    its digest."""
     prompts = PromptLibrary.default()
     dataset = load_dataset(dataset_path)
     script = load_script(script_path)
     for fanout, approaches, subdirectory in runs:
         backend = ScriptedBackend(script)
-        matrix = [RunConfig(arch, strategy, backend, "scripted", prompts, fanout_mode=fanout,
-                            concurrency=concurrency)
+        matrix = [RunConfig(arch, strategy, backend, "scripted", prompts, fanout_mode=fanout)
                   for arch, strategy in approaches]
         run_experiment(dataset, matrix, trace_dir=trace_dir / subdirectory)
     return {
@@ -89,12 +88,12 @@ def write_corpus(out: Path) -> dict[str, Path]:
 
 def corpus_trace_digests(work: Path) -> dict[str, str]:
     """Write the seed-7 corpus into work/corpus; run all four rows under exhaustive fan-out
-    and the multi-agent rows routed into work/traces/{exhaustive,routed}, at concurrency 8;
-    map each trace's path relative to work/traces to its truncated digest."""
+    and the multi-agent rows routed into work/traces/{exhaustive,routed}; map each trace's
+    path relative to work/traces to its truncated digest."""
     paths = write_corpus(work / "corpus")
     runs = [(FanoutMode.EXHAUSTIVE, APPROACH_ORDER, "exhaustive"),
             (FanoutMode.ROUTED, MULTI_AGENT, "routed")]
-    digests = run_digests(paths["cases"], paths["script"], runs, work / "traces", concurrency=8)
+    digests = run_digests(paths["cases"], paths["script"], runs, work / "traces")
     return {name: digest[:CORPUS_DIGEST_CHARS] for name, digest in digests.items()}
 
 

@@ -31,7 +31,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
-from .trace import IoFailure, read_trace, verify_trace, write_trace
+from .trace import read_trace, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -92,9 +92,8 @@ def _common_options(fn):
                      help="Prompt template directory (defaults to the packaged templates)."),
         click.option("--fanout", type=click.Choice(["routed", "exhaustive"]), default="routed",
                      show_default=True),
-        click.option("--concurrency", type=click.IntRange(min=1), default=None,
-                     help="Most backend calls in flight across the whole run "
-                          f"(default {DEFAULT_CONCURRENCY})."),
+        click.option("--concurrency", type=click.IntRange(min=1), default=DEFAULT_CONCURRENCY,
+                     show_default=True, help="Most backend calls in flight across the whole run."),
         click.option("--out", type=click.Path(), default="out", show_default=True,
                      help="Output directory for traces and reports."),
     ]
@@ -195,7 +194,7 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
 
     try:
         trace_path = write_trace(case_id, result.trace, settings.out / "traces")
-    except IoFailure as exc:
+    except OSError as exc:
         _cannot_write("traces", exc)
     output = {
         "case_id": result.case_id,
@@ -231,7 +230,7 @@ def evaluate(dataset_path, matrix, **kwargs):
     settings = Settings(**kwargs)
     try:
         dataset = load_dataset(dataset_path)
-    except Exception as exc:  # OSError, BadRecord, UnknownAgentName
+    except (OSError, BadRecord) as exc:
         click.echo(f"bad dataset: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     if not dataset:
@@ -265,7 +264,7 @@ def evaluate(dataset_path, matrix, **kwargs):
     ]
     try:
         report = run_experiment(dataset, configs, trace_dir=settings.out / "traces")
-    except IoFailure as exc:
+    except OSError as exc:  # from a trace write: a case's own failure is scored, not raised
         _cannot_write("traces", exc)
     try:
         csv_path.write_text(report.to_csv(), encoding="utf-8")

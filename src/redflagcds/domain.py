@@ -32,9 +32,6 @@ class RedFlag(enum.Enum):
     FIRST_WORST_HEADACHE = "first_worst_headache"
 
 
-# Canonical ordering used everywhere a deterministic agent order is needed.
-ALL_FLAGS: tuple[RedFlag, ...] = tuple(RedFlag)
-
 _WIRE_TO_FLAG = {f.value: f for f in RedFlag}
 
 
@@ -48,8 +45,9 @@ def parse_red_flag(name: str) -> RedFlag:
 
 
 def canonical_order(flags) -> list[RedFlag]:
-    """Sort flags into the canonical wire-name order."""
-    return sorted(flags, key=ALL_FLAGS.index)
+    """The flags in `flags` (a set, or a dict by flag) in RedFlag's declaration order, the
+    order used everywhere a deterministic agent order is needed."""
+    return [flag for flag in RedFlag if flag in flags]
 
 
 class Decision(enum.Enum):
@@ -155,7 +153,6 @@ class GraphState:
     routing: Optional[RoutingDecision] = None
     outputs: dict[RedFlag, AgentVerdict] = field(default_factory=dict)
     trace: list[TraceEvent] = field(default_factory=list)
-    _seq: int = 0
 
     @property
     def completed(self):
@@ -163,8 +160,7 @@ class GraphState:
         return self.outputs.keys()
 
     def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
-        self._seq += 1
-        self.trace.append(TraceEvent(self._seq, stage, subject, payload, time.time()))
+        self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
 
     def apply_verdict(self, verdict: AgentVerdict) -> None:
         """Move the agent from pending to completed and record its output."""
@@ -193,9 +189,4 @@ class CaseResult:
     routing: Optional[RoutingDecision]
     predicted: frozenset[RedFlag]
     trace: tuple[TraceEvent, ...]
-
-    @classmethod
-    def build(cls, case_id, verdicts, routing, trace) -> "CaseResult":
-        predicted = frozenset(f for f, v in verdicts.items() if v.decision is Decision.YES)
-        return cls(case_id, dict(verdicts), routing, predicted, tuple(trace))
 

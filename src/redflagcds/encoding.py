@@ -9,38 +9,21 @@ from typing import Iterator
 
 logger = logging.getLogger(__name__)
 
-UTF8 = "UTF8"
-UTF8_BOM = "UTF8_BOM"
-LATIN1 = "LATIN1"
-
 
 class BadRecord(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
 
 
-def decode_fallback(data: bytes) -> tuple[str, str]:
-    """Decode bytes, returning (text, decoder_used).
-
-    Order: UTF-8 strict, UTF-8 with BOM stripped, Latin-1. Latin-1 is total
-    over bytes, so this never fails.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return data.decode("latin-1"), LATIN1
-    if text.startswith("\ufeff"):
-        return text[1:], UTF8_BOM
-    return text, UTF8
-
-
 def read_text_fallback(path) -> str:
-    """Read a file through the encoding fallback chain."""
+    """Read a file as UTF-8, stripping a leading BOM, else as Latin-1, which is total
+    over bytes, so this never fails to decode."""
     data = Path(path).read_bytes()
-    text, decoder = decode_fallback(data)
-    if decoder != UTF8:
-        logger.info("read %s with fallback decoder %s", path, decoder)
-    return text
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        logger.info("read %s as Latin-1: not UTF-8", path)
+        return data.decode("latin-1")
 
 
 def read_jsonl(path, required=()) -> Iterator[tuple[int, dict]]:

@@ -55,8 +55,8 @@ class PendingNotEmpty(RuntimeError):
 # Orchestrator calls per case before the seven-agent fallback: the first and one re-prompt.
 ROUTE_ATTEMPTS = 2
 
-# Backend calls in flight when RunConfig.concurrency is None: all an exhaustive screen sends
-# at once, its routing call and its seven specialist calls.
+# Backend calls in flight by default: all an exhaustive screen sends at once, its routing
+# call and its seven specialist calls.
 DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 
 # Cases submitted ahead of the one being read, per call slot: enough that a slow case at
@@ -82,10 +82,10 @@ class RunConfig:
     model: str  # names the row (run names, report); the backend picks the model it calls
     prompts: PromptLibrary
     fanout_mode: FanoutMode = FanoutMode.ROUTED
-    concurrency: Optional[int] = None  # calls in flight at most in a run; None = DEFAULT_CONCURRENCY
+    concurrency: int = DEFAULT_CONCURRENCY  # calls in flight at most in a run
 
     def __post_init__(self):
-        if self.concurrency is not None and self.concurrency < 1:
+        if self.concurrency < 1:
             raise ValueError(f"concurrency must be at least 1, got {self.concurrency}")
 
 
@@ -100,7 +100,7 @@ def run_cases(
     generator before the end cancels the case-runs that have not started; the
     ones already running finish first.
     """
-    limits = {cfg.concurrency or DEFAULT_CONCURRENCY for cfg in matrix}
+    limits = {cfg.concurrency for cfg in matrix}
     if len(limits) > 1:
         raise ValueError(f"every row needs the same concurrency, got {sorted(limits)}")
     limit = limits.pop() if limits else DEFAULT_CONCURRENCY
@@ -296,10 +296,11 @@ def aggregate(state: GraphState, raw: Optional[str] = None) -> CaseResult:
     """Step 4: fold all verdicts into the unified case result; `raw` is the baseline's output."""
     if state.pending:
         raise PendingNotEmpty(sorted(f.value for f in state.pending))
-    predicted = sorted(f.value for f, v in state.outputs.items() if v.decision is Decision.YES)
+    predicted = frozenset(f for f, v in state.outputs.items() if v.decision is Decision.YES)
     extra = {} if raw is None else {"raw": raw}
-    state.add_event(Stage.AGGREGATE, **extra, predicted=predicted, verdict_count=len(state.outputs))
-    return CaseResult.build(state.note.id, state.outputs, state.routing, state.trace)
+    state.add_event(Stage.AGGREGATE, **extra, predicted=sorted(f.value for f in predicted),
+                    verdict_count=len(state.outputs))
+    return CaseResult(state.note.id, dict(state.outputs), state.routing, predicted, tuple(state.trace))
 
 
 def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResult:

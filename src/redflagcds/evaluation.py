@@ -81,13 +81,19 @@ def load_dataset(path) -> list[GoldCase]:
 
     Unknown flag names are a BadRecord; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
-    A repeated id, or two ids that share a trace file name, is a BadRecord:
-    one case's trace would silently overwrite the other's.
+    An id names its case's trace file, so an id that cannot is a BadRecord: a
+    null, empty or blank one, or one holding a NUL character. So is a repeated
+    id, or two ids that share a trace file name: one case's trace would
+    silently overwrite the other's.
     """
     cases: list[GoldCase] = []
     seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
     for lineno, record in read_jsonl(path, required=("id", "text", "red_flags")):
         case_id, note_text, flag_names = str(record["id"]), record["text"], record["red_flags"]
+        if record["id"] is None or not case_id.strip():
+            raise BadRecord(lineno, "id is empty")
+        if "\0" in case_id:
+            raise BadRecord(lineno, "id holds a NUL character")
         stem = trace_stem(case_id)
         if stem in seen:
             other, other_line = seen[stem]

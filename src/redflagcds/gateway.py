@@ -111,10 +111,11 @@ class HttpBackend:
         self.config = config
         self._sleep = sleep
         url = urlsplit(config.endpoint_url)
-        if url.username is not None:  # checked first and never echoed: it would print the password
+        # no error echoes the URL: "user:secret@host" has a password but no user to urlsplit
+        if url.username is not None:
             raise ValueError("a user or password in the URL is not supported; remove it")
         if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"not an http:// or https:// URL: {config.endpoint_url!r}")
+            raise ValueError("not an http:// or https:// URL")
         self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
         query = f"?{url.query}" if url.query else ""

@@ -15,10 +15,6 @@ from .encoding import BadRecord, read_jsonl
 logger = logging.getLogger(__name__)
 
 
-class IoFailure(OSError):
-    pass
-
-
 _UNSAFE_ID = re.compile(r"[\\/]")
 
 
@@ -33,14 +29,11 @@ def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
     stem = trace_stem(case_id)
     if stem != case_id:
         logger.warning("case id %r sanitized to %r for the trace filename", case_id, stem)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{stem}.trace.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
-            for event in trace:
-                fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{stem}.trace.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        for event in trace:
+            fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
     return path
 
 

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from redflagcds.domain import (
     AgentVerdict,
-    CaseResult,
     Decision,
     EmptyVignette,
     GraphState,
@@ -15,6 +14,7 @@ from redflagcds.domain import (
     Vignette,
     parse_red_flag,
 )
+from redflagcds.engine import aggregate
 from redflagcds.recovery import validate_routing
 
 WIRE_NAMES = [
@@ -129,7 +129,11 @@ def test_pending_completed_disjoint_under_any_sequence(routed, decisions):
     decisions=st.dictionaries(st.sampled_from(list(RedFlag)), st.sampled_from(list(Decision)))
 )
 def test_case_result_predicted_matches_yes_verdicts(decisions):
-    verdicts = {flag: verdict(flag, d) for flag, d in decisions.items()}
-    result = CaseResult.build("c", verdicts, None, ())
-    assert result.predicted == {f for f, v in verdicts.items() if v.decision is Decision.YES}
+    state = GraphState(note=Vignette(id="c", text="note"), pending=set(decisions))
+    for flag, decision in decisions.items():
+        state.apply_verdict(verdict(flag, decision))
+    result = aggregate(state)
+    yes = {flag for flag, decision in decisions.items() if decision is Decision.YES}
+    assert result.predicted == yes
     assert result.predicted <= set(result.verdicts)
+    assert state.trace[-1].payload["predicted"] == sorted(flag.value for flag in yes)

@@ -423,11 +423,11 @@ class TestScheduler:
     def _notes(self):
         return [note(case_id) for case_id in self.CASES]
 
-    @pytest.mark.parametrize("concurrency, peak", [(3, 3), (1, 1), (None, 8)])
-    def test_in_flight_calls_capped_across_cases(self, prompts, concurrency, peak):
+    @pytest.mark.parametrize("bound, peak", [({"concurrency": 3}, 3), ({"concurrency": 1}, 1),
+                                             ({}, 8)], ids=["3", "1", "default"])
+    def test_in_flight_calls_capped_across_cases(self, prompts, bound, peak):
         backend = CountingBackend(self._backend())
-        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
-                           concurrency=concurrency)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, **bound)
         results = within(30, lambda: list(run_cases(self._notes(), cfg)))
         assert [r.case_id for r in results] == self.CASES  # input order
         assert all(len(r.verdicts) == 7 for r in results)

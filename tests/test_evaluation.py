@@ -9,15 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redflagcds.domain import RedFlag, Stage, TraceEvent
-from redflagcds.encoding import (
-    LATIN1,
-    UTF8,
-    UTF8_BOM,
-    decode_fallback,
-    read_jsonl,
-    read_text_fallback,
-)
-from redflagcds.engine import Architecture, RunConfig
+from redflagcds.encoding import read_jsonl, read_text_fallback
+from redflagcds.engine import DEFAULT_CONCURRENCY, Architecture, RunConfig
 from redflagcds.evaluation import (
     APPROACH_ORDER,
     BadRecord,
@@ -31,7 +24,7 @@ from redflagcds.evaluation import (
 )
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry, load_script
 from redflagcds.prompts import PromptStrategy
-from redflagcds.trace import IoFailure, read_trace, write_trace
+from redflagcds.trace import read_trace, write_trace
 from tests.conftest import FIXTURES_DIR, CountingBackend, full_script, within, write_jsonl
 
 ALL = list(RedFlag)
@@ -166,23 +159,22 @@ class TestEncodingFallback:
         path.write_text("46 white cells (69% neutrophils)/μl", encoding="utf-8")
         assert read_text_fallback(path) == "46 white cells (69% neutrophils)/μl"
 
-    def test_bom_stripped(self):
-        text, decoder = decode_fallback(b"\xef\xbb\xbfhello")
-        assert text == "hello"
-        assert decoder == UTF8_BOM
+    def test_bom_stripped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfhello")
+        assert read_text_fallback(path) == "hello"
 
-    def test_invalid_utf8_decodes_as_latin1(self):
-        text, decoder = decode_fallback(b"caf\xe9")
-        assert text == "café"
-        assert decoder == LATIN1
+    def test_invalid_utf8_decodes_as_latin1(self, tmp_path, caplog):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"caf\xe9")
+        with caplog.at_level("INFO", logger="redflagcds.encoding"):
+            assert read_text_fallback(path) == "café"
+        assert "Latin-1" in caplog.text
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_bytes(b"")
         assert read_text_fallback(path) == ""
-
-    def test_plain_utf8_reported(self):
-        assert decode_fallback(b"plain")[1] == UTF8
 
 
 # JSON allows these raw inside a string; str.splitlines() would end a record at each.
@@ -237,6 +229,20 @@ class TestLoadDataset:
         )
         with pytest.raises(BadRecord, match="line 2"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("record, problem", [
+        ({"id": " \t", "red_flags": []}, "id is empty"),
+        ({"id": "a", "red_flags": "thunderclap"}, "red_flags is not an array"),
+    ])
+    def test_record_rejected_naming_the_problem(self, tmp_path, record, problem):
+        path = self._write(tmp_path, [{"text": "note", **record}])
+        with pytest.raises(BadRecord, match=f"^line 1: {problem}$"):
+            load_dataset(path)
+
+    def test_integer_id_loads_as_text(self, tmp_path):
+        path = self._write(tmp_path, [{"id": 7, "text": "note", "red_flags": []}])
+        (case,) = load_dataset(path)
+        assert case.vignette.id == "7"
 
     def test_empty_text_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "a", "text": " ", "red_flags": []}])
@@ -329,7 +335,7 @@ class TestWriteTrace:
         assert read_trace(path) == trace
 
 
-def fixture_matrix(prompts, backend, concurrency=None):
+def fixture_matrix(prompts, backend, concurrency=DEFAULT_CONCURRENCY):
     return [
         RunConfig(arch, strategy, backend, "scripted", prompts, concurrency=concurrency)
         for arch, strategy in APPROACH_ORDER
@@ -475,7 +481,7 @@ class TestRunExperiment:
                         prompts, concurrency=1)
 
         def run():
-            with pytest.raises(IoFailure) as raised:
+            with pytest.raises(OSError) as raised:
                 run_experiment(dataset, [cfg], trace_dir=blocker / "traces")
             # `raised` keeps the failed run's frames alive, so only an explicit close
             # can have stopped its cases and joined its threads by now

@@ -239,6 +239,12 @@ class TestHttpBackend:
         with pytest.raises(BadResponse):
             backend.complete("p")
 
+    def test_assistant_content_that_is_not_text(self, serve_stub):
+        body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
+        backend, _, _ = self._backend(serve_stub, [(200, body)])
+        with pytest.raises(BadResponse, match="^assistant message content is not text$"):
+            backend.complete("p")
+
     def test_client_error_carries_the_body_prefix_without_retry(self, serve_stub):
         body = "a" * 150 + "b" * 100
         backend, stub, sleeps = self._backend(serve_stub, [(404, body.encode())])

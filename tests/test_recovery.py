@@ -65,6 +65,17 @@ class TestExtractJson:
         assert outcome.strategy_used is Strategy.REPAIRED
         assert outcome.value["why"] == "stiff neck"
 
+    @pytest.mark.parametrize("raw, why", [
+        ("{'why': 'it\\'s', 'next': []}", "it's"),
+        ("""{'why': 'say "hi"', 'next': []}""", 'say "hi"'),
+        ('{"why": "x\\"y", "next": [],}', 'x"y'),
+        ("{'why': 'a\\nb', 'next': []}", "a\nb"),
+    ], ids=["escaped-single-quote", "double-quote-in-single", "escape-then-comma", "newline"])
+    def test_repair_keeps_quotes_and_escapes(self, raw, why):
+        outcome = extract_json(raw)
+        assert outcome.strategy_used is Strategy.REPAIRED
+        assert outcome.value == {"why": why, "next": []}
+
     def test_repair_line_comments(self):
         raw = '{"next": ["papilledema"], // routed agent\n "why": "x", "evidence": []}'
         outcome = extract_json(raw)
@@ -153,6 +164,17 @@ class TestParseRouting:
     def test_no_next_member_is_unusable(self, vignette):
         with pytest.raises(SchemaUnusable):
             parse_routing('{"why": "x"}', vignette)
+
+    def test_next_that_is_not_an_array_is_unusable(self, vignette):
+        with pytest.raises(SchemaUnusable, match="'next' is not an array or string: int"):
+            parse_routing('{"next": 5}', vignette)
+
+    def test_non_string_targets_dropped_with_warning(self):
+        note = Vignette(id="c", text="sudden onset of pain")
+        raw = '{"next": ["thunderclap", 7], "why": "w", "evidence": "sudden onset"}'
+        decision, warnings = parse_routing(raw, note)
+        assert decision == RoutingDecision([RedFlag.THUNDERCLAP], "w", ["sudden onset"])
+        assert warnings == ["NonStringNext: dropped non-string entry 7"]
 
     def test_unknown_names_dropped_with_warning(self, vignette):
         raw = '{"next": ["migraine", "papilledema"], "why": "x", "evidence": ["q"]}'
@@ -289,6 +311,12 @@ class TestParseBaseline:
         verdicts = parse_baseline(raw)
         assert verdicts[RedFlag.THUNDERCLAP].decision is Decision.YES
         assert verdicts[RedFlag.MENINGISMUS].decision is Decision.NO
+
+    def test_unknown_flag_skipped_and_first_line_of_a_flag_kept(self):
+        verdicts = parse_baseline("migraine: YES\nthunderclap: NO first\nthunderclap: YES second")
+        assert len(verdicts) == 7
+        thunderclap = verdicts[RedFlag.THUNDERCLAP]
+        assert (thunderclap.decision, thunderclap.rationale) == (Decision.NO, "first")
 
 
 class TestRepairJsonText:
