@@ -31,7 +31,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
-from .trace import read_trace, verify_trace, write_trace
+from .trace import read_trace, trace_name_fits, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -180,6 +180,8 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         vignette = Vignette(id=case_id, text=text)
     except EmptyVignette:
         raise click.UsageError("empty vignette")
+    if not trace_name_fits(case_id):
+        raise click.UsageError("case id is too long for a trace file name")
 
     cfg = settings.run_config(
         Architecture(arch), PromptStrategy(strategy), settings.backend(), settings.prompts()

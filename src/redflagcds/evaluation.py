@@ -16,7 +16,7 @@ from .encoding import BadRecord, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
 from .prompts import PromptStrategy
-from .trace import trace_stem, write_trace
+from .trace import trace_name_fits, trace_stem, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -82,9 +82,9 @@ def load_dataset(path) -> list[GoldCase]:
     Unknown flag names are a BadRecord; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
     An id names its case's trace file, so an id that cannot is a BadRecord: a
-    null, empty or blank one, or one holding a NUL character. So is a repeated
-    id, or two ids that share a trace file name: one case's trace would
-    silently overwrite the other's.
+    null, empty or blank one, one holding a NUL character, or one too long for a
+    file name (`trace.trace_name_fits`). So is a repeated id, or two ids that
+    share a trace file name: one case's trace would silently overwrite the other's.
     """
     cases: list[GoldCase] = []
     seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
@@ -94,6 +94,8 @@ def load_dataset(path) -> list[GoldCase]:
             raise BadRecord(lineno, "id is empty")
         if "\0" in case_id:
             raise BadRecord(lineno, "id holds a NUL character")
+        if not trace_name_fits(case_id):
+            raise BadRecord(lineno, "id is too long for a trace file name")
         stem = trace_stem(case_id)
         if stem in seen:
             other, other_line = seen[stem]

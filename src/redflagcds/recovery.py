@@ -49,33 +49,48 @@ class RecoveryOutcome:
 _FENCE_RE = re.compile(r"```[A-Za-z0-9_+-]*[ \t]*\r?\n?(.*?)```", re.DOTALL)
 
 
+# The string rule, for a quote `q`: a backslash escapes the next character, and a string
+# never closed runs to the end of the text. The group `inside` holds what the quotes enclose.
+_STRING = r"{q}(?P<{inside}>(?:[^{q}\\]|\\.?)*){q}?"
+_DOUBLE = _STRING.format(q='"', inside="double")
+_SINGLE = _STRING.format(q="'", inside="single")
+_BRACE_TOKENS = re.compile(rf"{_DOUBLE}|[{{}}]", re.DOTALL)
+
+
 def _balanced_brace_span(text: str, start: int) -> Optional[int]:
     """Return the index just past the `}` balancing text[start] == '{', or None.
 
-    Braces inside string literals are ignored; backslash escapes are honored.
+    Braces inside double-quoted strings are not counted.
     """
     depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
+    for token in _BRACE_TOKENS.finditer(text, start):
+        if token[0] == "{":
             depth += 1
-        elif ch == "}":
+        elif token[0] == "}":
             depth -= 1
             if depth == 0:
-                return i + 1
+                return token.end()
     return None
+
+
+_REPAIRS = re.compile(
+    rf"""{_DOUBLE}             # a double-quoted string: kept
+    | {_SINGLE}                # a single-quoted string: re-quoted
+    | (?:\#|//)[^\n]*          # a line comment: dropped, its newline kept
+    | ,(?=[ \t\r\n]*[\]}}])    # a comma that closes a container: dropped
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+# Between double quotes, \' needs no escape and " needs one; any other escape is kept.
+_REQUOTE = re.compile(r'\\.?|"', re.DOTALL)
+_REQUOTED = {"\\'": "'", '"': '\\"'}
+
+
+def _repair(token: re.Match) -> str:
+    """What one `_REPAIRS` token becomes."""
+    if token["single"] is not None:
+        return '"' + _REQUOTE.sub(lambda t: _REQUOTED.get(t[0], t[0]), token["single"]) + '"'
+    return token[0] if token["double"] is not None else ""
 
 
 def repair_json_text(text: str) -> str:
@@ -83,64 +98,7 @@ def repair_json_text(text: str) -> str:
 
     Nothing more aggressive is attempted; repair must never invent content.
     """
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':  # copy a double-quoted string verbatim
-            out.append(ch)
-            i += 1
-            while i < n:
-                out.append(text[i])
-                if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i + 1])
-                    i += 2
-                    continue
-                if text[i] == '"':
-                    i += 1
-                    break
-                i += 1
-            continue
-        if ch == "'":  # convert a single-quoted string to double-quoted
-            out.append('"')
-            i += 1
-            while i < n:
-                c = text[i]
-                if c == "\\" and i + 1 < n:
-                    nxt = text[i + 1]
-                    if nxt == "'":
-                        out.append("'")
-                    else:
-                        out.append(c)
-                        out.append(nxt)
-                    i += 2
-                    continue
-                if c == "'":
-                    i += 1
-                    break
-                if c == '"':
-                    out.append('\\"')
-                else:
-                    out.append(c)
-                i += 1
-            out.append('"')
-            continue
-        if ch == "#" or text.startswith("//", i):  # skip a line comment, keep its newline
-            end = text.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if ch == ",":
-            # drop the comma when the next significant character closes a container
-            j = i + 1
-            while j < n and text[j] in " \t\r\n":
-                j += 1
-            if j < n and text[j] in "]}":
-                i += 1
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _REPAIRS.sub(_repair, text)
 
 
 def extract_json(raw: str) -> RecoveryOutcome:

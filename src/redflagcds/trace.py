@@ -16,11 +16,18 @@ logger = logging.getLogger(__name__)
 
 
 _UNSAFE_ID = re.compile(r"[\\/]")
+_SUFFIX = ".trace.jsonl"
+_NAME_MAX = 255  # bytes in a file name on Linux file systems (NAME_MAX)
 
 
 def trace_stem(case_id: str) -> str:
     """A case's trace file name without `.trace.jsonl`: path separators become underscores."""
     return _UNSAFE_ID.sub("_", case_id)
+
+
+def trace_name_fits(case_id: str) -> bool:
+    """Whether the case's trace file name fits in 255 bytes of UTF-8."""
+    return len((trace_stem(case_id) + _SUFFIX).encode("utf-8", "surrogatepass")) <= _NAME_MAX
 
 
 def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
@@ -30,7 +37,7 @@ def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
     if stem != case_id:
         logger.warning("case id %r sanitized to %r for the trace filename", case_id, stem)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{stem}.trace.jsonl"
+    path = directory / (stem + _SUFFIX)
     with path.open("w", encoding="utf-8") as fh:
         for event in trace:
             fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
@@ -48,7 +55,10 @@ def read_trace(path) -> list[TraceEvent]:
     return events
 
 
-_VERDICT_STAGES = (Stage.AGENT_DONE, Stage.AGENT_ERROR)
+_VERDICT_SHAPES = {  # stage -> the (decision, has an error_detail) pairs it may carry
+    Stage.AGENT_DONE: (("YES", False), ("NO", False)),
+    Stage.AGENT_ERROR: (("ERROR", True),),
+}
 
 
 def _names(flags) -> str:
@@ -66,12 +76,15 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
     exactly one FANOUT, after the ROUTING. Each started flag ends with exactly
     one AGENT_DONE or AGENT_ERROR, and a flag never started has none. A start
     left without a verdict (a dropped call) is closed by a WARNING on that flag
-    before the flag is started again.
+    before the flag is started again. In both shapes an AGENT_DONE decides YES
+    or NO with no error_detail, an AGENT_ERROR decides ERROR with one, and the
+    AGGREGATE's `predicted` and `verdict_count` are what those events add up to.
     """
     counts = dict.fromkeys(Stage, 0)
     verdicts: Counter = Counter()  # flag -> its AGENT_DONE and AGENT_ERROR events
     started, awaiting = set(), set()  # awaiting: started, not yet closed by a verdict or WARNING
-    order = []
+    yes = []  # the values of the flags an AGENT_DONE decides YES
+    found = []  # the problems seen event by event
     ordered = True
     previous = float("-inf")
     for event in events:
@@ -82,24 +95,32 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
         counts[stage] += 1
         if stage is Stage.AGENT_START:
             if not counts[Stage.ROUTING]:
-                order.append(f"AGENT_START of {_names([flag])} before ROUTING")
+                found.append(f"AGENT_START of {_names([flag])} before ROUTING")
             if flag in awaiting:
-                order.append(f"{_names([flag])} started again with its last start unclosed")
+                found.append(f"{_names([flag])} started again with its last start unclosed")
             started.add(flag)
             awaiting.add(flag)
-        elif stage in _VERDICT_STAGES:
+        elif stage in _VERDICT_SHAPES:
             verdicts[flag] += 1
             awaiting.discard(flag)
+            decision, detail = event.payload.get("decision"), event.payload.get("error_detail")
+            if (decision, detail is not None) not in _VERDICT_SHAPES[stage]:
+                found.append(f"{stage.value} of {_names([flag])} has decision {decision!r} "
+                             f"and error_detail {detail!r}")
+            elif decision == "YES" and flag:
+                yes.append(flag.value)
+        elif stage is Stage.AGGREGATE:
+            summary = event.payload
         elif stage is Stage.WARNING:
             awaiting.discard(flag)
         elif stage is Stage.FANOUT and not counts[Stage.ROUTING]:
-            order.append("FANOUT before ROUTING")
+            found.append("FANOUT before ROUTING")
     problems = [] if ordered else ["sequence numbers are not strictly increasing"]
+    problems += found
     if counts[Stage.ROUTING] or counts[Stage.FANOUT] or counts[Stage.AGENT_START]:
         for stage in (Stage.ROUTING, Stage.FANOUT):
             if counts[stage] != 1:
                 problems.append(f"expected exactly one {stage.value} event, found {counts[stage]}")
-        problems += order
         never_started = verdicts.keys() - started
         if never_started:
             problems.append(f"verdict for a flag never started: {_names(never_started)}")
@@ -116,6 +137,11 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
         )
     if counts[Stage.AGGREGATE] != 1:
         problems.append(f"expected exactly one AGGREGATE event, found {counts[Stage.AGGREGATE]}")
-    elif events[-1].stage is not Stage.AGGREGATE:
-        problems.append("AGGREGATE is not the last event")
+    else:
+        if events[-1].stage is not Stage.AGGREGATE:
+            problems.append("AGGREGATE is not the last event")
+        for field, want in (("predicted", sorted(yes)), ("verdict_count", sum(verdicts.values()))):
+            if summary.get(field) != want:
+                problems.append(f"AGGREGATE {field} is {summary.get(field)!r}, "
+                                f"but the AGENT_DONE and AGENT_ERROR events give {want!r}")
     return problems

@@ -132,6 +132,17 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_BACKEND
 
+    def test_case_id_too_long_for_a_trace_exits_2_before_any_call(
+        self, runner, note_path, script_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(ScriptedBackend, "complete", lambda *args, **kw: calls.append(kw))
+        result = runner.invoke(
+            cli, classify_args(note_path, script_path, tmp_path, "--case-id", "x" * 250))
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "case id is too long for a trace file name" in result.output
+        assert calls == []
+
     def test_case_missing_from_script_exits_2(self, runner, note_path, script_path, tmp_path):
         result = runner.invoke(
             cli, classify_args(note_path, script_path, tmp_path, "--case-id", "nosuch"))
@@ -286,7 +297,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("case_id, problem", [
         ("", "id is empty"), (None, "id is empty"), ("a\0b", "id holds a NUL character"),
-    ], ids=["empty", "null", "nul-character"])
+        ("x" * 250, "id is too long for a trace file name"),
+    ], ids=["empty", "null", "nul-character", "too-long"])
     def test_id_that_cannot_name_a_trace_exits_2_before_any_call(
         self, runner, tmp_path, monkeypatch, case_id, problem
     ):
@@ -594,6 +606,41 @@ class TestReplay:
         result = runner.invoke(cli, ["replay", str(trace), "--verify"])
         assert result.exit_code == EXIT_INVARIANT
         assert message in result.output
+
+    @pytest.mark.parametrize("stage, field, value, message", [
+        ("AGGREGATE", "predicted", ["meningismus", "papilledema", "thunderclap"],
+         "AGGREGATE predicted is ['meningismus', 'papilledema', 'thunderclap'], "
+         "but the AGENT_DONE and AGENT_ERROR events give ['meningismus']"),
+        ("AGGREGATE", "verdict_count", 99,
+         "AGGREGATE verdict_count is 99, but the AGENT_DONE and AGENT_ERROR events give 7"),
+        ("AGENT_DONE", "error_detail", "boom",
+         "AGENT_DONE of meningismus has decision 'YES' and error_detail 'boom'"),
+        ("AGENT_DONE", "decision", "ERROR",
+         "AGENT_DONE of meningismus has decision 'ERROR' and error_detail None"),
+        ("AGENT_ERROR", "error_detail", None,
+         "AGENT_ERROR of thunderclap has decision 'ERROR' and error_detail None"),
+        ("AGENT_ERROR", "decision", "NO",
+         "AGENT_ERROR of thunderclap has decision 'NO' and error_detail "
+         "'missing or unparseable line'"),
+    ], ids=["predicted", "verdict-count", "done-with-error-detail", "done-deciding-error",
+            "error-without-error-detail", "error-deciding-no"])
+    def test_verify_checks_verdicts_and_their_sum(
+        self, runner, note_path, tmp_path, stage, field, value, message
+    ):
+        """A single-LLM trace with one AGENT_DONE deciding YES and six AGENT_ERROR, one
+        field edited."""
+        script = write_script_file(
+            tmp_path / "s.jsonl", [ScriptEntry("case-7", "baseline", "meningismus: YES")]
+        )
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path, "--arch", "single"))
+        assert result.exit_code == EXIT_OK, result.output
+        trace = tmp_path / "out" / "traces" / "case-7.trace.jsonl"
+        events = [json.loads(l) for l in trace.read_text(encoding="utf-8").splitlines()]
+        next(e for e in events if e["stage"] == stage)["payload"][field] = value
+        write_jsonl(trace, events)
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT
+        assert f"invariant violation: {message}\n" in result.output
 
     def test_malformed_trace_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.trace.jsonl"

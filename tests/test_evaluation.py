@@ -239,6 +239,19 @@ class TestLoadDataset:
         with pytest.raises(BadRecord, match=f"^line 1: {problem}$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("case_id, fits", [
+        ("x" * 243, True), ("x" * 244, False), ("é" * 121 + "x", True), ("é" * 122, False),
+    ], ids=["255-bytes", "256-bytes", "255-bytes-in-122-characters", "256-bytes-in-122-characters"])
+    def test_id_must_fit_a_trace_file_name(self, tmp_path, case_id, fits):
+        """`<id>.trace.jsonl` must fit in 255 bytes of UTF-8; 243 are left for the id."""
+        path = self._write(tmp_path, [{"id": case_id, "text": "note", "red_flags": []}])
+        if fits:
+            (case,) = load_dataset(path)
+            assert case.vignette.id == case_id
+        else:
+            with pytest.raises(BadRecord, match="^line 1: id is too long for a trace file name$"):
+                load_dataset(path)
+
     def test_integer_id_loads_as_text(self, tmp_path):
         path = self._write(tmp_path, [{"id": 7, "text": "note", "red_flags": []}])
         (case,) = load_dataset(path)

@@ -70,7 +70,11 @@ class TestExtractJson:
         ("""{'why': 'say "hi"', 'next': []}""", 'say "hi"'),
         ('{"why": "x\\"y", "next": [],}', 'x"y'),
         ("{'why': 'a\\nb', 'next': []}", "a\nb"),
-    ], ids=["escaped-single-quote", "double-quote-in-single", "escape-then-comma", "newline"])
+        ("{'why': 'back\\\\', 'next': []}", "back\\"),
+        ("{'why': 'a # b', 'next': []}", "a # b"),
+        ("{'why': 'a // b', 'next': [],}", "a // b"),
+    ], ids=["escaped-single-quote", "double-quote-in-single", "escape-then-comma", "newline",
+            "backslash-last-in-single", "hash-in-single", "slashes-in-single"])
     def test_repair_keeps_quotes_and_escapes(self, raw, why):
         outcome = extract_json(raw)
         assert outcome.strategy_used is Strategy.REPAIRED
@@ -102,6 +106,20 @@ class TestExtractJson:
         assert outcome.strategy_used is Strategy.BRACE_SPAN
         assert outcome.value == {"next": []}
 
+    def test_unclosed_string_gives_no_brace_span(self):
+        with pytest.raises(NoJsonFound):
+            extract_json('{"next": [], "why": "runs to the end}')
+
+    def test_comma_before_a_comment_then_brace_stays(self):
+        with pytest.raises(NoJsonFound):
+            extract_json('{"next": [], // nothing routed\n}')
+
+    def test_brace_inside_a_string_starts_its_own_span(self):
+        raw = 'It wrote "{"next": ["thunderclap"]}" as its answer'
+        outcome = extract_json(raw)
+        assert outcome.strategy_used is Strategy.BRACE_SPAN
+        assert outcome.value == {"next": ["thunderclap"]}
+
 
 json_values = st.recursive(
     st.one_of(
@@ -128,6 +146,12 @@ def test_strict_idempotence(doc):
     outcome = extract_json(raw)
     assert outcome.strategy_used is Strategy.STRICT
     assert outcome.value == json.loads(raw)
+
+
+@given(doc=json_values, ensure_ascii=st.booleans(), indent=st.sampled_from([None, 2]))
+def test_repair_leaves_strict_json_unchanged(doc, ensure_ascii, indent):
+    raw = json.dumps(doc, ensure_ascii=ensure_ascii, indent=indent)
+    assert repair_json_text(raw) == raw
 
 
 @given(doc=json_objects, prefix=prose, suffix=prose)
@@ -327,3 +351,16 @@ class TestRepairJsonText:
     def test_removes_trailing_comma_before_newline_bracket(self):
         raw = '{"a": [1, 2,\n]}'
         assert json.loads(repair_json_text(raw)) == {"a": [1, 2]}
+
+    def test_unclosed_double_quoted_string_copied_to_the_end(self):
+        raw = '{"a": "b, ] // c \'d\''
+        assert repair_json_text(raw) == raw
+
+    def test_trailing_backslash_in_single_quotes(self):
+        assert repair_json_text("{'a': 'b\\") == '{"a": "b\\"'
+
+    def test_comment_markers_inside_single_quotes_kept(self):
+        assert repair_json_text("['# x', '// y']") == '["# x", "// y"]'
+
+    def test_comma_before_a_comment_stays(self):
+        assert repair_json_text("[1, // two\n]") == "[1, \n]"
