@@ -31,7 +31,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
-from .trace import read_trace, trace_name_fits, verify_trace, write_trace
+from .trace import read_trace, trace_name_problem, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -94,7 +94,7 @@ def _common_options(fn):
                      show_default=True),
         click.option("--concurrency", type=click.IntRange(min=1), default=DEFAULT_CONCURRENCY,
                      show_default=True, help="Most backend calls in flight across the whole run."),
-        click.option("--out", type=click.Path(), default="out", show_default=True,
+        click.option("--out", type=click.Path(path_type=Path), default="out", show_default=True,
                      help="Output directory for traces and reports."),
     ]
     for dec in reversed(decorators):
@@ -102,49 +102,29 @@ def _common_options(fn):
     return fn
 
 
-class Settings:
-    """The settings of one command, each from its flag, else the config file, else its default."""
-
-    def __init__(self, endpoint, model, script, prompt_dir, fanout, concurrency, out):
-        self.endpoint = endpoint
-        self.model = model
-        self.script = script
-        self.prompt_dir = prompt_dir
-        self.fanout = FanoutMode(fanout)
-        self.concurrency = concurrency
-        self.out = Path(out)
-
-    def prompts(self) -> PromptLibrary:
+def _rows(approaches, endpoint, model, script, prompt_dir, fanout, concurrency) -> list[RunConfig]:
+    """A RunConfig per (architecture, strategy) in `approaches`, on one backend and template set."""
+    if script:
         try:
-            if self.prompt_dir:
-                return PromptLibrary.load(self.prompt_dir)
-            return PromptLibrary.default()
-        except (TemplateMissing, TemplateInvalid) as exc:
-            raise click.UsageError(f"prompt templates: {exc}")
-
-    def backend(self):
-        if self.script:
-            try:
-                return ScriptedBackend(load_script(self.script))
-            except (OSError, ValueError) as exc:
-                raise click.UsageError(f"script file: {exc}")
-        if not self.endpoint:
-            raise click.UsageError("either --script or --endpoint is required")
+            backend = ScriptedBackend(load_script(script))
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"script file: {exc}")
+    elif not endpoint:
+        raise click.UsageError("either --script or --endpoint is required")
+    else:
         try:
-            return HttpBackend(BackendConfig(self.endpoint, self.model, os.environ.get(API_KEY_ENV)))
+            backend = HttpBackend(BackendConfig(endpoint, model, os.environ.get(API_KEY_ENV)))
         except ValueError as exc:
             raise click.UsageError(f"--endpoint: {exc}")
-
-    def run_config(self, architecture, strategy, backend, prompts) -> RunConfig:
-        return RunConfig(
-            architecture=architecture,
-            strategy=strategy,
-            backend=backend,
-            model=self.model,
-            prompts=prompts,
-            fanout_mode=self.fanout,
-            concurrency=self.concurrency,
-        )
+    try:
+        prompts = PromptLibrary.load(prompt_dir) if prompt_dir else PromptLibrary.default()
+    except (TemplateMissing, TemplateInvalid) as exc:
+        raise click.UsageError(f"prompt templates: {exc}")
+    return [
+        RunConfig(architecture=architecture, strategy=strategy, backend=backend, model=model,
+                  prompts=prompts, fanout_mode=FanoutMode(fanout), concurrency=concurrency)
+        for architecture, strategy in approaches
+    ]
 
 
 def _cannot_write(what: str, exc: OSError):
@@ -164,9 +144,8 @@ def cli():
 @click.option("--strategy", type=click.Choice(["qprompt", "gprompt"]), default="gprompt")
 @click.option("--arch", type=click.Choice(["single", "multi"]), default="multi")
 @_common_options
-def classify(note_path, case_id, strategy, arch, **kwargs):
+def classify(note_path, case_id, strategy, arch, out, **options):
     """Classify one vignette and print the structured result as JSON."""
-    settings = Settings(**kwargs)
     if note_path == "-":
         text = sys.stdin.read()
         case_id = case_id or "stdin"
@@ -180,12 +159,10 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         vignette = Vignette(id=case_id, text=text)
     except EmptyVignette:
         raise click.UsageError("empty vignette")
-    if not trace_name_fits(case_id):
-        raise click.UsageError("case id is too long for a trace file name")
+    if problem := trace_name_problem(case_id):
+        raise click.UsageError(f"case {problem}")
 
-    cfg = settings.run_config(
-        Architecture(arch), PromptStrategy(strategy), settings.backend(), settings.prompts()
-    )
+    (cfg,) = _rows([(Architecture(arch), PromptStrategy(strategy))], **options)
     try:
         result = run_case(vignette, cfg)
     except ScriptMiss as exc:
@@ -195,7 +172,7 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         sys.exit(EXIT_BACKEND)
 
     try:
-        trace_path = write_trace(case_id, result.trace, settings.out / "traces")
+        trace_path = write_trace(case_id, result.trace, out / "traces")
     except OSError as exc:
         _cannot_write("traces", exc)
     output = {
@@ -219,7 +196,8 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
         else None,
         "trace_file": str(trace_path),
     }
-    click.echo(json.dumps(output, indent=2, ensure_ascii=False))
+    printed = json.dumps(output, indent=2, ensure_ascii=False)
+    click.echo(printed.encode("utf-8", "backslashreplace").decode())  # lone surrogates as \uXXXX
 
 
 @cli.command()
@@ -227,9 +205,8 @@ def classify(note_path, case_id, strategy, arch, **kwargs):
               help="Gold dataset (JSONL with id, text, red_flags).")
 @click.option("--matrix", type=click.Choice(sorted(MATRIX_CHOICES)), default="all")
 @_common_options
-def evaluate(dataset_path, matrix, **kwargs):
+def evaluate(dataset_path, matrix, out, **options):
     """Run the experiment matrix over a dataset and print the results table."""
-    settings = Settings(**kwargs)
     try:
         dataset = load_dataset(dataset_path)
     except (OSError, BadRecord) as exc:
@@ -239,12 +216,11 @@ def evaluate(dataset_path, matrix, **kwargs):
         click.echo("bad dataset: no cases", err=True)
         sys.exit(EXIT_USAGE)
 
-    backend = settings.backend()
-    prompts = settings.prompts()
+    configs = _rows(MATRIX_CHOICES[matrix], **options)
     # an output that cannot be written fails the run before the first backend call
-    csv_path = settings.out / "report.csv"
+    csv_path = out / "report.csv"
     try:
-        (settings.out / "traces").mkdir(parents=True, exist_ok=True)
+        (out / "traces").mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _cannot_write("traces", exc)
     try:  # append keeps an existing report until the run replaces it; a probe file goes
@@ -255,17 +231,13 @@ def evaluate(dataset_path, matrix, **kwargs):
     except OSError as exc:
         _cannot_write("report", exc)
     try:
-        backend.preflight()
+        configs[0].backend.preflight()
     except BackendUnavailable as exc:
         click.echo(f"preflight failed: {exc}", err=True)
         sys.exit(EXIT_BACKEND)
 
-    configs = [
-        settings.run_config(architecture, strategy, backend, prompts)
-        for architecture, strategy in MATRIX_CHOICES[matrix]
-    ]
     try:
-        report = run_experiment(dataset, configs, trace_dir=settings.out / "traces")
+        report = run_experiment(dataset, configs, trace_dir=out / "traces")
     except OSError as exc:  # from a trace write: a case's own failure is scored, not raised
         _cannot_write("traces", exc)
     try:

@@ -16,7 +16,7 @@ from .encoding import BadRecord, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
 from .prompts import PromptStrategy
-from .trace import trace_name_fits, trace_stem, write_trace
+from .trace import trace_name_problem, trace_stem, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -81,21 +81,18 @@ def load_dataset(path) -> list[GoldCase]:
 
     Unknown flag names are a BadRecord; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
-    An id names its case's trace file, so an id that cannot is a BadRecord: a
-    null, empty or blank one, one holding a NUL character, or one too long for a
-    file name (`trace.trace_name_fits`). So is a repeated id, or two ids that
-    share a trace file name: one case's trace would silently overwrite the other's.
+    An id names its case's trace file, so a null id, or one that cannot name a
+    trace file (`trace.trace_name_problem`), is a BadRecord. So is a repeated id,
+    or two ids that share a trace file name: one case's trace would silently
+    overwrite the other's.
     """
     cases: list[GoldCase] = []
     seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
     for lineno, record in read_jsonl(path, required=("id", "text", "red_flags")):
-        case_id, note_text, flag_names = str(record["id"]), record["text"], record["red_flags"]
-        if record["id"] is None or not case_id.strip():
-            raise BadRecord(lineno, "id is empty")
-        if "\0" in case_id:
-            raise BadRecord(lineno, "id holds a NUL character")
-        if not trace_name_fits(case_id):
-            raise BadRecord(lineno, "id is too long for a trace file name")
+        case_id = "" if record["id"] is None else str(record["id"])
+        note_text, flag_names = record["text"], record["red_flags"]
+        if problem := trace_name_problem(case_id):
+            raise BadRecord(lineno, problem)
         stem = trace_stem(case_id)
         if stem in seen:
             other, other_line = seen[stem]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .domain import RedFlag, Stage, TraceEvent
 from .encoding import BadRecord, read_jsonl
@@ -25,20 +26,30 @@ def trace_stem(case_id: str) -> str:
     return _UNSAFE_ID.sub("_", case_id)
 
 
-def trace_name_fits(case_id: str) -> bool:
-    """Whether the case's trace file name fits in 255 bytes of UTF-8."""
-    return len((trace_stem(case_id) + _SUFFIX).encode("utf-8", "surrogatepass")) <= _NAME_MAX
+def trace_name_problem(case_id: str) -> Optional[str]:
+    """Why the case id cannot name its trace file, or None if it can: the id is empty or
+    blank, holds a NUL, has no file-system encoding, or makes a name over 255 bytes."""
+    if not case_id.strip():
+        return "id is empty"
+    if "\0" in case_id:
+        return "id holds a NUL character"
+    try:
+        name = os.fsencode(trace_stem(case_id) + _SUFFIX)
+    except UnicodeEncodeError:
+        return "id cannot be encoded as a file name"
+    return "id is too long for a trace file name" if len(name) > _NAME_MAX else None
 
 
 def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
-    """Write one case's trace as line-delimited JSON; overwrites any previous file."""
+    """Write one case's trace as line-delimited JSON; overwrites any previous file. A lone
+    surrogate, which only a JSON string can hold, is written as its `\\uXXXX` escape."""
     directory = Path(directory)
     stem = trace_stem(case_id)
     if stem != case_id:
         logger.warning("case id %r sanitized to %r for the trace filename", case_id, stem)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / (stem + _SUFFIX)
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
         for event in trace:
             fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
     return path

@@ -70,7 +70,8 @@ def multi_config(backend, prompts, **overrides) -> RunConfig:
 
 
 def write_jsonl(path: Path, records) -> Path:
-    with path.open("w", encoding="utf-8") as fh:
+    """One JSON record per line; a lone surrogate is written as its escape, as in a trace."""
+    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     return path

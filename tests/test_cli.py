@@ -13,8 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from redflagcds.domain import RedFlag
-from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, Settings, cli
-from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
+from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, cli
+from redflagcds.gateway import BackendConfig, Fault, HttpBackend, ScriptedBackend, ScriptEntry
 from redflagcds.recovery import Strategy, extract_json
 from tests.conftest import (
     FIXTURES_DIR,
@@ -132,16 +132,21 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_BACKEND
 
-    def test_case_id_too_long_for_a_trace_exits_2_before_any_call(
-        self, runner, note_path, script_path, tmp_path, monkeypatch
+    @pytest.mark.parametrize("case_id, problem", [
+        ("x" * 250, "id is too long for a trace file name"), (" ", "id is empty"),
+        ("\ud800", "id cannot be encoded as a file name"),
+    ], ids=["too-long", "blank", "lone-surrogate"])
+    def test_case_id_that_cannot_name_a_trace_exits_2_before_any_call(
+        self, runner, note_path, script_path, tmp_path, monkeypatch, case_id, problem
     ):
         calls = []
         monkeypatch.setattr(ScriptedBackend, "complete", lambda *args, **kw: calls.append(kw))
         result = runner.invoke(
-            cli, classify_args(note_path, script_path, tmp_path, "--case-id", "x" * 250))
+            cli, classify_args(note_path, script_path, tmp_path, "--case-id", case_id))
         assert result.exit_code == EXIT_USAGE, result.output
-        assert "case id is too long for a trace file name" in result.output
+        assert f"Error: case {problem}\n" in result.output
         assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_case_missing_from_script_exits_2(self, runner, note_path, script_path, tmp_path):
         result = runner.invoke(
@@ -213,6 +218,25 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_USAGE, result.output
         assert f"script file: {message}" in result.output
+
+    @pytest.mark.parametrize("arch", ["multi", "single"])
+    def test_lone_surrogate_in_a_reply_is_printed_and_traced_as_its_escape(
+        self, runner, note_path, tmp_path, arch
+    ):
+        """`json.loads` makes a lone surrogate of a reply's `\\ud800` escape; no UTF-8 text
+        can hold one, so the JSON output and the trace both carry it as that escape."""
+        entries = [e for e in full_script("case-7", TABLE1_RAW) if e.agent_role != "meningismus"]
+        entries += [ScriptEntry("case-7", "meningismus", "NO. \ud800"),
+                    ScriptEntry("case-7", "baseline", "meningismus: NO \ud800")]
+        script = write_script_file(tmp_path / "s.jsonl", entries)
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path, "--arch", arch))
+        assert result.exit_code == EXIT_OK, result.output
+        assert "\\ud800" in result.output
+        output = json.loads(result.output)
+        assert "\ud800" in output["verdicts"]["meningismus"]["rationale"]
+        replayed = runner.invoke(cli, ["replay", output["trace_file"], "--verify"])
+        assert replayed.exit_code == EXIT_OK, replayed.output
+        assert "\\ud800" in Path(output["trace_file"]).read_text(encoding="utf-8")
 
     def test_stdin_note(self, runner, tmp_path):
         script = write_script_file(
@@ -298,7 +322,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("case_id, problem", [
         ("", "id is empty"), (None, "id is empty"), ("a\0b", "id holds a NUL character"),
         ("x" * 250, "id is too long for a trace file name"),
-    ], ids=["empty", "null", "nul-character", "too-long"])
+        ("\ud800", "id cannot be encoded as a file name"),
+    ], ids=["empty", "null", "nul-character", "too-long", "lone-surrogate"])
     def test_id_that_cannot_name_a_trace_exits_2_before_any_call(
         self, runner, tmp_path, monkeypatch, case_id, problem
     ):
@@ -399,6 +424,25 @@ class TestEvaluate:
         assert "Traceback" not in result.output
         assert calls == []  # checked before the first backend call
 
+    def test_lone_surrogate_in_a_reply_is_traced_as_its_escape(self, runner, tmp_path):
+        records = [json.loads(line) for line in
+                   (FIXTURES_DIR / "script.jsonl").read_text(encoding="utf-8").splitlines()]
+        for record in records:
+            if record["agent_role"] in ("thunderclap", "baseline"):
+                record["response"] = record["response"].replace("NO", "NO \ud800", 1)
+        script = write_jsonl(tmp_path / "s.jsonl", records)
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--dataset", str(FIXTURES_DIR / "cases.jsonl"), "--script", str(script),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == EXIT_OK, result.output
+        traces = sorted((tmp_path / "out" / "traces").rglob("*.trace.jsonl"))
+        assert any("\\ud800" in path.read_text(encoding="utf-8") for path in traces)
+        for path in traces:
+            replayed = runner.invoke(cli, ["replay", str(path), "--verify"])
+            assert replayed.exit_code == EXIT_OK, replayed.output
+
     def test_missing_dataset_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             cli,
@@ -408,14 +452,83 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
 
 
+# The pre-call checks in the order each command makes them: a stage, the exit code and
+# message of its fault. Each test below gives a command the faults of two neighbouring
+# stages at once, and the earlier stage must be the one reported; alone, the later
+# fault is reported too, so each pair does test the order.
+EVALUATE_CHECKS = [
+    ("dataset", EXIT_USAGE, "bad dataset: "),
+    ("backend", EXIT_USAGE, "script file: "),
+    ("templates", EXIT_USAGE, "prompt templates: "),
+    ("traces", EXIT_USAGE, "cannot write traces: "),
+    ("report", EXIT_USAGE, "cannot write report: "),
+    ("preflight", EXIT_BACKEND, "preflight failed: "),
+]
+CLASSIFY_CHECKS = [
+    ("note", EXIT_USAGE, "empty vignette"),
+    ("case-id", EXIT_USAGE, "case id is too long for a trace file name"),
+    ("backend", EXIT_USAGE, "script file: "),
+    ("templates", EXIT_USAGE, "prompt templates: "),
+    ("traces", EXIT_USAGE, "cannot write traces: "),
+]
+
+
+def _invoke_with_faults(runner, command, faults, directory, refused_port):
+    """Run `command` (classify or evaluate, on the fixtures) with the named faults."""
+    directory.mkdir()
+    out = directory / "out"
+    args = [command, "--out", str(out)]
+    if command == "evaluate":
+        dataset = FIXTURES_DIR / "cases.jsonl"
+        if "dataset" in faults:
+            dataset = directory / "no-such-dataset.jsonl"
+        args += ["--dataset", str(dataset)]
+    else:
+        note = directory / "case01.txt"  # case01 has entries in the fixture script
+        note.write_text("  \n" if "note" in faults else "stiff neck", encoding="utf-8")
+        args += ["--note", str(note)]
+    if "case-id" in faults:
+        args += ["--case-id", "x" * 250]
+    if "backend" in faults:
+        args += ["--script", str(directory / "no-such-script.jsonl")]
+    elif "preflight" in faults:
+        args += ["--endpoint", f"http://127.0.0.1:{refused_port}/v1"]
+    else:
+        args += ["--script", str(FIXTURES_DIR / "script.jsonl")]
+    if "templates" in faults:
+        (directory / "empty-templates").mkdir()
+        args += ["--prompt-dir", str(directory / "empty-templates")]
+    if "traces" in faults:
+        out.mkdir()
+        (out / "traces").write_text("a regular file", encoding="utf-8")
+    if "report" in faults:
+        (out / "report.csv").mkdir(parents=True)
+    return runner.invoke(cli, args)
+
+
+@pytest.mark.parametrize("command, first, second", [
+    *(("evaluate", a, b) for a, b in zip(EVALUATE_CHECKS, EVALUATE_CHECKS[1:])),
+    *(("classify", a, b) for a, b in zip(CLASSIFY_CHECKS, CLASSIFY_CHECKS[1:])),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_the_earlier_of_two_faults_is_reported(runner, tmp_path, command, first, second):
+    with socket.socket() as bound:  # bound, never listening: connections are refused
+        bound.bind(("127.0.0.1", 0))
+        port = bound.getsockname()[1]
+        both = _invoke_with_faults(runner, command, {first[0], second[0]}, tmp_path / "both", port)
+        alone = _invoke_with_faults(runner, command, {second[0]}, tmp_path / "alone", port)
+    assert both.exit_code == first[1], both.output
+    assert first[2] in both.output
+    assert second[2] not in both.output
+    assert alone.exit_code == second[1], alone.output
+    assert second[2] in alone.output
+
+
 def test_http_backend_keeps_a_connection_per_call_slot():
     """At concurrency 12 the backend opens at most 12 connections, even when all 12
     calls end together and start again."""
     stub = _CountingStub()
     threading.Thread(target=stub.serve_forever, args=(0.01,), daemon=True).start()
-    settings = Settings(endpoint=stub.url, model="m", script=None, prompt_dir=None,
-                        fanout="routed", concurrency=12, out="out")
-    backend = settings.backend()
+    backend = HttpBackend(BackendConfig(stub.url, "m"))
     try:
         with ThreadPoolExecutor(max_workers=12) as pool:
             for _ in range(3):

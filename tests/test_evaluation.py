@@ -241,9 +241,12 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("case_id, fits", [
         ("x" * 243, True), ("x" * 244, False), ("é" * 121 + "x", True), ("é" * 122, False),
-    ], ids=["255-bytes", "256-bytes", "255-bytes-in-122-characters", "256-bytes-in-122-characters"])
+        ("\udcff" * 243, True), ("\udcff" * 244, False),
+    ], ids=["255-bytes", "256-bytes", "255-bytes-in-122-characters", "256-bytes-in-122-characters",
+            "255-undecodable-bytes", "256-undecodable-bytes"])
     def test_id_must_fit_a_trace_file_name(self, tmp_path, case_id, fits):
-        """`<id>.trace.jsonl` must fit in 255 bytes of UTF-8; 243 are left for the id."""
+        """`<id>.trace.jsonl` must fit in 255 bytes of the file-system encoding; 243 are left
+        for the id. A byte that is not UTF-8, decoded as one surrogate, counts as one byte."""
         path = self._write(tmp_path, [{"id": case_id, "text": "note", "red_flags": []}])
         if fits:
             (case,) = load_dataset(path)
@@ -339,6 +342,12 @@ class TestWriteTrace:
     def test_round_trip_through_read_trace(self, tmp_path):
         trace = make_trace(3)
         path = write_trace("case1", trace, tmp_path)
+        assert read_trace(path) == trace
+
+    def test_lone_surrogate_is_written_as_its_escape_and_round_trips(self, tmp_path):
+        trace = [TraceEvent(1, Stage.WARNING, None, {"message": "a\ud800b\udcff"}, 0.0)]
+        path = write_trace("case1", trace, tmp_path)
+        assert b"a\\ud800b\\udcff" in path.read_bytes()
         assert read_trace(path) == trace
 
     def test_line_breaks_in_a_payload_round_trip(self, tmp_path):
