@@ -104,6 +104,10 @@ def _common_options(fn):
 
 def _rows(approaches, endpoint, model, script, prompt_dir, fanout, concurrency) -> list[RunConfig]:
     """A RunConfig per (architecture, strategy) in `approaches`, on one backend and template set."""
+    try:  # the report names the model, and is written as UTF-8 after every call
+        model.encode("utf-8")
+    except UnicodeEncodeError:
+        raise click.UsageError(f"--model: {model!r} cannot be encoded as UTF-8")
     if script:
         try:
             backend = ScriptedBackend(load_script(script))

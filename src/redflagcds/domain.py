@@ -154,16 +154,11 @@ class GraphState:
     outputs: dict[RedFlag, AgentVerdict] = field(default_factory=dict)
     trace: list[TraceEvent] = field(default_factory=list)
 
-    @property
-    def completed(self):
-        """The agents that have a verdict: a read-only view of outputs' keys."""
-        return self.outputs.keys()
-
     def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
         self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
 
     def apply_verdict(self, verdict: AgentVerdict) -> None:
-        """Move the agent from pending to completed and record its output."""
+        """Move the agent from pending to outputs and record its verdict."""
         if verdict.flag not in self.pending:
             raise NotPending(verdict.flag.value)
         self.pending.discard(verdict.flag)

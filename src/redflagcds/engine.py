@@ -14,10 +14,10 @@ order. Specialist results pass through a single serialized merge into GraphState
 in canonical flag order, so traces are deterministic for a scripted backend
 whatever order the calls finish in.
 
-Step 1 sends the calls of the flags expected before routing is known (all seven
-under EXHAUSTIVE fan-out, none under ROUTED) right after the first orchestrator
-call. Step 2 takes up the routed ones in flight, step 3 the rest; only the re-runs
-of dropped routed calls wait for step 2. Events are still written in step order.
+A case-run's steps share one map of the specialist calls in flight. Under EXHAUSTIVE
+fan-out, step 1 sends all seven right after the first orchestrator call; steps 2 and
+3 take their flags' calls from the map and send the rest, so only the re-runs of
+dropped routed calls wait for step 2. Events are still written in step order.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 # Cases submitted ahead of the one being read, per call slot: enough that a slow case at
 # the head keeps the others busy, few enough that finished results do not pile up.
 CASES_AHEAD = 4
+
+# A case-run's specialist calls in flight, by flag, until a step takes them.
+InFlight = dict[RedFlag, Future]
 
 
 class Architecture(enum.Enum):
@@ -152,8 +155,9 @@ def _coordinate(
     if cfg.architecture is Architecture.SINGLE_LLM:
         return run_single_llm(vignette, cfg, calls)
     state = GraphState(note=vignette)
-    sent = route(state, cfg, calls)
-    sent = execute_specialists(state, cfg, calls, sent)
+    sent: InFlight = {}
+    route(state, cfg, calls, sent)
+    execute_specialists(state, cfg, calls, sent)
     manual_fanout(state, cfg, calls, sent)
     return aggregate(state)
 
@@ -163,19 +167,25 @@ def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str)
     return calls.submit(cfg.backend.complete, prompt, case_id=case_id, agent_role=role)
 
 
-def route(state: GraphState, cfg: RunConfig, calls: Executor) -> dict[RedFlag, Future]:
+def _specialist(calls: Executor, cfg: RunConfig, vignette: Vignette, flag: RedFlag) -> Future:
+    """Render the flag's specialist prompt and submit its call."""
+    prompt = cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette)
+    return _call(calls, cfg, prompt, vignette.id, flag.value)
+
+
+def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
     """Step 1: ask the orchestrator for a routing decision; set the pending agent set.
 
-    Right after the first orchestrator call, sends the calls of the flags expected
-    before routing, every prompt rendered first, and returns them by flag. An unusable
-    output is re-prompted until ROUTE_ATTEMPTS calls are made; if it stays unusable,
-    fall back to all seven agents so no red flag is silently skipped.
+    Under EXHAUSTIVE fan-out every specialist will be called, so right after the
+    first orchestrator call each flag's call is sent into `sent`. An unusable output
+    is re-prompted until ROUTE_ATTEMPTS calls are made; if it stays unusable, fall
+    back to all seven agents so no red flag is silently skipped.
     """
     vignette = state.note
     prompt = cfg.prompts.orchestrator_prompt(vignette)
-    early = _prompts(state, cfg, canonical_order(_expected(state, cfg)))
     first = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
-    sent = _send(calls, cfg, vignette.id, early)  # after it: routing is on the critical path
+    if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:  # after it: routing is on the critical path
+        sent.update((flag, _specialist(calls, cfg, vignette, flag)) for flag in RedFlag)
     fallback = {}
     for attempt in range(1, ROUTE_ATTEMPTS + 1):
         answer = first if attempt == 1 else _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
@@ -210,38 +220,18 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor) -> dict[RedFlag, F
         attempt=attempt,
         **fallback,
     )
-    return sent
 
 
-def _expected(state: GraphState, cfg: RunConfig) -> set[RedFlag]:
-    """The flags that must have a verdict after step 3: all seven under EXHAUSTIVE
-    fan-out, else the routed ones (none before routing is known)."""
-    if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:
-        return set(RedFlag)
-    return set(state.routing.next) if state.routing else set()
-
-
-def _prompts(state: GraphState, cfg: RunConfig, flags, sent=()) -> dict[RedFlag, str]:
-    """Render the specialist prompts of the `flags` without a call in `sent`, in order."""
-    return {flag: cfg.prompts.specialist_prompt(flag, cfg.strategy, state.note)
-            for flag in flags if flag not in sent}
-
-
-def _send(calls: Executor, cfg: RunConfig, case_id: str, prompts: dict) -> dict[RedFlag, Future]:
-    """Submit the specialist calls of `prompts` (from `_prompts`), in order."""
-    return {flag: _call(calls, cfg, prompt, case_id, flag.value) for flag, prompt in prompts.items()}
-
-
-def _run_agents(
-    state: GraphState, cfg: RunConfig, flags: list[RedFlag], futures: dict[RedFlag, Future],
-    fanout_phase: bool,
-) -> None:
-    """Record the agents' starts, then apply their calls' results through the serialized
-    merge point.
+def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
+                flags: list[RedFlag], fanout_phase: bool) -> None:
+    """Take each flag's call from `sent` or send it, record the agents' starts, then
+    apply their calls' results through the serialized merge point.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
     """
+    futures = {flag: sent.pop(flag) if flag in sent else _specialist(calls, cfg, state.note, flag)
+               for flag in flags}
     for flag in flags:
         state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value)
     for flag in flags:
@@ -263,33 +253,25 @@ def _run_agents(
         state.apply_verdict(verdict)
 
 
-def execute_specialists(
-    state: GraphState, cfg: RunConfig, calls: Executor, sent: dict[RedFlag, Future]
-) -> dict[RedFlag, Future]:
-    """Step 2: run every pending specialist in parallel with error isolation, taking up
-    the calls that step 1 sent (`sent`) in flight; returns the rest of `sent` by flag."""
-    routed = canonical_order(state.pending)
-    futures = {**sent, **_send(calls, cfg, state.note.id, _prompts(state, cfg, routed, sent))}
-    _run_agents(state, cfg, routed, futures, fanout_phase=False)
-    return {flag: future for flag, future in sent.items() if flag not in routed}
+def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
+    """Step 2: run every routed specialist in parallel with error isolation, taking
+    their calls from `sent` when step 1 sent them."""
+    _run_agents(state, cfg, calls, sent, canonical_order(state.pending), fanout_phase=False)
 
 
-def manual_fanout(
-    state: GraphState, cfg: RunConfig, calls: Executor, sent: dict[RedFlag, Future]
-) -> GraphState:
+def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
     """Step 3: detect and execute expected-but-not-completed agents.
 
-    Expected is the routing list under ROUTED mode, or all seven under
-    EXHAUSTIVE mode. The missing agents whose calls step 1 sent (`sent`) are
-    taken up in flight; only routed agents whose call was dropped are called
-    again here. Always emits exactly one FANOUT event.
+    Expected is the routing list under ROUTED mode, or all seven under EXHAUSTIVE
+    mode. The missing agents' calls are taken from `sent` when step 1 sent them;
+    only routed agents whose call was dropped are called again. Always emits
+    exactly one FANOUT event.
     """
-    missing = canonical_order(_expected(state, cfg) - state.completed)
+    expected = set(RedFlag) if cfg.fanout_mode is FanoutMode.EXHAUSTIVE else set(state.routing.next)
+    missing = canonical_order(expected - state.outputs.keys())
     state.add_event(Stage.FANOUT, missing=[f.value for f in missing])
     state.pending.update(missing)
-    futures = {**sent, **_send(calls, cfg, state.note.id, _prompts(state, cfg, missing, sent))}
-    _run_agents(state, cfg, missing, futures, fanout_phase=True)
-    return state
+    _run_agents(state, cfg, calls, sent, missing, fanout_phase=True)
 
 
 def aggregate(state: GraphState, raw: Optional[str] = None) -> CaseResult:

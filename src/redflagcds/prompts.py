@@ -34,13 +34,22 @@ def _specialist_path(flag: RedFlag, strategy: PromptStrategy) -> str:
     return f"{flag.value}/{strategy.value}.txt"
 
 
+# Every template of a set, by path relative to the template directory.
+TEMPLATE_PATHS = ("orchestrator.txt",
+                  *(_specialist_path(f, s) for f in RedFlag for s in PromptStrategy),
+                  *(f"baseline/{s.value}.txt" for s in PromptStrategy))
+
+
 class PromptLibrary:
     """All templates for one run, loaded once and immutable afterwards.
 
-    Maps each template's path, relative to the template directory, to its body.
+    Maps each template's path, relative to the template directory, to its body. A set
+    that lacks a path of TEMPLATE_PATHS cannot be built: TemplateMissing names it.
     """
 
     def __init__(self, templates: dict[str, str]):
+        if missing := [rel for rel in TEMPLATE_PATHS if rel not in templates]:
+            raise TemplateMissing(missing[0])
         self._templates = dict(templates)
 
     @classmethod
@@ -52,11 +61,8 @@ class PromptLibrary:
         absent files and TemplateInvalid for lint failures.
         """
         directory = Path(directory)
-        paths = ["orchestrator.txt"]
-        paths += [_specialist_path(flag, strategy) for flag in RedFlag for strategy in PromptStrategy]
-        paths += [f"baseline/{strategy.value}.txt" for strategy in PromptStrategy]
         templates = {}
-        for rel in paths:
+        for rel in TEMPLATE_PATHS:
             path = directory / rel
             if not path.is_file():
                 raise TemplateMissing(str(path))
@@ -83,11 +89,7 @@ class PromptLibrary:
         return cls.load(resources.files("redflagcds") / "prompt_templates")
 
     def _render(self, rel: str, vignette: Vignette) -> str:
-        try:
-            body = self._templates[rel]
-        except KeyError:
-            raise TemplateMissing(rel) from None
-        return body.replace(PLACEHOLDER, vignette.text)
+        return self._templates[rel].replace(PLACEHOLDER, vignette.text)
 
     def orchestrator_prompt(self, vignette: Vignette) -> str:
         return self._render("orchestrator.txt", vignette)

@@ -145,7 +145,7 @@ def extract_json(raw: str) -> RecoveryOutcome:
     raise NoJsonFound(f"no parseable JSON in {len(raw)} chars of output")
 
 
-def parse_routing(raw: str, note: Optional[Vignette] = None) -> tuple[RoutingDecision, list[str]]:
+def parse_routing(raw: str, note: Vignette) -> tuple[RoutingDecision, list[str]]:
     """Recover a RoutingDecision from raw orchestrator output.
 
     Tolerates a bare-string 'next', unknown agent names, duplicates, and missing
@@ -201,9 +201,9 @@ def parse_routing(raw: str, note: Optional[Vignette] = None) -> tuple[RoutingDec
 WHY_WORD_LIMIT = 30
 
 
-def validate_routing(decision: RoutingDecision, note: Optional[Vignette] = None) -> list[str]:
-    """Check a parsed routing decision against the orchestrator's output rules; with a
-    note, every evidence quote must appear in it verbatim.
+def validate_routing(decision: RoutingDecision, note: Vignette) -> list[str]:
+    """Check a parsed routing decision against the orchestrator's output rules; every
+    evidence quote must appear in the note verbatim.
 
     Violations are warnings, never hard failures: lightweight models deviate from
     the rules and the engine must stay robust to that.
@@ -214,10 +214,9 @@ def validate_routing(decision: RoutingDecision, note: Optional[Vignette] = None)
         warnings.append(f"WhyTooLong: 'why' has {n_words} words (limit {WHY_WORD_LIMIT})")
     if decision.next and not decision.evidence:
         warnings.append("EvidenceMissing: agents routed but evidence list is empty")
-    if note is not None:
-        for quote in decision.evidence:
-            if quote not in note.text:
-                warnings.append(f"EvidenceNotInNote: {quote!r} is not a quote from the note")
+    for quote in decision.evidence:
+        if quote not in note.text:
+            warnings.append(f"EvidenceNotInNote: {quote!r} is not a quote from the note")
     return warnings
 
 

@@ -199,7 +199,7 @@ def test_criterion_06_macro_average_anchor():
             assert macro_average(permuted) == macro_average(cases)
 
 
-def test_criterion_07_recovery_corpus():
+def test_criterion_07_recovery_corpus(vignette):
     with criterion(7, "the shipped malformed-output corpus recovers; garbage does not"):
         started = time.monotonic()
         records = [
@@ -216,7 +216,7 @@ def test_criterion_07_recovery_corpus():
         assert len(by_kind["garbage"]) >= 5
 
         for record in by_kind["strict"] + by_kind["malformed"]:
-            decision, _warnings = parse_routing(record["raw"])
+            decision, _warnings = parse_routing(record["raw"], vignette)
             assert [f.value for f in decision.next] == record["next"], record["raw"]
         for record in by_kind["strict"]:
             assert extract_json(record["raw"]).strategy_used is Strategy.STRICT

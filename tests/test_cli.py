@@ -424,6 +424,19 @@ class TestEvaluate:
         assert "Traceback" not in result.output
         assert calls == []  # checked before the first backend call
 
+    def test_model_without_utf8_exits_2_before_any_call_and_keeps_the_report(
+        self, runner, tmp_path, monkeypatch
+    ):
+        assert self._invoke(runner, tmp_path, "--matrix", "multi-gprompt").exit_code == EXIT_OK
+        report = (tmp_path / "out" / "report.csv").read_bytes()
+        calls = []
+        monkeypatch.setattr(ScriptedBackend, "complete", lambda *args, **kw: calls.append(kw))
+        result = self._invoke(runner, tmp_path, "--matrix", "multi-gprompt", "--model", "\udcff")
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "Error: --model: '\\udcff' cannot be encoded as UTF-8\n" in result.output
+        assert calls == []
+        assert (tmp_path / "out" / "report.csv").read_bytes() == report
+
     def test_lone_surrogate_in_a_reply_is_traced_as_its_escape(self, runner, tmp_path):
         records = [json.loads(line) for line in
                    (FIXTURES_DIR / "script.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -458,6 +471,7 @@ class TestEvaluate:
 # fault is reported too, so each pair does test the order.
 EVALUATE_CHECKS = [
     ("dataset", EXIT_USAGE, "bad dataset: "),
+    ("model", EXIT_USAGE, "--model: "),
     ("backend", EXIT_USAGE, "script file: "),
     ("templates", EXIT_USAGE, "prompt templates: "),
     ("traces", EXIT_USAGE, "cannot write traces: "),
@@ -467,6 +481,7 @@ EVALUATE_CHECKS = [
 CLASSIFY_CHECKS = [
     ("note", EXIT_USAGE, "empty vignette"),
     ("case-id", EXIT_USAGE, "case id is too long for a trace file name"),
+    ("model", EXIT_USAGE, "--model: "),
     ("backend", EXIT_USAGE, "script file: "),
     ("templates", EXIT_USAGE, "prompt templates: "),
     ("traces", EXIT_USAGE, "cannot write traces: "),
@@ -489,6 +504,8 @@ def _invoke_with_faults(runner, command, faults, directory, refused_port):
         args += ["--note", str(note)]
     if "case-id" in faults:
         args += ["--case-id", "x" * 250]
+    if "model" in faults:
+        args += ["--model", "\udcff"]  # an undecodable byte in argv, as Python decodes it
     if "backend" in faults:
         args += ["--script", str(directory / "no-such-script.jsonl")]
     elif "preflight" in faults:

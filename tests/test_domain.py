@@ -59,10 +59,10 @@ class TestRoutingDecision:
         with pytest.raises(ValueError):
             RoutingDecision(next=[RedFlag.MENINGISMUS, RedFlag.MENINGISMUS], why="x")
 
-    def test_empty_routing_is_valid(self):
+    def test_empty_routing_is_valid(self, vignette):
         d = RoutingDecision(next=[], why="no criteria met", evidence=[])
         assert d.next == ()
-        assert validate_routing(d) == []
+        assert validate_routing(d, vignette) == []
 
 
 def verdict(flag, decision=Decision.YES):
@@ -85,7 +85,6 @@ class TestApplyVerdict:
         state = GraphState(note=vignette, pending={RedFlag.MENINGISMUS})
         state.apply_verdict(verdict(RedFlag.MENINGISMUS))
         assert state.pending == set()
-        assert RedFlag.MENINGISMUS in state.completed
         assert RedFlag.MENINGISMUS in state.outputs
 
     def test_other_flags_stay_pending(self, vignette):
@@ -120,9 +119,8 @@ def test_pending_completed_disjoint_under_any_sequence(routed, decisions):
     )
     for flag, decision in zip(sorted(routed, key=lambda f: f.value), decisions):
         state.apply_verdict(verdict(flag, decision))
-        assert state.pending & state.completed == set()
-        assert state.pending | state.completed <= set(RedFlag)
-        assert set(state.outputs) <= state.completed
+        assert state.pending & state.outputs.keys() == set()
+        assert state.pending | state.outputs.keys() <= set(RedFlag)
 
 
 @given(

@@ -23,7 +23,7 @@ from redflagcds.gateway import (
     ScriptEntry,
     ScriptedBackend,
 )
-from redflagcds.prompts import PromptLibrary, PromptStrategy, TemplateMissing
+from redflagcds.prompts import PromptStrategy
 from tests.conftest import (
     TABLE1_RAW,
     CountingBackend,
@@ -162,6 +162,13 @@ class TestEarlySends:
                   if e.sequence > fanout.sequence]
         assert starts == [f for f in RedFlag if f is not RedFlag.MENINGISMUS]
 
+    def test_routing_call_is_sent_first(self, prompts):
+        # specialist prompts render as their calls are sent, all after the routing call's
+        backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=1)
+        run_case(note(), cfg)
+        assert [c.role for c in backend.calls] == ["orchestrator", *(f.value for f in RedFlag)]
+
     def test_routed_mode_sends_nothing_early(self, prompts):
         entries = full_script("case-7", ROUTE_TWO, faults={RedFlag.MENINGISMUS: Fault.DROPPED})
         calls, _ = self._run(prompts, entries, FanoutMode.ROUTED)
@@ -242,27 +249,6 @@ class TestErrorIsolation:
         assert result.verdicts[RedFlag.MENINGISMUS].decision is Decision.YES
         assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.ERROR
         assert {f.value for f in result.predicted} == {"meningismus"}
-
-    @pytest.mark.parametrize("mode, templates, missing", [
-        (FanoutMode.ROUTED, {}, "meningismus/gprompt.txt"),
-        # under EXHAUSTIVE, step 1 renders all seven before its first call: the routed
-        # flag's template is missing, then an unrouted one's
-        (FanoutMode.EXHAUSTIVE, {"thunderclap/gprompt.txt": "Thunderclap?"},
-         "meningismus/gprompt.txt"),
-        (FanoutMode.EXHAUSTIVE, {"meningismus/gprompt.txt": "Meningismus?"},
-         "thunderclap/gprompt.txt"),
-    ])
-    def test_missing_specialist_template_fails_the_case(self, mode, templates, missing):
-        # specialist prompts render on the case's coordinator, like the orchestrator's;
-        # only a hand-built library can lack one, as PromptLibrary.load checks them all
-        library = PromptLibrary({"orchestrator.txt": "Route this note.", **templates})
-        backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0)
-        with pytest.raises(TemplateMissing, match=missing):
-            run_case(note(), multi_config(backend, library, fanout_mode=mode))
-        # every prompt of a step renders before its first call is sent: under ROUTED the
-        # routed flag's renders after routing, under EXHAUSTIVE no call is made
-        roles = ["orchestrator"] if mode is FanoutMode.ROUTED else []
-        assert [call.role for call in backend.calls] == roles
 
     def test_empty_output_becomes_error_verdict(self, prompts):
         entries = full_script("case-7", TABLE1_RAW)

@@ -1,3 +1,4 @@
+import re
 import shutil
 from importlib import resources
 
@@ -6,6 +7,7 @@ import pytest
 from redflagcds.domain import RedFlag, Vignette
 from redflagcds.prompts import (
     PLACEHOLDER,
+    TEMPLATE_PATHS,
     PromptLibrary,
     PromptStrategy,
     TemplateInvalid,
@@ -127,6 +129,12 @@ class TestLibraryLoading:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(TemplateMissing):
             PromptLibrary.load(tmp_path)
+
+    @pytest.mark.parametrize("missing", TEMPLATE_PATHS)
+    def test_a_set_without_a_template_cannot_be_built(self, missing):
+        templates = {rel: PLACEHOLDER for rel in TEMPLATE_PATHS if rel != missing}
+        with pytest.raises(TemplateMissing, match=f"^{re.escape(missing)}$"):
+            PromptLibrary(templates)
 
     def _copy_default(self, tmp_path):
         src = resources.files("redflagcds") / "prompt_templates"

@@ -225,24 +225,24 @@ class TestParseRouting:
 
 
 class TestValidateRouting:
-    def test_twelve_word_why_passes(self):
+    def test_twelve_word_why_passes(self, vignette):
         why = "patient has meningismus with stiff neck and signs of meningeal irritation"
         d = RoutingDecision(next=[RedFlag.MENINGISMUS], why=why, evidence=["stiff neck"])
-        assert validate_routing(d) == []
+        assert validate_routing(d, vignette) == []
 
-    def test_thirty_one_words_warns(self):
+    def test_thirty_one_words_warns(self, vignette):
         d = RoutingDecision(next=[], why="word " * 31, evidence=[])
-        warnings = validate_routing(d)
+        warnings = validate_routing(d, vignette)
         assert len(warnings) == 1
         assert warnings[0].startswith("WhyTooLong")
 
-    def test_thirty_words_is_the_boundary(self):
+    def test_thirty_words_is_the_boundary(self, vignette):
         d = RoutingDecision(next=[], why="word " * 30, evidence=[])
-        assert validate_routing(d) == []
+        assert validate_routing(d, vignette) == []
 
-    def test_missing_evidence_with_targets_warns(self):
+    def test_missing_evidence_with_targets_warns(self, vignette):
         d = RoutingDecision(next=[RedFlag.PAPILLEDEMA], why="x", evidence=[])
-        warnings = validate_routing(d)
+        warnings = validate_routing(d, vignette)
         assert any(w.startswith("EvidenceMissing") for w in warnings)
 
     def test_evidence_checked_against_the_note(self, vignette):
@@ -252,7 +252,6 @@ class TestValidateRouting:
         warnings = validate_routing(d, vignette)
         assert any("not in note" in w for w in warnings)
         assert not any("stiff neck" in w for w in warnings)
-        assert validate_routing(d) == []  # without a note, quotes are not checked
 
 
 class TestParseVerdict:
