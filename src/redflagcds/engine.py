@@ -1,5 +1,5 @@
 """The four-step orchestrated workflow (route, parallel specialists, manual fan-out,
-aggregate) and `run_cases`, the one scheduler that runs it.
+aggregate), run by `run_cases` for a whole evaluation and by `run_case` for one screen.
 
 `run_cases` runs a whole evaluation, every case under every row of the matrix. It
 runs each case-run's steps on a case coordinator thread and sends every backend
@@ -13,6 +13,11 @@ row before has ended, so a backend sees the calls for one (case, role) in matrix
 order. Specialist results pass through a single serialized merge into GraphState
 in canonical flag order, so traces are deterministic for a scripted backend
 whatever order the calls finish in.
+
+`run_case` runs one case-run's steps on its caller's thread, with no coordinator
+thread, and sends its backend calls to one call executor of its own with
+`concurrency` workers. It returns once every call has been read, without waiting
+for the idle workers to exit.
 
 A case-run's steps share one map of the specialist calls in flight. Under EXHAUSTIVE
 fan-out, step 1 sends all seven right after the first orchestrator call; steps 2 and
@@ -137,12 +142,19 @@ def run_cases(
 
 
 def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
-    """Run one case end to end: `run_cases` with one case. Agent-level failures never
-    raise; they become ERROR verdicts."""
-    (outcome,) = run_cases([vignette], cfg)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    """Run one case end to end on the caller's thread, with no coordinator thread; its
+    backend calls go to one call executor with `cfg.concurrency` workers. Agent-level
+    failures never raise; they become ERROR verdicts. A case-level failure raises once
+    the calls it sent have ended."""
+    calls = ThreadPoolExecutor(max_workers=cfg.concurrency, thread_name_prefix="redflagcds-call")
+    try:
+        result = _coordinate(vignette, cfg, calls, None)
+    except BaseException:
+        calls.shutdown()
+        raise
+    # every call has been taken and read, so the idle workers can exit on their own
+    calls.shutdown(wait=False)
+    return result
 
 
 def _coordinate(

@@ -10,6 +10,7 @@ import enum
 import http.client
 import json
 import logging
+import re
 import select
 import ssl
 import threading
@@ -30,6 +31,11 @@ ROLE_BASELINE = "baseline"
 MAX_TOKENS = 1024
 TIMEOUT_SECONDS = 60.0  # per socket operation of one HTTP request
 MAX_RETRIES = 2  # retries of a TransientError, after 1 s and 2 s
+
+# What http.client cannot send: a request target holding a space, a control character or a
+# non-ASCII character, and a header value holding a control character or one outside Latin-1.
+_UNSENDABLE_TARGET = re.compile(r"[^\x21-\x7e]")
+_UNSENDABLE_KEY = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 
 
 class BackendUnavailable(RuntimeError):
@@ -116,6 +122,12 @@ class HttpBackend:
             raise ValueError("a user or password in the URL is not supported; remove it")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError("not an http:// or https:// URL")
+        if _UNSENDABLE_TARGET.search(url.path + url.query):
+            raise ValueError("the URL's path or query holds a space, a control character or a "
+                             "non-ASCII character; percent-encode it")
+        if config.api_key and _UNSENDABLE_KEY.search(config.api_key):  # no error echoes the key
+            raise ValueError("the API key holds a control character or a character outside "
+                             "Latin-1, which an HTTP header cannot carry")
         self._address = (url.hostname, url.port or (443 if url.scheme == "https" else 80))
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
         query = f"?{url.query}" if url.query else ""

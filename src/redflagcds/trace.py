@@ -19,6 +19,8 @@ logger = logging.getLogger(__name__)
 _UNSAFE_ID = re.compile(r"[\\/]")
 _SUFFIX = ".trace.jsonl"
 _NAME_MAX = 255  # bytes in a file name on Linux file systems (NAME_MAX)
+# One encoder for every event: json.dumps with a non-default option builds a new one per call.
+_to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def trace_stem(case_id: str) -> str:
@@ -49,9 +51,8 @@ def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
         logger.warning("case id %r sanitized to %r for the trace filename", case_id, stem)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / (stem + _SUFFIX)
-    with path.open("w", encoding="utf-8", errors="backslashreplace") as fh:
-        for event in trace:
-            fh.write(json.dumps(event.to_json_dict(), ensure_ascii=False) + "\n")
+    text = "".join(_to_json(event.to_json_dict()) + "\n" for event in trace)
+    path.write_bytes(text.encode("utf-8", "backslashreplace"))
     return path
 
 

@@ -1,6 +1,7 @@
 """The benchmark's span hooks (bench/spans.py) find every target they patch, and each
 target is called once per case-run: a renamed or bypassed step fails here, not only in
-a traced benchmark run."""
+a traced benchmark run. The layers measured through the hooked executor class are
+measured, for an evaluation and for a single screen."""
 
 import importlib.util
 from collections import Counter
@@ -9,7 +10,9 @@ from click.testing import CliRunner
 
 from redflagcds import cli, engine, evaluation, recovery
 from redflagcds.cli import EXIT_OK
-from tests.conftest import FIXTURES_DIR, REPO_ROOT
+from redflagcds.engine import FanoutMode
+from redflagcds.gateway import ScriptedBackend, load_script
+from tests.conftest import FIXTURES_DIR, REPO_ROOT, multi_config
 
 
 def load_spans():
@@ -25,6 +28,7 @@ def test_every_hook_target_exists_and_is_called_once_per_case_run(tmp_path):
     runner = CliRunner()
     out = tmp_path / "out"
     hooks = spans.install(tracer, engine, evaluation, recovery, cli)
+    tracer.phase = "eval"  # the phase whose spans and events layer_metrics reads
     try:
         result = runner.invoke(cli.cli, [
             "evaluate", "--dataset", str(FIXTURES_DIR / "cases.jsonl"),
@@ -32,6 +36,7 @@ def test_every_hook_target_exists_and_is_called_once_per_case_run(tmp_path):
             "--out", str(out)])
         assert result.exit_code == EXIT_OK, result.output
         evaluated = Counter(s.name for s in tracer.spans)
+        tracer.phase = "verify"
         trace = min((out / "traces").rglob("*.trace.jsonl"))
         replayed = runner.invoke(cli.cli, ["replay", str(trace), "--verify"])
         assert replayed.exit_code == EXIT_OK, replayed.output
@@ -47,3 +52,30 @@ def test_every_hook_target_exists_and_is_called_once_per_case_run(tmp_path):
     assert evaluated["engine.single_llm"] == single
     assert evaluated["engine.aggregate"] == evaluated["evaluation.write_trace"] == multi + single
     assert Counter(s.name for s in tracer.spans)["evaluation.read_trace"] == 1
+
+    # every layer the hooked executor class measures is measured, not left unmeasured
+    extra = dict(connections=0, retries=0, overhead_eval_ms=0.0, overhead_screen_ms=0.0,
+                 cpu_ms_per_case_run=0.0)
+    metrics = spans.layer_metrics(tracer, hooks.missing, multi + single, 1.0, extra)
+    pooled = [m for m, hook in spans.NEEDS.items() if hook == "engine.ThreadPoolExecutor"]
+    assert len(pooled) == 4
+    assert {m: metrics[m][0] for m in pooled if metrics[m][0] is None} == {}
+
+
+def test_a_hooked_screen_records_its_executor_and_the_threads_it_started(prompts):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    hooks = spans.install(tracer, engine, evaluation, recovery, cli)
+    tracer.phase = "screen"
+    backend = ScriptedBackend(load_script(FIXTURES_DIR / "script.jsonl"))
+    vignette = evaluation.load_dataset(FIXTURES_DIR / "cases.jsonl")[0].vignette
+    cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=3)
+    try:
+        engine.run_case(vignette, cfg)
+    finally:
+        hooks.restore()
+    events = Counter(name for name, _, _ in tracer.events)
+    assert events["engine.executors_created"] == 1
+    assert events["engine.queue_wait_ms"] == 1 + 7  # the routing call and seven specialist calls
+    (threads,) = [value for name, value, _ in tracer.events if name == "engine.threads_started"]
+    assert 1 <= threads <= cfg.concurrency

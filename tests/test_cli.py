@@ -582,6 +582,50 @@ def test_credentials_in_the_endpoint_exit_2_before_any_call(runner, tmp_path, en
     assert not (tmp_path / "out").exists()  # rejected before preflight and the first call
 
 
+def _http_command(command, url, tmp_path, note_path):
+    if command == "classify":
+        return ["classify", "--note", str(note_path), "--endpoint", url, "--out", str(tmp_path / "out")]
+    return ["evaluate", "--dataset", str(FIXTURES_DIR / "cases.jsonl"), "--matrix", "multi-gprompt",
+            "--endpoint", url, "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("key", ["sk-secret\n", "sk-secret\r", "sk-\x1bsecret", "sk-secret\x85",
+                                 "sk-secret’"],
+                         ids=["newline", "return", "escape", "c1-control", "beyond-latin-1"])
+def test_an_unsendable_api_key_exits_2_before_any_call_without_echoing_it(
+        runner, tmp_path, note_path, serve_stub, monkeypatch, caplog, command, key):
+    stub = serve_stub()
+    monkeypatch.setenv("REDFLAGCDS_API_KEY", key)
+    result = runner.invoke(cli, _http_command(command, stub.url, tmp_path, note_path))
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "the API key holds a control character" in result.output
+    assert "secret" not in result.output + caplog.text
+    assert (stub.connections, stub.gets, stub.posts) == (0, [], [])  # no preflight, no call
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("suffix", ["/a b", "?q=a b", "/a\x7fb", "/é"],
+                         ids=["space", "space-in-query", "delete", "non-ascii"])
+def test_an_unsendable_endpoint_path_exits_2_before_any_call(
+        runner, tmp_path, note_path, serve_stub, command, suffix):
+    stub = serve_stub()
+    result = runner.invoke(cli, _http_command(command, stub.url + suffix, tmp_path, note_path))
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "--endpoint: the URL's path or query holds a space" in result.output
+    assert (stub.connections, stub.gets, stub.posts) == (0, [], [])
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_latin_1_api_key_is_sent(runner, tmp_path, note_path, serve_stub, monkeypatch):
+    stub = serve_stub()
+    monkeypatch.setenv("REDFLAGCDS_API_KEY", "sk-café")
+    result = runner.invoke(cli, _http_command("classify", stub.url, tmp_path, note_path))
+    assert result.exit_code == EXIT_OK, result.output
+    assert {post["headers"]["Authorization"] for post in stub.posts} == {"Bearer sk-café"}
+
+
 def test_unreachable_endpoint_fails_preflight_with_exit_3(runner, tmp_path):
     with socket.socket() as bound:  # bound, never listening: connections are refused
         bound.bind(("127.0.0.1", 0))

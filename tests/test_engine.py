@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -16,15 +17,18 @@ from redflagcds.engine import (
     run_case,
     run_cases,
 )
+from redflagcds.evaluation import APPROACH_ORDER, load_dataset
 from redflagcds.gateway import (
     BackendUnavailable,
     DroppedToolCall,
     Fault,
     ScriptEntry,
     ScriptedBackend,
+    load_script,
 )
 from redflagcds.prompts import PromptStrategy
 from tests.conftest import (
+    FIXTURES_DIR,
     TABLE1_RAW,
     CountingBackend,
     full_script,
@@ -217,8 +221,10 @@ class TestEarlySends:
         cfg = multi_config(backend, prompts, fanout_mode=mode, concurrency=8)
         with pytest.raises(BackendUnavailable, match="TIMEOUT"):
             within(30, lambda: run_case(note(), cfg))
-        # the specialist calls sent with the routing call are not cancelled, and their
-        # answers are discarded: the count does not depend on timing
+        # the specialist calls sent with the routing call are not cancelled, they end
+        # before the case fails, and their answers are discarded: the count does not
+        # depend on timing
+        assert backend.in_flight == 0
         per_role = collections.Counter(c.role for c in backend.calls)
         assert per_role.pop("orchestrator") == 1
         assert sum(per_role.values()) == specialist_calls
@@ -425,7 +431,7 @@ class TestScheduler:
         )
         assert overlapping is (peak > 1)
 
-    def test_two_executors_per_run_whatever_the_case_count(self, prompts, monkeypatch):
+    def test_two_executors_per_run_cases_and_one_per_run_case(self, prompts, monkeypatch):
         created = []
 
         class Counted(ThreadPoolExecutor):
@@ -439,9 +445,9 @@ class TestScheduler:
         within(30, lambda: list(run_cases(self._notes(), cfg)))
         assert len(created) == 2
         within(30, lambda: run_case(note("c00"), cfg))
-        assert len(created) == 4
+        assert len(created) == 3
         within(30, lambda: list(run_cases(self._notes(), cfg, cfg, cfg)))  # one run, three rows
-        assert len(created) == 6
+        assert len(created) == 5
 
     def test_a_failed_case_is_yielded_in_its_place(self, prompts):
         cfg = multi_config(self._backend(orchestrator_faults={"c05"}), prompts, concurrency=4)
@@ -562,6 +568,86 @@ class TestExhaustiveMatrixOrder:
         assert len(first) == len(second) == 1 + len(RedFlag)
         assert events(row2, Stage.AGENT_ERROR) == []
         assert len(row2.verdicts) == len(RedFlag)
+
+
+class TestRunCase:
+    """`run_case` runs one case-run on the caller's thread with one call executor; it
+    must give what `run_cases` gives for that case and return only after its calls."""
+
+    @pytest.mark.parametrize("mode", list(FanoutMode))
+    @pytest.mark.parametrize("approach", APPROACH_ORDER, ids=lambda a: getattr(a, "value", a))
+    def test_same_outcome_as_run_cases_on_every_fixture_case(self, prompts, approach, mode):
+        vignettes = [case.vignette for case in load_dataset(FIXTURES_DIR / "cases.jsonl")]
+        entries = load_script(FIXTURES_DIR / "script.jsonl")
+        architecture, strategy = approach
+
+        def cfg():  # a fresh script per path: DROPPED faults are one-shot
+            return multi_config(ScriptedBackend(entries), prompts, architecture=architecture,
+                                strategy=strategy, fanout_mode=mode)
+
+        def untimed(outcome):
+            if isinstance(outcome, Exception):
+                return type(outcome), str(outcome)
+            return outcome.predicted, [
+                {k: v for k, v in e.to_json_dict().items() if k != "wall_time"}
+                for e in outcome.trace]
+
+        many = within(60, lambda: list(run_cases(vignettes, cfg())))
+        one, single = [], cfg()
+        for vignette in vignettes:
+            try:
+                one.append(run_case(vignette, single))
+            except Exception as exc:  # a case-level failure, as run_cases yields it
+                one.append(exc)
+        assert len(one) == len(many) == 22
+        assert [untimed(o) for o in one] == [untimed(o) for o in many]
+
+    def test_returns_with_no_call_in_flight(self, prompts):
+        # TABLE1_RAW routes to meningismus, so its dropped call is sent again in fan-out
+        entries = full_script("case-7", TABLE1_RAW, faults={RedFlag.MENINGISMUS: Fault.DROPPED})
+        backend = CountingBackend(ScriptedBackend(entries), delay=0.01)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE)
+        within(30, lambda: run_case(note(), cfg))
+        assert backend.in_flight == 0
+        assert len(backend.calls) == 1 + len(RedFlag) + 1
+
+    @pytest.mark.parametrize("concurrency", [1, 3, 8])
+    def test_starts_no_coordinator_and_at_most_concurrency_call_threads(
+            self, prompts, monkeypatch, concurrency):
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        # routed to all seven, each dropped once: seven more calls in fan-out
+        route_all = json.dumps({"next": [f.value for f in RedFlag], "why": "all", "evidence": []})
+        entries = full_script("case-7", route_all, faults=dict.fromkeys(RedFlag, Fault.DROPPED))
+        backend = CountingBackend(ScriptedBackend(entries), delay=0.005)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
+                           concurrency=concurrency)
+        within(30, lambda: run_case(note(), cfg))
+        assert len(backend.calls) == 1 + 2 * len(RedFlag)
+        assert backend.peak == concurrency
+        engine_threads = [name for name in started if name.startswith("redflagcds-")]
+        assert engine_threads and all(n.startswith("redflagcds-call") for n in engine_threads)
+        assert len(engine_threads) <= concurrency
+
+    def test_a_failure_after_routing_raises_after_the_calls_in_flight_end(
+            self, prompts, monkeypatch):
+        def fail(*_args):
+            raise RuntimeError("step 2 failed")
+
+        monkeypatch.setattr(engine, "execute_specialists", fail)
+        backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0.02)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=2)
+        with pytest.raises(RuntimeError, match="step 2 failed"):
+            within(30, lambda: run_case(note(), cfg))
+        # the seven specialist calls step 1 sent were never taken, yet all have ended
+        assert backend.in_flight == 0
+        assert len(backend.calls) == 1 + len(RedFlag)
 
 
 class TestRunConfig:
