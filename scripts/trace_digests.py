@@ -33,6 +33,7 @@ from redflagcds.engine import Architecture, FanoutMode, RunConfig
 from redflagcds.evaluation import APPROACH_ORDER, load_dataset, run_experiment
 from redflagcds.gateway import ScriptedBackend, load_script
 from redflagcds.prompts import PromptLibrary
+from redflagcds.trace import untimed
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -44,10 +45,8 @@ MULTI_AGENT = [a for a in APPROACH_ORDER if a[0] is Architecture.MULTI_AGENT]
 
 
 def trace_digest(path: Path) -> str:
-    lines = []
-    for _, event in read_jsonl(path):
-        event.pop("wall_time", None)
-        lines.append(json.dumps(event, sort_keys=True, ensure_ascii=False) + "\n")
+    lines = [json.dumps(untimed(event), sort_keys=True, ensure_ascii=False) + "\n"
+             for _, event in read_jsonl(path)]
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 

@@ -31,7 +31,7 @@ from .gateway import (
     load_script,
 )
 from .prompts import PromptLibrary, PromptStrategy, TemplateInvalid, TemplateMissing
-from .trace import read_trace, trace_name_problem, verify_trace, write_trace
+from .trace import read_trace, summarize, trace_name_problem, verify_trace, write_trace
 
 API_KEY_ENV = "REDFLAGCDS_API_KEY"
 
@@ -43,6 +43,10 @@ EXIT_INVARIANT = 4
 # What classify prints before a backend failure of its case's call, which exits EXIT_BACKEND.
 CASE_FAILURES = {BackendUnavailable: "backend unavailable", BadResponse: "unusable backend response",
                  DroppedToolCall: "backend dropped the call"}
+
+# What classify prints of each verdict's and of the routing's trace payload.
+VERDICT_KEYS = ("decision", "rationale", "evidence", "error_detail")
+ROUTING_KEYS = ("next", "why", "evidence")
 
 # "all", plus one single-row choice per approach, named "<architecture>-<strategy>".
 MATRIX_CHOICES = {
@@ -179,25 +183,14 @@ def classify(note_path, case_id, strategy, arch, out, **options):
         trace_path = write_trace(case_id, result.trace, out / "traces")
     except OSError as exc:
         _cannot_write("traces", exc)
+    summary = summarize(result.trace)  # the JSON says what the trace records
+    verdicts = sorted(summary.verdicts.items(), key=lambda kv: kv[0].value)
     output = {
         "case_id": result.case_id,
-        "predicted": sorted(f.value for f in result.predicted),
-        "verdicts": {
-            flag.value: {
-                "decision": verdict.decision.value,
-                "rationale": verdict.rationale,
-                "evidence": list(verdict.evidence),
-                "error_detail": verdict.error_detail,
-            }
-            for flag, verdict in sorted(result.verdicts.items(), key=lambda kv: kv[0].value)
-        },
-        "routing": {
-            "next": [f.value for f in result.routing.next],
-            "why": result.routing.why,
-            "evidence": list(result.routing.evidence),
-        }
-        if result.routing
-        else None,
+        "predicted": sorted(f.value for f in summary.predicted),
+        "verdicts": {flag.value: {key: payload.get(key) for key in VERDICT_KEYS}
+                     for flag, payload in verdicts},
+        "routing": summary.routing and {key: summary.routing.get(key) for key in ROUTING_KEYS},
         "trace_file": str(trace_path),
     }
     printed = json.dumps(output, indent=2, ensure_ascii=False)

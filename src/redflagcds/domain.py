@@ -150,19 +150,16 @@ class GraphState:
 
     note: Vignette
     pending: set[RedFlag] = field(default_factory=set)
-    routing: Optional[RoutingDecision] = None
-    outputs: dict[RedFlag, AgentVerdict] = field(default_factory=dict)
     trace: list[TraceEvent] = field(default_factory=list)
 
     def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
         self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
 
     def apply_verdict(self, verdict: AgentVerdict) -> None:
-        """Move the agent from pending to outputs and record its verdict."""
+        """Take the agent off pending and record its verdict in the trace."""
         if verdict.flag not in self.pending:
             raise NotPending(verdict.flag.value)
         self.pending.discard(verdict.flag)
-        self.outputs[verdict.flag] = verdict
         stage = Stage.AGENT_ERROR if verdict.decision is Decision.ERROR else Stage.AGENT_DONE
         self.add_event(
             stage,
@@ -177,11 +174,9 @@ class GraphState:
 
 @dataclass(frozen=True)
 class CaseResult:
-    """Aggregated output for one case: all executed verdicts, honored routing, trace."""
+    """One case-run's predicted flags and its trace, the record `trace.summarize` reads."""
 
     case_id: str
-    verdicts: dict[RedFlag, AgentVerdict]
-    routing: Optional[RoutingDecision]
     predicted: frozenset[RedFlag]
     trace: tuple[TraceEvent, ...]
 

@@ -49,6 +49,7 @@ from .domain import (
 from .gateway import ROLE_BASELINE, ROLE_ORCHESTRATOR, DroppedToolCall
 from .prompts import PromptLibrary, PromptStrategy
 from .recovery import NoJsonFound, SchemaUnusable, parse_baseline, parse_routing, parse_verdict
+from .trace import summarize
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +221,6 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         )
         decision = RoutingDecision(next=list(RedFlag), why="fallback: orchestrator output unusable")
         raw, warnings, fallback = None, [], {"fallback": True}
-    state.routing = decision
     state.pending = set(decision.next)
     state.add_event(
         Stage.ROUTING,
@@ -274,27 +274,27 @@ def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor, sent
 def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
     """Step 3: detect and execute expected-but-not-completed agents.
 
-    Expected is the routing list under ROUTED mode, or all seven under EXHAUSTIVE
-    mode. The missing agents' calls are taken from `sent` when step 1 sent them;
-    only routed agents whose call was dropped are called again. Always emits
-    exactly one FANOUT event.
+    Missing are the routed agents still pending (a dropped call leaves its agent
+    pending) under ROUTED mode, or all seven but those with a verdict under EXHAUSTIVE
+    mode. Their calls are taken from `sent` when step 1 sent them; only routed agents
+    whose call was dropped are called again. Always emits exactly one FANOUT event.
     """
-    expected = set(RedFlag) if cfg.fanout_mode is FanoutMode.EXHAUSTIVE else set(state.routing.next)
-    missing = canonical_order(expected - state.outputs.keys())
+    missing = canonical_order(set(RedFlag) - summarize(state.trace).verdicts.keys()
+                              if cfg.fanout_mode is FanoutMode.EXHAUSTIVE else state.pending)
     state.add_event(Stage.FANOUT, missing=[f.value for f in missing])
     state.pending.update(missing)
     _run_agents(state, cfg, calls, sent, missing, fanout_phase=True)
 
 
 def aggregate(state: GraphState, raw: Optional[str] = None) -> CaseResult:
-    """Step 4: fold all verdicts into the unified case result; `raw` is the baseline's output."""
+    """Step 4: fold the trace's verdicts into the case result; `raw` is the baseline's output."""
     if state.pending:
         raise PendingNotEmpty(sorted(f.value for f in state.pending))
-    predicted = frozenset(f for f, v in state.outputs.items() if v.decision is Decision.YES)
+    summary = summarize(state.trace)
     extra = {} if raw is None else {"raw": raw}
-    state.add_event(Stage.AGGREGATE, **extra, predicted=sorted(f.value for f in predicted),
-                    verdict_count=len(state.outputs))
-    return CaseResult(state.note.id, dict(state.outputs), state.routing, predicted, tuple(state.trace))
+    state.add_event(Stage.AGGREGATE, **extra, predicted=sorted(f.value for f in summary.predicted),
+                    verdict_count=len(summary.verdicts))
+    return CaseResult(state.note.id, summary.predicted, tuple(state.trace))
 
 
 def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResult:

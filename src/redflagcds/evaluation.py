@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import RedFlag, UnknownAgentName, Vignette, parse_red_flag
+from .domain import CaseResult, RedFlag, UnknownAgentName, Vignette, parse_red_flag
 from .encoding import BadRecord, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
@@ -258,14 +258,10 @@ def run_experiment(
                 if isinstance(outcome, Exception):
                     logger.error("case %s failed: %s", case.vignette.id, outcome)
                     error_cases += 1
-                    predicted = set()
-                    trace = []
-                else:
-                    predicted = set(outcome.predicted)
-                    trace = outcome.trace
-                metrics.append(case_metrics(predicted, case.truth))
+                    outcome = CaseResult(case.vignette.id, frozenset(), trace=())
+                metrics.append(case_metrics(outcome.predicted, case.truth))
                 if row_dir is not None:
-                    write_trace(case.vignette.id, trace, row_dir)
+                    write_trace(case.vignette.id, outcome.trace, row_dir)
             precision, recall, f1 = macro_average(metrics)
             rows.append(
                 ReportRow(

@@ -1,4 +1,5 @@
-"""The per-case trace file: its name, its JSONL encoding, and the shape `replay --verify` checks."""
+"""The per-case trace file: its name, its JSONL encoding, the one fold of its events
+(`summarize`), and the shape `replay --verify` checks."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ import logging
 import os
 import re
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import RedFlag, Stage, TraceEvent
+from .domain import RedFlag, Stage, TraceEvent, UnknownAgentName, parse_red_flag
 from .encoding import BadRecord, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -56,6 +58,12 @@ def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
     return path
 
 
+def untimed(event: dict) -> dict:
+    """A trace event's JSON object without its `wall_time`: what two runs of the same
+    case-run must agree on."""
+    return {key: value for key, value in event.items() if key != "wall_time"}
+
+
 def read_trace(path) -> list[TraceEvent]:
     """Parse a trace file back into events; an event that is not one is a BadRecord."""
     events = []
@@ -73,13 +81,84 @@ _VERDICT_SHAPES = {  # stage -> the (decision, has an error_detail) pairs it may
 }
 
 
+@dataclass
+class Summary:
+    """What a case-run's trace records, as `summarize` folds it out of the events."""
+
+    routing: Optional[dict] = None  # the ROUTING payload; None in a single-LLM trace
+    fanout: Optional[dict] = None  # the FANOUT payload; None in a single-LLM trace
+    verdicts: dict = field(default_factory=dict)  # flag -> its AGENT_DONE or AGENT_ERROR payload
+    started: list = field(default_factory=list)  # the flag of each AGENT_START, in order
+    routed_starts: int = 0  # how many of `started` came before the FANOUT
+
+    @property
+    def predicted(self) -> frozenset[RedFlag]:
+        return frozenset(f for f, p in self.verdicts.items() if p.get("decision") == "YES")
+
+
+def summarize(events: Iterable[TraceEvent]) -> Summary:
+    """Fold a case-run's events into what they record: the AGGREGATE, `classify`'s JSON and
+    `replay --verify` all read this one fold. A verdict with no subject is left out."""
+    summary = Summary()
+    for event in events:
+        if event.stage is Stage.ROUTING:
+            summary.routing = event.payload
+        elif event.stage in _VERDICT_SHAPES and event.subject:
+            summary.verdicts[event.subject] = event.payload
+        elif event.stage is Stage.AGENT_START:
+            summary.started.append(event.subject)
+        elif event.stage is Stage.FANOUT:
+            summary.fanout, summary.routed_starts = event.payload, len(summary.started)
+    return summary
+
+
 def _names(flags) -> str:
-    return ", ".join(sorted(flag.value if flag else "-" for flag in flags))
+    return ", ".join(sorted(flag.value if flag else "-" for flag in flags)) or "none"
+
+
+def _flags(names) -> Optional[set[RedFlag]]:
+    """The red flags a payload's list names, or None unless it is a list of distinct names."""
+    if not isinstance(names, list):
+        return None
+    try:
+        flags = {parse_red_flag(name) for name in names}
+    except UnknownAgentName:
+        return None
+    return flags if len(flags) == len(names) else None
+
+
+def _routing_problems(summary: Summary) -> list[str]:
+    """Check a multi-agent trace's ROUTING and FANOUT against the flags it started, by
+    what holds in both fan-out modes: the flags started before FANOUT are ROUTING's
+    `next`, each once; the flags started at all are `next` and FANOUT's `missing`; and a
+    ROUTING with `fallback` routes all seven red flags."""
+    routing, fanout = summary.routing, summary.fanout
+    routed, missing = _flags(routing.get("next")), _flags(fanout.get("missing"))
+    problems = []
+    if routed is None:
+        problems.append(f"ROUTING next is not a list of distinct red flags: "
+                        f"{routing.get('next')!r}")
+    if missing is None:
+        problems.append(f"FANOUT missing is not a list of distinct red flags: "
+                        f"{fanout.get('missing')!r}")
+    if problems:
+        return problems
+    before = summary.started[:summary.routed_starts]
+    if len(before) != len(routed) or set(before) != routed:
+        problems.append(f"the flags started before FANOUT are not ROUTING's next, each once: "
+                        f"started {_names(before)}; next {_names(routed)}")
+    if set(summary.started) != routed | missing:
+        problems.append(f"the flags started are not ROUTING's next and FANOUT's missing: "
+                        f"started {_names(set(summary.started))}; "
+                        f"next and missing {_names(routed | missing)}")
+    if routing.get("fallback") and routed != set(RedFlag):
+        problems.append(f"a ROUTING with fallback routes {_names(routed)}, not all seven red flags")
+    return problems
 
 
 def verify_trace(events: list[TraceEvent]) -> list[str]:
-    """Check a trace's shape and event order in one pass over its events; returns the
-    violations.
+    """Check a trace's shape and event order, and what its `summarize` fold records;
+    returns the violations.
 
     Sequence numbers strictly increase, and the only AGGREGATE is the last event.
     A trace with no ROUTING, FANOUT or AGENT_START is a single-LLM trace and
@@ -88,14 +167,16 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
     exactly one FANOUT, after the ROUTING. Each started flag ends with exactly
     one AGENT_DONE or AGENT_ERROR, and a flag never started has none. A start
     left without a verdict (a dropped call) is closed by a WARNING on that flag
-    before the flag is started again. In both shapes an AGENT_DONE decides YES
-    or NO with no error_detail, an AGENT_ERROR decides ERROR with one, and the
-    AGGREGATE's `predicted` and `verdict_count` are what those events add up to.
+    before the flag is started again. ROUTING and FANOUT agree with the flags
+    started (`_routing_problems`). In both shapes an AGENT_DONE decides YES or NO
+    with no error_detail, an AGENT_ERROR decides ERROR with one, and the
+    AGGREGATE's `predicted` and `verdict_count` are what the verdicts by flag add
+    up to.
     """
+    summary = summarize(events)
     counts = dict.fromkeys(Stage, 0)
     verdicts: Counter = Counter()  # flag -> its AGENT_DONE and AGENT_ERROR events
-    started, awaiting = set(), set()  # awaiting: started, not yet closed by a verdict or WARNING
-    yes = []  # the values of the flags an AGENT_DONE decides YES
+    awaiting = set()  # flags started and not yet closed by a verdict or WARNING
     found = []  # the problems seen event by event
     ordered = True
     previous = float("-inf")
@@ -110,7 +191,6 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
                 found.append(f"AGENT_START of {_names([flag])} before ROUTING")
             if flag in awaiting:
                 found.append(f"{_names([flag])} started again with its last start unclosed")
-            started.add(flag)
             awaiting.add(flag)
         elif stage in _VERDICT_SHAPES:
             verdicts[flag] += 1
@@ -119,10 +199,8 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
             if (decision, detail is not None) not in _VERDICT_SHAPES[stage]:
                 found.append(f"{stage.value} of {_names([flag])} has decision {decision!r} "
                              f"and error_detail {detail!r}")
-            elif decision == "YES" and flag:
-                yes.append(flag.value)
         elif stage is Stage.AGGREGATE:
-            summary = event.payload
+            aggregate = event.payload
         elif stage is Stage.WARNING:
             awaiting.discard(flag)
         elif stage is Stage.FANOUT and not counts[Stage.ROUTING]:
@@ -133,6 +211,9 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
         for stage in (Stage.ROUTING, Stage.FANOUT):
             if counts[stage] != 1:
                 problems.append(f"expected exactly one {stage.value} event, found {counts[stage]}")
+        if counts[Stage.ROUTING] == counts[Stage.FANOUT] == 1:
+            problems += _routing_problems(summary)
+        started = set(summary.started)
         never_started = verdicts.keys() - started
         if never_started:
             problems.append(f"verdict for a flag never started: {_names(never_started)}")
@@ -152,8 +233,9 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
     else:
         if events[-1].stage is not Stage.AGGREGATE:
             problems.append("AGGREGATE is not the last event")
-        for field, want in (("predicted", sorted(yes)), ("verdict_count", sum(verdicts.values()))):
-            if summary.get(field) != want:
-                problems.append(f"AGGREGATE {field} is {summary.get(field)!r}, "
+        for key, want in (("predicted", sorted(flag.value for flag in summary.predicted)),
+                          ("verdict_count", len(summary.verdicts))):
+            if aggregate.get(key) != want:
+                problems.append(f"AGGREGATE {key} is {aggregate.get(key)!r}, "
                                 f"but the AGENT_DONE and AGENT_ERROR events give {want!r}")
     return problems

@@ -7,10 +7,11 @@ from typing import NamedTuple
 
 import pytest
 
-from redflagcds.domain import RedFlag, Vignette
+from redflagcds.domain import Decision, RedFlag, Vignette
 from redflagcds.engine import Architecture, FanoutMode, RunConfig
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
 from redflagcds.prompts import PromptLibrary, PromptStrategy
+from redflagcds.trace import summarize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
@@ -54,6 +55,16 @@ def full_script(case_id: str, orchestrator_raw: str, yes_flags=(), faults=None):
             ScriptEntry(case_id, flag.value, response, fault=faults.get(flag))
         )
     return entries
+
+
+def verdicts(result) -> dict:
+    """A case-run's verdict payloads by flag, as its trace records them."""
+    return summarize(result.trace).verdicts
+
+
+def decision_of(result, flag: RedFlag) -> Decision:
+    """The decision of the flag's verdict in a case-run's trace."""
+    return Decision(verdicts(result)[flag]["decision"])
 
 
 def multi_config(backend, prompts, **overrides) -> RunConfig:

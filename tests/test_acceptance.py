@@ -20,12 +20,14 @@ from redflagcds.engine import FanoutMode, run_case
 from redflagcds.evaluation import case_metrics, macro_average
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
 from redflagcds.recovery import NoJsonFound, Strategy, extract_json, parse_routing
-from redflagcds.trace import read_trace
+from redflagcds.trace import read_trace, untimed
 from tests.conftest import (
     FIXTURES_DIR,
     TABLE1_RAW,
+    decision_of,
     full_script,
     multi_config,
+    verdicts,
     write_script_file,
     yes_response,
 )
@@ -112,9 +114,9 @@ def test_criterion_02_dropped_call_fanout(prompts, vignette):
         result = run_case(vignette, multi_config(backend, prompts))
         elapsed = time.monotonic() - started
 
-        assert set(result.verdicts) == {RedFlag.MENINGISMUS, RedFlag.TEMPORAL_ARTERITIS}
-        assert result.verdicts[RedFlag.MENINGISMUS].decision is Decision.YES
-        assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.NO
+        assert set(verdicts(result)) == {RedFlag.MENINGISMUS, RedFlag.TEMPORAL_ARTERITIS}
+        assert decision_of(result, RedFlag.MENINGISMUS) is Decision.YES
+        assert decision_of(result, RedFlag.TEMPORAL_ARTERITIS) is Decision.NO
 
         fanouts = [e for e in result.trace if e.stage is Stage.FANOUT]
         assert len(fanouts) == 1
@@ -134,7 +136,7 @@ def test_criterion_03_coverage_guarantee(prompts, vignette):
                 full_script(vignette.id, routing_json(routed), yes_flags=set(), faults=faults)
             )
             result = run_case(vignette, multi_config(backend, prompts, fanout_mode=mode))
-            completed = set(result.verdicts)
+            completed = set(verdicts(result))
             if mode is FanoutMode.ROUTED:
                 assert completed >= set(routed), f"run {i}: {routed} not covered"
             else:
@@ -157,11 +159,11 @@ def test_criterion_04_error_isolation_equality(prompts, vignette):
         baseline = run_with_fault(None)
         for victim in ALL:
             result = run_with_fault(victim)
-            assert result.verdicts[victim].decision is Decision.ERROR
+            assert decision_of(result, victim) is Decision.ERROR
             for flag in ALL:
                 if flag is victim:
                     continue
-                assert result.verdicts[flag] == baseline.verdicts[flag], flag
+                assert verdicts(result)[flag] == verdicts(baseline)[flag], flag
         assert time.monotonic() - started < 10.0
 
 
@@ -229,12 +231,8 @@ def test_criterion_07_recovery_corpus(vignette):
 def _read_traces_without_wall_time(trace_root):
     traces = {}
     for path in sorted(trace_root.rglob("*.trace.jsonl")):
-        events = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            event = json.loads(line)
-            event.pop("wall_time", None)
-            events.append(event)
-        traces[str(path.relative_to(trace_root))] = events
+        lines = path.read_text(encoding="utf-8").splitlines()
+        traces[str(path.relative_to(trace_root))] = [untimed(json.loads(line)) for line in lines]
     return traces
 
 
@@ -325,12 +323,12 @@ def test_criterion_10_orchestrator_fallback(prompts, vignette):
         result = run_case(vignette, multi_config(ScriptedBackend(entries), prompts))
         elapsed = time.monotonic() - started
 
-        assert len(result.verdicts) == 7
-        assert set(result.verdicts) == set(ALL)
+        assert len(verdicts(result)) == 7
+        assert set(verdicts(result)) == set(ALL)
         warnings = [e for e in result.trace if e.stage is Stage.WARNING]
         assert any("fallback" in str(e.payload).lower() for e in warnings)
         routing_events = [e for e in result.trace if e.stage is Stage.ROUTING]
         assert len(routing_events) == 1
         assert routing_events[0].payload.get("fallback") is True
-        assert result.verdicts[RedFlag.MENINGISMUS].decision is Decision.YES
+        assert decision_of(result, RedFlag.MENINGISMUS) is Decision.YES
         assert elapsed < 1.0

@@ -14,8 +14,10 @@ from click.testing import CliRunner
 
 from redflagcds.domain import RedFlag
 from redflagcds.cli import EXIT_BACKEND, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, cli
+from redflagcds.evaluation import load_dataset
 from redflagcds.gateway import BackendConfig, Fault, HttpBackend, ScriptedBackend, ScriptEntry
 from redflagcds.recovery import Strategy, extract_json
+from redflagcds.trace import read_trace, summarize
 from tests.conftest import (
     FIXTURES_DIR,
     REPO_ROOT,
@@ -57,6 +59,17 @@ def classify_args(note_path, script_path, tmp_path, *extra):
         "--out", str(tmp_path / "out"),
         *extra,
     ]
+
+
+def classify_fixture_case(runner, tmp_path, case_id, *extra) -> dict:
+    """Run classify on a fixture case with the fixture script; returns its printed JSON."""
+    (case,) = [c for c in load_dataset(FIXTURES_DIR / "cases.jsonl") if c.vignette.id == case_id]
+    note = tmp_path / "note.txt"
+    note.write_text(case.vignette.text, encoding="utf-8")
+    result = runner.invoke(cli, classify_args(note, FIXTURES_DIR / "script.jsonl", tmp_path,
+                                              "--case-id", case_id, *extra))
+    assert result.exit_code == EXIT_OK, result.output
+    return json.loads(result.output)
 
 
 def copy_templates(tmp_path) -> Path:
@@ -105,6 +118,29 @@ class TestClassify:
         assert payload["routing"] is None
         assert payload["predicted"] == ["meningismus"]
         assert len(payload["verdicts"]) == 7
+
+    @pytest.mark.parametrize("strategy", ["qprompt", "gprompt"])
+    @pytest.mark.parametrize("arch", ["single", "multi"])
+    def test_output_is_what_its_trace_file_records(self, runner, tmp_path, arch, strategy):
+        """On every fixture case, the printed predicted set, verdicts and routing are the
+        `summarize` fold of the trace file classify wrote."""
+        case_ids = [case.vignette.id for case in load_dataset(FIXTURES_DIR / "cases.jsonl")]
+        assert len(case_ids) == 22
+        for case_id in case_ids:
+            printed = classify_fixture_case(runner, tmp_path, case_id,
+                                            "--arch", arch, "--strategy", strategy)
+            summary = summarize(read_trace(printed["trace_file"]))
+            assert printed["predicted"] == sorted(flag.value for flag in summary.predicted)
+            assert printed["verdicts"] == {
+                flag.value: {key: payload[key]
+                             for key in ("decision", "rationale", "evidence", "error_detail")}
+                for flag, payload in sorted(summary.verdicts.items(), key=lambda kv: kv[0].value)}
+            assert list(printed["verdicts"]) == sorted(printed["verdicts"])
+            if arch == "single":
+                assert summary.routing is None and printed["routing"] is None
+            else:
+                assert printed["routing"] == {key: summary.routing[key]
+                                              for key in ("next", "why", "evidence")}
 
     def test_empty_note_is_usage_error(self, runner, tmp_path, script_path):
         empty = tmp_path / "empty.txt"
@@ -814,6 +850,65 @@ class TestReplay:
         write_jsonl(trace, events)
         result = runner.invoke(cli, ["replay", str(trace), "--verify"])
         assert result.exit_code == EXIT_INVARIANT
+        assert f"invariant violation: {message}\n" in result.output
+
+    @pytest.mark.parametrize("stage, field, value, message", [
+        ("ROUTING", "next", [],
+         "the flags started before FANOUT are not ROUTING's next, each once: "
+         "started meningismus; next none"),
+        ("FANOUT", "missing", ["meningismus", "papilledema"],
+         "the flags started are not ROUTING's next and FANOUT's missing: "
+         "started meningismus; next and missing meningismus, papilledema"),
+        ("ROUTING", "fallback", True,
+         "a ROUTING with fallback routes meningismus, not all seven red flags"),
+    ], ids=["emptied-next", "missing-never-started", "fallback-not-all-seven"])
+    def test_verify_checks_routing_and_fanout(
+        self, runner, tmp_path, stage, field, value, message
+    ):
+        """case19 of the fixtures routes meningismus, whose first call drops, so FANOUT
+        names it missing and it is started again; one ROUTING or FANOUT field edited."""
+        printed = classify_fixture_case(runner, tmp_path, "case19")
+        trace = Path(printed["trace_file"])
+        assert runner.invoke(cli, ["replay", str(trace), "--verify"]).exit_code == EXIT_OK
+        events = [json.loads(l) for l in trace.read_text(encoding="utf-8").splitlines()]
+        (fanout,) = [e for e in events if e["stage"] == "FANOUT"]
+        assert fanout["payload"]["missing"] == ["meningismus"]
+        next(e for e in events if e["stage"] == stage)["payload"][field] = value
+        write_jsonl(trace, events)
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT
+        assert f"invariant violation: {message}\n" in result.output
+
+    @pytest.mark.parametrize("arch, stage, edit, message", [
+        ("multi", "AGENT_DONE", lambda e: e["payload"].pop("decision"),
+         "AGENT_DONE of meningismus has decision None and error_detail None"),
+        ("multi", "AGENT_DONE", lambda e: e.update(subject=None),
+         "verdict for a flag never started: -"),
+        ("single", "AGENT_DONE", lambda e: e.update(subject=None),
+         "expected one AGENT_DONE or AGENT_ERROR per red flag in a single-LLM trace, "
+         "found 7 for 7 subjects"),
+        ("multi", "ROUTING", lambda e: e["payload"].pop("next"),
+         "ROUTING next is not a list of distinct red flags: None"),
+        ("multi", "FANOUT", lambda e: e["payload"].update(missing="meningismus"),
+         "FANOUT missing is not a list of distinct red flags: 'meningismus'"),
+        ("multi", "ROUTING", lambda e: e["payload"].update(next=["meningismus"] * 2),
+         "ROUTING next is not a list of distinct red flags: ['meningismus', 'meningismus']"),
+    ], ids=["verdict-without-decision", "verdict-without-subject",
+            "single-llm-verdict-without-subject", "routing-without-next",
+            "missing-not-a-list", "next-repeats-a-flag"])
+    def test_verify_reports_an_event_without_what_the_fold_reads(
+        self, runner, tmp_path, arch, stage, edit, message
+    ):
+        """The first event of a stage in case19's trace loses a key or its subject: an
+        invariant violation, never a traceback."""
+        printed = classify_fixture_case(runner, tmp_path, "case19", "--arch", arch)
+        trace = Path(printed["trace_file"])
+        events = [json.loads(l) for l in trace.read_text(encoding="utf-8").splitlines()]
+        edit(next(e for e in events if e["stage"] == stage))
+        write_jsonl(trace, events)
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT, result.output
+        assert isinstance(result.exception, SystemExit)
         assert f"invariant violation: {message}\n" in result.output
 
     def test_malformed_trace_exits_2(self, runner, tmp_path):

@@ -16,6 +16,7 @@ from redflagcds.domain import (
 )
 from redflagcds.engine import aggregate
 from redflagcds.recovery import validate_routing
+from redflagcds.trace import summarize
 
 WIRE_NAMES = [
     "thunderclap",
@@ -85,7 +86,7 @@ class TestApplyVerdict:
         state = GraphState(note=vignette, pending={RedFlag.MENINGISMUS})
         state.apply_verdict(verdict(RedFlag.MENINGISMUS))
         assert state.pending == set()
-        assert RedFlag.MENINGISMUS in state.outputs
+        assert RedFlag.MENINGISMUS in summarize(state.trace).verdicts
 
     def test_other_flags_stay_pending(self, vignette):
         state = GraphState(
@@ -119,8 +120,9 @@ def test_pending_completed_disjoint_under_any_sequence(routed, decisions):
     )
     for flag, decision in zip(sorted(routed, key=lambda f: f.value), decisions):
         state.apply_verdict(verdict(flag, decision))
-        assert state.pending & state.outputs.keys() == set()
-        assert state.pending | state.outputs.keys() <= set(RedFlag)
+        completed = summarize(state.trace).verdicts.keys()
+        assert state.pending & completed == set()
+        assert state.pending | completed <= set(RedFlag)
 
 
 @given(
@@ -133,5 +135,5 @@ def test_case_result_predicted_matches_yes_verdicts(decisions):
     result = aggregate(state)
     yes = {flag for flag, decision in decisions.items() if decision is Decision.YES}
     assert result.predicted == yes
-    assert result.predicted <= set(result.verdicts)
+    assert result.predicted == summarize(result.trace).predicted <= set(decisions)
     assert state.trace[-1].payload["predicted"] == sorted(flag.value for flag in yes)

@@ -3,9 +3,12 @@ import itertools
 import json
 import random
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redflagcds import engine
 from redflagcds.domain import Decision, GraphState, RedFlag, Stage, Vignette
@@ -27,12 +30,15 @@ from redflagcds.gateway import (
     load_script,
 )
 from redflagcds.prompts import PromptStrategy
+from redflagcds.trace import untimed
 from tests.conftest import (
     FIXTURES_DIR,
     TABLE1_RAW,
     CountingBackend,
+    decision_of,
     full_script,
     multi_config,
+    verdicts,
     within,
     yes_response,
 )
@@ -91,7 +97,7 @@ class TestRouting:
         entries = full_script("case-7", "complete garbage, no json", yes_flags={RedFlag.MENINGISMUS})
         backend = ScriptedBackend(entries)
         result = run_case(note(), multi_config(backend, prompts))
-        assert len(result.verdicts) == 7
+        assert len(verdicts(result)) == 7
         assert any(
             "exhaustive fallback" in e.payload.get("message", "")
             for e in events(result, Stage.WARNING)
@@ -129,7 +135,7 @@ class TestFanout:
         backend = ScriptedBackend(full_script("case-7", TABLE1_RAW, yes_flags={RedFlag.MENINGISMUS}))
         cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE)
         result = run_case(note(), cfg)
-        assert len(result.verdicts) == 7
+        assert len(verdicts(result)) == 7
         (fanout,) = events(result, Stage.FANOUT)
         assert len(fanout.payload["missing"]) == 6
 
@@ -200,16 +206,16 @@ class TestEarlySends:
         assert per_role == expected
         first, rerun = [c for c in calls if c.role == "temporal_arteritis"]
         assert first.end <= rerun.start
-        assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.YES
+        assert decision_of(result, RedFlag.TEMPORAL_ARTERITIS) is Decision.YES
         if mode is FanoutMode.EXHAUSTIVE:
-            verdict = result.verdicts[RedFlag.PAPILLEDEMA]
-            assert verdict.decision is Decision.ERROR
-            assert "scripted drop" in verdict.error_detail
+            verdict = verdicts(result)[RedFlag.PAPILLEDEMA]
+            assert verdict["decision"] == "ERROR"
+            assert "scripted drop" in verdict["error_detail"]
             (fanout,) = events(result, Stage.FANOUT)
             assert "temporal_arteritis" in fanout.payload["missing"]
             assert "papilledema" in fanout.payload["missing"]
         else:
-            assert RedFlag.PAPILLEDEMA not in result.verdicts
+            assert RedFlag.PAPILLEDEMA not in verdicts(result)
 
     @pytest.mark.parametrize("mode, specialist_calls", [
         (FanoutMode.ROUTED, 0), (FanoutMode.EXHAUSTIVE, len(RedFlag))])
@@ -240,7 +246,7 @@ class TestEarlySends:
         (fanout,) = events(result, Stage.FANOUT)
         assert fanout.payload["missing"] == []  # the fallback routed all seven in step 2
         assert {f.value for f in result.predicted} == {"papilledema"}
-        assert all(v.decision is not Decision.ERROR for v in result.verdicts.values())
+        assert all(v["decision"] != "ERROR" for v in verdicts(result).values())
 
 
 class TestErrorIsolation:
@@ -252,17 +258,17 @@ class TestErrorIsolation:
             faults={RedFlag.TEMPORAL_ARTERITIS: Fault.HTTP_500},
         )
         result = run_case(note(), multi_config(ScriptedBackend(entries), prompts))
-        assert result.verdicts[RedFlag.MENINGISMUS].decision is Decision.YES
-        assert result.verdicts[RedFlag.TEMPORAL_ARTERITIS].decision is Decision.ERROR
+        assert decision_of(result, RedFlag.MENINGISMUS) is Decision.YES
+        assert decision_of(result, RedFlag.TEMPORAL_ARTERITIS) is Decision.ERROR
         assert {f.value for f in result.predicted} == {"meningismus"}
 
     def test_empty_output_becomes_error_verdict(self, prompts):
         entries = full_script("case-7", TABLE1_RAW)
         entries[2] = ScriptEntry("case-7", "meningismus", fault=Fault.EMPTY)
         result = run_case(note(), multi_config(ScriptedBackend(entries), prompts))
-        verdict = result.verdicts[RedFlag.MENINGISMUS]
-        assert verdict.decision is Decision.ERROR
-        assert verdict.error_detail == "no YES/NO token"
+        verdict = verdicts(result)[RedFlag.MENINGISMUS]
+        assert verdict["decision"] == "ERROR"
+        assert verdict["error_detail"] == "no YES/NO token"
 
     def test_fault_free_verdicts_unchanged_by_injection(self, prompts):
         route_all = json.dumps(
@@ -277,10 +283,10 @@ class TestErrorIsolation:
                 "case-7", route_all, set(RedFlag), faults={victim: Fault.HTTP_500}
             )
             result = run_case(note(), multi_config(ScriptedBackend(entries), prompts))
-            assert result.verdicts[victim].decision is Decision.ERROR
+            assert decision_of(result, victim) is Decision.ERROR
             for flag in RedFlag:
                 if flag is not victim:
-                    assert result.verdicts[flag] == baseline.verdicts[flag]
+                    assert verdicts(result)[flag] == verdicts(baseline)[flag]
 
 
 class TestTraceShape:
@@ -339,7 +345,7 @@ class TestAggregate:
     def test_empty_verdicts_is_a_valid_result(self, prompts):
         result = aggregate(GraphState(note=note()))
         assert result.predicted == frozenset()
-        assert result.verdicts == {}
+        assert verdicts(result) == {}
 
 
 class TestSingleLlm:
@@ -354,18 +360,18 @@ class TestSingleLlm:
         backend = ScriptedBackend([ScriptEntry("case-7", "baseline", raw)])
         result = run_case(note(), self._config(backend, prompts))
         assert {f.value for f in result.predicted} == {"thunderclap", "focal_deficits"}
-        assert len(result.verdicts) == 7
+        assert len(verdicts(result)) == 7
 
     def test_missing_line_is_error_verdict(self, prompts):
         raw = "\n".join(f"{f.value}: NO" for f in RedFlag if f is not RedFlag.FOCAL_DEFICITS)
         backend = ScriptedBackend([ScriptEntry("case-7", "baseline", raw)])
         result = run_case(note(), self._config(backend, prompts))
-        assert result.verdicts[RedFlag.FOCAL_DEFICITS].decision is Decision.ERROR
+        assert decision_of(result, RedFlag.FOCAL_DEFICITS) is Decision.ERROR
 
     def test_empty_response_gives_seven_errors(self, prompts):
         backend = ScriptedBackend([ScriptEntry("case-7", "baseline", fault=Fault.EMPTY)])
         result = run_case(note(), self._config(backend, prompts))
-        assert all(v.decision is Decision.ERROR for v in result.verdicts.values())
+        assert all(v["decision"] == "ERROR" for v in verdicts(result).values())
         assert result.predicted == frozenset()
 
     def test_trace_records_raw_exchange_without_routing(self, prompts):
@@ -392,7 +398,7 @@ class TestCoverageProperty:
             backend = ScriptedBackend(full_script(case_id, raw, routed, faults))
             cfg = multi_config(backend, prompts, fanout_mode=mode)
             result = run_case(Vignette(id=case_id, text="note text"), cfg)
-            completed = set(result.verdicts)
+            completed = set(verdicts(result))
             if mode is FanoutMode.EXHAUSTIVE:
                 assert completed == set(RedFlag)
             else:
@@ -422,7 +428,7 @@ class TestScheduler:
         cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, **bound)
         results = within(30, lambda: list(run_cases(self._notes(), cfg)))
         assert [r.case_id for r in results] == self.CASES  # input order
-        assert all(len(r.verdicts) == 7 for r in results)
+        assert all(len(verdicts(r)) == 7 for r in results)
         assert len(backend.calls) == 12 * 8
         assert backend.peak == peak
         overlapping = any(
@@ -531,6 +537,52 @@ class TestMatrixScheduler:
         assert backend.calls == []
 
 
+class JitterBackend:
+    """Wraps a backend: each call first sleeps 0-4 ms, drawn from a seeded generator."""
+
+    def __init__(self, inner, seed):
+        self.inner = inner
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def complete(self, request, case_id="", agent_role=""):
+        with self.lock:
+            delay = self.rng.uniform(0, 0.004)
+        time.sleep(delay)
+        return self.inner.complete(request, case_id=case_id, agent_role=agent_role)
+
+
+def fixture_outcomes(prompts, mode, concurrency=1, seed=None):
+    """Every fixture case-run's untimed trace (or its exception's type and text), from one
+    `run_cases` of the four rows on a fresh script; with a seed, each call is delayed."""
+    backend = ScriptedBackend(load_script(FIXTURES_DIR / "script.jsonl"))
+    if seed is not None:
+        backend = JitterBackend(backend, seed)
+    matrix = [multi_config(backend, prompts, architecture=architecture, strategy=strategy,
+                           fanout_mode=mode, concurrency=concurrency)
+              for architecture, strategy in APPROACH_ORDER]
+    vignettes = [case.vignette for case in load_dataset(FIXTURES_DIR / "cases.jsonl")]
+    return [(type(o), str(o)) if isinstance(o, Exception)
+            else [untimed(e.to_json_dict()) for e in o.trace]
+            for o in within(60, lambda: list(run_cases(vignettes, *matrix)))]
+
+
+SERIAL_OUTCOMES = {}  # fan-out mode -> fixture_outcomes at concurrency 1 with no delay
+
+
+@settings(max_examples=10, deadline=None)
+@given(mode=st.sampled_from(list(FanoutMode)), concurrency=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_any_concurrency_under_random_delays_gives_the_serial_traces(
+        prompts, mode, concurrency, seed):
+    """Whatever order the calls end in, the merge in canonical flag order, the matrix
+    order per case and fan-out's missing set give every case-run the serial run's trace."""
+    if mode not in SERIAL_OUTCOMES:
+        SERIAL_OUTCOMES[mode] = fixture_outcomes(prompts, mode)
+    assert len(SERIAL_OUTCOMES[mode]) == 4 * 22
+    assert fixture_outcomes(prompts, mode, concurrency, seed) == SERIAL_OUTCOMES[mode]
+
+
 class TestExhaustiveMatrixOrder:
     """Both multi-agent rows through one `run_cases` under EXHAUSTIVE fan-out, where step 1
     sends every specialist call with the routing call. Each row's backend records that
@@ -552,10 +604,10 @@ class TestExhaustiveMatrixOrder:
         entries = full_script("case-7", TABLE1_RAW, faults={RedFlag.PAPILLEDEMA: Fault.DROPPED})
         first, second, (row1, row2) = self._run(prompts, entries)
         assert len(first) == len(second) == 1 + len(RedFlag)
-        verdict = row1.verdicts[RedFlag.PAPILLEDEMA]
-        assert verdict.decision is Decision.ERROR
-        assert "scripted drop" in verdict.error_detail
-        assert row2.verdicts[RedFlag.PAPILLEDEMA].decision is Decision.NO
+        verdict = verdicts(row1)[RedFlag.PAPILLEDEMA]
+        assert verdict["decision"] == "ERROR"
+        assert "scripted drop" in verdict["error_detail"]
+        assert decision_of(row2, RedFlag.PAPILLEDEMA) is Decision.NO
         assert events(row2, Stage.AGENT_ERROR) == []
 
     def test_a_failed_case_run_ends_after_the_calls_it_sent(self, prompts):
@@ -567,7 +619,7 @@ class TestExhaustiveMatrixOrder:
         assert isinstance(row1, DroppedToolCall)
         assert len(first) == len(second) == 1 + len(RedFlag)
         assert events(row2, Stage.AGENT_ERROR) == []
-        assert len(row2.verdicts) == len(RedFlag)
+        assert len(verdicts(row2)) == len(RedFlag)
 
 
 class TestRunCase:
@@ -585,12 +637,10 @@ class TestRunCase:
             return multi_config(ScriptedBackend(entries), prompts, architecture=architecture,
                                 strategy=strategy, fanout_mode=mode)
 
-        def untimed(outcome):
+        def untimed_outcome(outcome):
             if isinstance(outcome, Exception):
                 return type(outcome), str(outcome)
-            return outcome.predicted, [
-                {k: v for k, v in e.to_json_dict().items() if k != "wall_time"}
-                for e in outcome.trace]
+            return outcome.predicted, [untimed(e.to_json_dict()) for e in outcome.trace]
 
         many = within(60, lambda: list(run_cases(vignettes, cfg())))
         one, single = [], cfg()
@@ -600,7 +650,7 @@ class TestRunCase:
             except Exception as exc:  # a case-level failure, as run_cases yields it
                 one.append(exc)
         assert len(one) == len(many) == 22
-        assert [untimed(o) for o in one] == [untimed(o) for o in many]
+        assert [untimed_outcome(o) for o in one] == [untimed_outcome(o) for o in many]
 
     def test_returns_with_no_call_in_flight(self, prompts):
         # TABLE1_RAW routes to meningismus, so its dropped call is sent again in fan-out

@@ -24,7 +24,7 @@ from redflagcds.evaluation import (
 )
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry, load_script
 from redflagcds.prompts import PromptStrategy
-from redflagcds.trace import read_trace, write_trace
+from redflagcds.trace import read_trace, verify_trace, write_trace
 from tests.conftest import FIXTURES_DIR, CountingBackend, full_script, within, write_jsonl
 
 ALL = list(RedFlag)
@@ -548,6 +548,13 @@ def test_serial_and_overlapped_fixture_runs_match(prompts, tmp_path):
     assert [e["subject"] for e in errors] == ["papilledema"]
 
 
+def rejected_by_verify(trace_root) -> list[str]:
+    """The traces under trace_root that `replay --verify` rejects."""
+    return [path.relative_to(trace_root).as_posix()
+            for path in sorted(trace_root.rglob("*.trace.jsonl"))
+            if verify_trace(read_trace(path))]
+
+
 def test_fixture_traces_match_pinned_digests(tmp_path):
     from scripts.trace_digests import fixture_trace_digests, read_digests
 
@@ -560,12 +567,14 @@ def test_fixture_traces_match_pinned_digests(tmp_path):
         f"{len(differing)} fixture traces differ from tests/fixture_trace_digests.txt "
         f"(regenerate with scripts/trace_digests.py only for an intended change): {differing}"
     )
+    assert rejected_by_verify(tmp_path) == []
 
 
 def test_corpus_traces_match_oracle_and_pinned_digests(tmp_path):
     """The seed-7 corpus reaches every recovery tier, the re-prompt, the seven-agent
     fallback and every fault: its exhaustive case-runs predict what the generator's
-    oracle expects, and every trace of both fan-out modes matches its pinned digest."""
+    oracle expects, and every trace of both fan-out modes matches its pinned digest and
+    passes `replay --verify`'s checks."""
     from scripts.trace_digests import CORPUS_DIGESTS_FILE, corpus_trace_digests, read_digests
 
     pinned = read_digests(CORPUS_DIGESTS_FILE)
@@ -586,6 +595,7 @@ def test_corpus_traces_match_oracle_and_pinned_digests(tmp_path):
         f"{len(differing)} corpus traces differ from tests/corpus_trace_digests.txt "
         f"(regenerate with scripts/trace_digests.py only for an intended change): {differing}"
     )
+    assert rejected_by_verify(tmp_path / "traces") == []
 
 
 class TestReportRendering:

@@ -1,0 +1,78 @@
+"""`trace.summarize`, the one fold of a case-run's events, and `untimed`."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from redflagcds.domain import RedFlag, Stage, TraceEvent
+from redflagcds.trace import Summary, summarize, untimed, verify_trace
+
+
+def event(sequence, stage, subject=None, **payload):
+    return TraceEvent(sequence, stage, subject, payload, 0.0)
+
+
+def test_summarize_folds_routing_verdicts_starts_and_fanout():
+    events = [
+        event(1, Stage.ROUTING, next=["meningismus"], why="w", evidence=[]),
+        event(2, Stage.AGENT_START, RedFlag.MENINGISMUS),
+        event(3, Stage.WARNING, RedFlag.MENINGISMUS, message="tool call dropped"),
+        event(4, Stage.FANOUT, missing=["meningismus", "papilledema"]),
+        event(5, Stage.AGENT_START, RedFlag.MENINGISMUS),
+        event(6, Stage.AGENT_START, RedFlag.PAPILLEDEMA),
+        event(7, Stage.AGENT_DONE, RedFlag.MENINGISMUS, decision="YES"),
+        event(8, Stage.AGENT_ERROR, RedFlag.PAPILLEDEMA, decision="ERROR", error_detail="x"),
+        event(9, Stage.AGGREGATE, predicted=["meningismus"], verdict_count=2),
+    ]
+    summary = summarize(events)
+    assert summary.routing == events[0].payload
+    assert summary.fanout == events[3].payload
+    assert summary.verdicts == {RedFlag.MENINGISMUS: events[6].payload,
+                                RedFlag.PAPILLEDEMA: events[7].payload}
+    assert summary.started == [RedFlag.MENINGISMUS, RedFlag.MENINGISMUS, RedFlag.PAPILLEDEMA]
+    assert summary.routed_starts == 1
+    assert summary.predicted == {RedFlag.MENINGISMUS}
+    assert verify_trace(events) == []
+
+
+def test_a_verdict_without_a_subject_or_a_decision_is_no_prediction():
+    summary = summarize([event(1, Stage.AGENT_DONE, None, decision="YES"),
+                         event(2, Stage.AGENT_DONE, RedFlag.THUNDERCLAP)])
+    assert summary.verdicts == {RedFlag.THUNDERCLAP: {}}
+    assert summary.predicted == frozenset()
+
+
+def test_an_empty_trace_folds_to_nothing():
+    assert summarize([]) == Summary()
+
+
+def test_untimed_drops_only_wall_time():
+    record = event(1, Stage.WARNING, message="m").to_json_dict()
+    assert untimed(record) == {"sequence": 1, "stage": "WARNING", "subject": None,
+                               "payload": {"message": "m"}}
+    assert "wall_time" in record
+
+
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=12)
+    | st.sampled_from([f.value for f in RedFlag] + ["YES", "NO", "ERROR"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+_keys = st.sampled_from(["decision", "error_detail", "next", "missing", "fallback",
+                         "predicted", "verdict_count", "why"])
+_events = st.lists(st.builds(
+    TraceEvent,
+    sequence=st.integers(0, 20),
+    stage=st.sampled_from(list(Stage)),
+    subject=st.none() | st.sampled_from(list(RedFlag)),
+    payload=st.dictionaries(_keys, _values, max_size=4),
+    wall_time=st.just(0.0),
+), max_size=12)
+
+
+@settings(max_examples=60)
+@given(events=_events)
+def test_the_fold_and_verify_never_raise_on_any_events(events):
+    assert isinstance(summarize(events).predicted, frozenset)
+    assert isinstance(verify_trace(events), list)
