@@ -28,6 +28,7 @@ dropped routed calls wait for step 2. Events are still written in step order.
 from __future__ import annotations
 
 import enum
+import hashlib
 import logging
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
@@ -69,8 +70,11 @@ DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 # the head keeps the others busy, few enough that finished results do not pile up.
 CASES_AHEAD = 4
 
+# A backend call sent: its future and the sha256 of its prompt.
+Call = tuple[Future, str]
+
 # A case-run's specialist calls in flight, by flag, until a step takes them.
-InFlight = dict[RedFlag, Future]
+InFlight = dict[RedFlag, Call]
 
 
 class Architecture(enum.Enum):
@@ -175,12 +179,14 @@ def _coordinate(
     return aggregate(state)
 
 
-def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Future:
-    """Submit one backend call to the call executor."""
-    return calls.submit(cfg.backend.complete, prompt, case_id=case_id, agent_role=role)
+def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Call:
+    """Submit one backend call to the call executor; the prompt's digest is taken while it
+    runs. A lone surrogate, which no UTF-8 text holds, is hashed as its surrogate code."""
+    future = calls.submit(cfg.backend.complete, prompt, case_id=case_id, agent_role=role)
+    return future, hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-def _specialist(calls: Executor, cfg: RunConfig, vignette: Vignette, flag: RedFlag) -> Future:
+def _specialist(calls: Executor, cfg: RunConfig, vignette: Vignette, flag: RedFlag) -> Call:
     """Render the flag's specialist prompt and submit its call."""
     prompt = cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette)
     return _call(calls, cfg, prompt, vignette.id, flag.value)
@@ -192,18 +198,21 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
     Under EXHAUSTIVE fan-out every specialist will be called, so right after the
     first orchestrator call each flag's call is sent into `sent`. An unusable output
     is re-prompted until ROUTE_ATTEMPTS calls are made; if it stays unusable, fall
-    back to all seven agents so no red flag is silently skipped.
+    back to all seven agents so no red flag is silently skipped. ROUTING records the
+    sha256 of the one prompt every attempt sends.
     """
     vignette = state.note
     prompt = cfg.prompts.orchestrator_prompt(vignette)
-    first = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
+    answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
     if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:  # after it: routing is on the critical path
         sent.update((flag, _specialist(calls, cfg, vignette, flag)) for flag in RedFlag)
     fallback = {}
     for attempt in range(1, ROUTE_ATTEMPTS + 1):
-        answer = first if attempt == 1 else _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
+        if attempt > 1:  # a re-prompt sends the same prompt
+            answer, _ = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
         if answer.exception() is not None:
-            wait(sent.values())  # fail after the calls sent with it: the next row's run follows
+            # fail after the calls sent with it: the next row's run follows
+            wait([future for future, _ in sent.values()])
         raw = answer.result()
         try:
             decision, warnings = parse_routing(raw, vignette)
@@ -231,24 +240,27 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         warnings=warnings,
         attempt=attempt,
         **fallback,
+        prompt_sha256=digest,
     )
 
 
 def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
                 flags: list[RedFlag], fanout_phase: bool) -> None:
-    """Take each flag's call from `sent` or send it, record the agents' starts, then
-    apply their calls' results through the serialized merge point.
+    """Take each flag's call from `sent` or send it, record the agents' starts, each with
+    its call's prompt digest, then apply their calls' results through the serialized
+    merge point.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
     """
-    futures = {flag: sent.pop(flag) if flag in sent else _specialist(calls, cfg, state.note, flag)
-               for flag in flags}
+    taken = {flag: sent.pop(flag) if flag in sent else _specialist(calls, cfg, state.note, flag)
+             for flag in flags}
     for flag in flags:
-        state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value)
+        state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value,
+                        prompt_sha256=taken[flag][1])
     for flag in flags:
         try:
-            verdict = parse_verdict(futures[flag].result(), flag)
+            verdict = parse_verdict(taken[flag][0].result(), flag)
         except DroppedToolCall as exc:
             if fanout_phase:
                 verdict = AgentVerdict(flag=flag, decision=Decision.ERROR, error_detail=str(exc))
@@ -281,18 +293,19 @@ def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFl
     """
     missing = canonical_order(set(RedFlag) - summarize(state.trace).verdicts.keys()
                               if cfg.fanout_mode is FanoutMode.EXHAUSTIVE else state.pending)
-    state.add_event(Stage.FANOUT, missing=[f.value for f in missing])
+    state.add_event(Stage.FANOUT, mode=cfg.fanout_mode.value, missing=[f.value for f in missing])
     state.pending.update(missing)
     _run_agents(state, cfg, calls, sent, missing, fanout_phase=True)
 
 
-def aggregate(state: GraphState, raw: Optional[str] = None) -> CaseResult:
-    """Step 4: fold the trace's verdicts into the case result; `raw` is the baseline's output."""
+def aggregate(state: GraphState, **baseline) -> CaseResult:
+    """Step 4: fold the trace's verdicts into the case result; `baseline` is the single-LLM
+    call's `raw` output and `prompt_sha256`."""
     if state.pending:
         raise PendingNotEmpty(sorted(f.value for f in state.pending))
     summary = summarize(state.trace)
-    extra = {} if raw is None else {"raw": raw}
-    state.add_event(Stage.AGGREGATE, **extra, predicted=sorted(f.value for f in summary.predicted),
+    state.add_event(Stage.AGGREGATE, **baseline,
+                    predicted=sorted(f.value for f in summary.predicted),
                     verdict_count=len(summary.verdicts))
     return CaseResult(state.note.id, summary.predicted, tuple(state.trace))
 
@@ -301,9 +314,10 @@ def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseR
     """Baseline path: one call classifies all seven red flags at once."""
     state = GraphState(note=vignette)
     prompt = cfg.prompts.baseline_prompt(cfg.strategy, vignette)
-    raw = _call(calls, cfg, prompt, vignette.id, ROLE_BASELINE).result()
+    answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_BASELINE)
+    raw = answer.result()
     verdicts = parse_baseline(raw)
     state.pending = set(RedFlag)
     for flag in canonical_order(verdicts):
         state.apply_verdict(verdicts[flag])
-    return aggregate(state, raw)
+    return aggregate(state, raw=raw, prompt_sha256=digest)

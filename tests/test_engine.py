@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import random
@@ -381,6 +382,79 @@ class TestSingleLlm:
         assert events(result, Stage.ROUTING) == []
         (agg,) = events(result, Stage.AGGREGATE)
         assert agg.payload["raw"] == raw
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class PromptRecorder:
+    """Wraps a backend and a prompt library: records each call's (role, prompt digest) and
+    counts the prompts rendered."""
+
+    def __init__(self, backend, prompts):
+        self.backend, self.prompts = backend, prompts
+        self.sent: list[tuple[str, str]] = []
+        self.rendered = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request, case_id: str = "", agent_role: str = "") -> str:
+        with self._lock:
+            self.sent.append((agent_role, sha256(request)))
+        return self.backend.complete(request, case_id=case_id, agent_role=agent_role)
+
+    def __getattr__(self, name):  # the prompt library's methods, counted
+        render = getattr(self.prompts, name)
+
+        def counted(*args, **kwargs):
+            with self._lock:
+                self.rendered += 1
+            return render(*args, **kwargs)
+        return counted
+
+
+class TestPromptDigests:
+    """Each call's prompt digest is on the event that stands for it: ROUTING for the
+    orchestrator (re-prompt included), AGENT_START for a specialist, AGGREGATE for the
+    single-LLM baseline."""
+
+    @pytest.mark.parametrize("mode", list(FanoutMode))
+    @pytest.mark.parametrize("routing", [ROUTE_TWO, "no json, twice: fallback"])
+    def test_every_start_carries_the_digest_of_its_call(self, prompts, mode, routing):
+        # temporal_arteritis drops once, so fan-out re-runs it when it is routed
+        entries = full_script("case-7", routing, faults={RedFlag.TEMPORAL_ARTERITIS: Fault.DROPPED})
+        recorder = PromptRecorder(ScriptedBackend(entries), prompts)
+        cfg = multi_config(recorder, recorder, fanout_mode=mode)
+        result = run_case(note(), cfg)
+        (routing_event,) = events(result, Stage.ROUTING)
+        digest = routing_event.payload["prompt_sha256"]
+        assert digest == sha256(prompts.orchestrator_prompt(note()))
+        orchestrator = [d for role, d in recorder.sent if role == "orchestrator"]
+        assert orchestrator == [digest] * (1 if routing == ROUTE_TWO else 2)
+        starts = [(e.subject.value, e.payload["prompt_sha256"])
+                  for e in events(result, Stage.AGENT_START)]
+        assert collections.Counter(starts) == collections.Counter(
+            call for call in recorder.sent if call[0] != "orchestrator")
+        for flag, digest in starts:
+            assert digest == sha256(prompts.specialist_prompt(
+                RedFlag(flag), PromptStrategy.GPROMPT, note()))
+        # one render per specialist call, and one routing prompt for both routing calls
+        assert recorder.rendered == len(recorder.sent) - len(orchestrator) + 1
+
+    @pytest.mark.parametrize("strategy", list(PromptStrategy))
+    def test_single_llm_aggregate_carries_the_baseline_digest(self, prompts, strategy):
+        backend = ScriptedBackend([ScriptEntry("case-7", "baseline", "thunderclap: NO")])
+        cfg = multi_config(backend, prompts, architecture=Architecture.SINGLE_LLM,
+                           strategy=strategy)
+        (agg,) = events(run_case(note(), cfg), Stage.AGGREGATE)
+        assert agg.payload["prompt_sha256"] == sha256(prompts.baseline_prompt(strategy, note()))
+
+    @pytest.mark.parametrize("mode", list(FanoutMode))
+    def test_fanout_records_its_mode(self, prompts, mode):
+        backend = ScriptedBackend(full_script("case-7", ROUTE_TWO))
+        result = run_case(note(), multi_config(backend, prompts, fanout_mode=mode))
+        (fanout,) = events(result, Stage.FANOUT)
+        assert fanout.payload["mode"] == mode.value
 
 
 class TestCoverageProperty:
