@@ -70,10 +70,9 @@ DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 # the head keeps the others busy, few enough that finished results do not pile up.
 CASES_AHEAD = 4
 
-# A backend call sent: its future and the sha256 of its prompt.
+# A case-run's specialist calls in flight, by flag, until a step takes them; a call sent is
+# its future and its prompt's sha256.
 Call = tuple[Future, str]
-
-# A case-run's specialist calls in flight, by flag, until a step takes them.
 InFlight = dict[RedFlag, Call]
 
 
@@ -180,8 +179,7 @@ def _coordinate(
 
 
 def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Call:
-    """Submit one backend call to the call executor; the prompt's digest is taken while it
-    runs. A lone surrogate, which no UTF-8 text holds, is hashed as its surrogate code."""
+    """Submit one backend call, then hash its prompt's UTF-8 (a lone surrogate included)."""
     future = calls.submit(cfg.backend.complete, prompt, case_id=case_id, agent_role=role)
     return future, hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
 
@@ -211,8 +209,7 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         if attempt > 1:  # a re-prompt sends the same prompt
             answer, _ = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
         if answer.exception() is not None:
-            # fail after the calls sent with it: the next row's run follows
-            wait([future for future, _ in sent.values()])
+            wait([future for future, _ in sent.values()])  # fail after the calls sent with it
         raw = answer.result()
         try:
             decision, warnings = parse_routing(raw, vignette)
@@ -246,9 +243,8 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
 
 def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
                 flags: list[RedFlag], fanout_phase: bool) -> None:
-    """Take each flag's call from `sent` or send it, record the agents' starts, each with
-    its call's prompt digest, then apply their calls' results through the serialized
-    merge point.
+    """Take each flag's call from `sent` or send it, record the agents' starts, then
+    apply their calls' results through the serialized merge point.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
@@ -298,14 +294,13 @@ def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFl
     _run_agents(state, cfg, calls, sent, missing, fanout_phase=True)
 
 
-def aggregate(state: GraphState, **baseline) -> CaseResult:
-    """Step 4: fold the trace's verdicts into the case result; `baseline` is the single-LLM
+def aggregate(state: GraphState, **call) -> CaseResult:
+    """Step 4: fold the trace's verdicts into the case result; `call` is the single-LLM
     call's `raw` output and `prompt_sha256`."""
     if state.pending:
         raise PendingNotEmpty(sorted(f.value for f in state.pending))
     summary = summarize(state.trace)
-    state.add_event(Stage.AGGREGATE, **baseline,
-                    predicted=sorted(f.value for f in summary.predicted),
+    state.add_event(Stage.AGGREGATE, **call, predicted=sorted(f.value for f in summary.predicted),
                     verdict_count=len(summary.verdicts))
     return CaseResult(state.note.id, summary.predicted, tuple(state.trace))
 

@@ -2,7 +2,9 @@
 
 Templates are external text files so guideline criteria can be edited without
 touching code. The packaged defaults live in prompt_templates/; any directory
-with the same layout can be loaded instead.
+with the same layout can be loaded instead. A flag's criteria, its `Definition:` and
+`Answer YES if` lines, are written once, in `<flag>/gprompt.txt`; a library fills them
+into the single-LLM GPrompt's `{{CRITERIA}}` placeholder when it is built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .domain import RedFlag, Vignette
 from .encoding import read_text_fallback
 
 PLACEHOLDER = "{{VIGNETTE}}"
+CRITERIA = "{{CRITERIA}}"
+CRITERIA_PREFIXES = ("Definition:", "Answer YES if")  # a flag's criteria lines, in order
 
 
 class TemplateMissing(FileNotFoundError):
@@ -38,6 +42,7 @@ def _specialist_path(flag: RedFlag, strategy: PromptStrategy) -> str:
 TEMPLATE_PATHS = ("orchestrator.txt",
                   *(_specialist_path(f, s) for f in RedFlag for s in PromptStrategy),
                   *(f"baseline/{s.value}.txt" for s in PromptStrategy))
+_BASELINE_GPROMPT = "baseline/gprompt.txt"
 
 
 class PromptLibrary:
@@ -45,12 +50,19 @@ class PromptLibrary:
 
     Maps each template's path, relative to the template directory, to its body. A set
     that lacks a path of TEMPLATE_PATHS cannot be built: TemplateMissing names it.
+    CRITERIA is filled in here, before any vignette, with a `### <flag>` block per flag.
     """
 
     def __init__(self, templates: dict[str, str]):
         if missing := [rel for rel in TEMPLATE_PATHS if rel not in templates]:
             raise TemplateMissing(missing[0])
-        self._templates = dict(templates)
+        blocks = []
+        for flag in RedFlag:
+            lines = templates[_specialist_path(flag, PromptStrategy.GPROMPT)].split("\n")
+            criteria = [line for p in CRITERIA_PREFIXES for line in lines if line.startswith(p)]
+            blocks.append("\n".join([f"### {flag.value}", *criteria]))
+        baseline = templates[_BASELINE_GPROMPT].replace(CRITERIA, "\n\n".join(blocks))
+        self._templates = {**templates, _BASELINE_GPROMPT: baseline}
 
     @classmethod
     def load(cls, directory) -> "PromptLibrary":
@@ -58,7 +70,7 @@ class PromptLibrary:
 
         Layout: orchestrator.txt, <flag>/{qprompt,gprompt}.txt for each of the
         seven flags, baseline/{qprompt,gprompt}.txt. Raises TemplateMissing for
-        absent files and TemplateInvalid for lint failures.
+        absent files and TemplateInvalid for lint failures, each naming its file.
         """
         directory = Path(directory)
         templates = {}
@@ -68,21 +80,25 @@ class PromptLibrary:
                 raise TemplateMissing(str(path))
             templates[rel] = read_text_fallback(path)
 
+        library = cls(templates)  # its vignette placeholders are counted with the criteria in
+        counts = {(rel, "vignette placeholders"): body.count(PLACEHOLDER)
+                  for rel, body in library._templates.items()}
+        counts[_BASELINE_GPROMPT, "criteria placeholders"] = (
+            templates[_BASELINE_GPROMPT].count(CRITERIA))
         problems = []
-        for rel, body in templates.items():
-            count = body.count(PLACEHOLDER)
-            if count != 1:
-                problems.append(f"{directory / rel}: {count} vignette placeholders (need exactly 1)")
         for flag in RedFlag:
-            q = templates[_specialist_path(flag, PromptStrategy.QPROMPT)]
-            g = templates[_specialist_path(flag, PromptStrategy.GPROMPT)]
-            if len(g) <= len(q):
+            rel = _specialist_path(flag, PromptStrategy.GPROMPT)
+            g = templates[rel]
+            if len(g) <= len(templates[_specialist_path(flag, PromptStrategy.QPROMPT)]):
                 problems.append(f"{flag.value}: gprompt is not longer than qprompt")
-            if "Definition" not in g:
-                problems.append(f"{flag.value}: gprompt lacks a Definition block")
+            for prefix in CRITERIA_PREFIXES:
+                counts[rel, f"lines starting {prefix!r}"] = sum(
+                    line.startswith(prefix) for line in g.split("\n"))
+        problems += [f"{directory / rel}: {count} {what} (need exactly 1)"
+                     for (rel, what), count in counts.items() if count != 1]
         if problems:
             raise TemplateInvalid("; ".join(problems))
-        return cls(templates)
+        return library
 
     @classmethod
     def default(cls) -> "PromptLibrary":

@@ -72,6 +72,11 @@ def classify_fixture_case(runner, tmp_path, case_id, *extra) -> dict:
     return json.loads(result.output)
 
 
+def append_line(path: Path, line: str) -> None:
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
 def copy_templates(tmp_path) -> Path:
     """A copy of the packaged prompt templates, to edit and pass as --prompt-dir."""
     path = tmp_path / "templates"
@@ -403,8 +408,16 @@ class TestEvaluate:
         (lambda t: shutil.copyfile(t / "thunderclap" / "gprompt.txt",
                                    t / "thunderclap" / "qprompt.txt"),
          "thunderclap: gprompt is not longer than qprompt"),
-    ], ids=["missing-template", "qprompt-as-long-as-gprompt"])
-    def test_bad_template_directory_exits_2(self, runner, tmp_path, edit, message):
+        (lambda t: (t / "baseline" / "gprompt.txt").write_text(
+            "Criteria: none.\n{{VIGNETTE}}\n", encoding="utf-8"),
+         "baseline/gprompt.txt: 0 criteria placeholders (need exactly 1)"),
+        (lambda t: append_line(t / "papilledema" / "gprompt.txt", "Answer YES if in doubt."),
+         "papilledema/gprompt.txt: 2 lines starting 'Answer YES if' (need exactly 1)"),
+    ], ids=["missing-template", "qprompt-as-long-as-gprompt", "no-criteria-placeholder",
+            "two-answer-lines"])
+    def test_bad_template_directory_exits_2(self, runner, tmp_path, monkeypatch, edit, message):
+        calls = []
+        monkeypatch.setattr(ScriptedBackend, "complete", lambda *args, **kw: calls.append(kw))
         templates = copy_templates(tmp_path)
         edit(templates)
         result = self._invoke(runner, tmp_path, "--prompt-dir", str(templates))
@@ -412,6 +425,7 @@ class TestEvaluate:
         assert "prompt templates: " in result.output
         assert message in result.output
         assert not (tmp_path / "out").exists()
+        assert calls == []
 
     def test_trace_name_collision_exits_2(self, runner, tmp_path):
         records = [

@@ -6,6 +6,8 @@ import pytest
 
 from redflagcds.domain import RedFlag, Vignette
 from redflagcds.prompts import (
+    CRITERIA,
+    CRITERIA_PREFIXES,
     PLACEHOLDER,
     TEMPLATE_PATHS,
     PromptLibrary,
@@ -106,15 +108,29 @@ class TestBaselinePrompts:
         rendered = prompts.baseline_prompt(PromptStrategy.GPROMPT, vignette)
         assert rendered.count("Definition:") == 7
 
-    @pytest.mark.parametrize("flag", list(RedFlag))
-    def test_gprompt_criteria_match_specialist_gprompt(self, flag):
+    def test_gprompt_template_holds_no_criteria_of_its_own(self):
         root = resources.files("redflagcds") / "prompt_templates"
-        specialist = (root / flag.value / "gprompt.txt").read_text(encoding="utf-8")
         baseline = (root / "baseline" / "gprompt.txt").read_text(encoding="utf-8")
-        section = baseline.split(f"### {flag.value}\n", 1)[1].split("\n\n", 1)[0]
-        for prefix in ("Definition:", "Answer YES if"):
-            (line,) = [l for l in specialist.splitlines() if l.startswith(prefix)]
-            assert line in section.splitlines(), (flag.value, prefix)
+        assert baseline.count(CRITERIA) == 1
+        assert not [line for line in baseline.splitlines() if line.startswith(CRITERIA_PREFIXES)]
+
+    def test_gprompt_criteria_are_each_specialist_gprompts_in_flag_order(self, prompts, vignette):
+        rendered = prompts.baseline_prompt(PromptStrategy.GPROMPT, vignette)
+        blocks = []
+        for flag in RedFlag:
+            specialist = prompts.specialist_prompt(flag, PromptStrategy.GPROMPT, vignette)
+            lines = [line for prefix in CRITERIA_PREFIXES
+                     for line in specialist.splitlines() if line.startswith(prefix)]
+            assert len(lines) == 2
+            blocks.append("\n".join([f"### {flag.value}", *lines]))
+        assert "Criteria:\n\n" + "\n\n".join(blocks) + "\n\nRely explicitly" in rendered
+
+    def test_a_vignette_holding_placeholders_is_sent_verbatim(self, prompts):
+        text = "Note with {{CRITERIA}} and {{VIGNETTE}} typed into it."
+        rendered = prompts.baseline_prompt(PromptStrategy.GPROMPT, Vignette(id="v", text=text))
+        assert rendered.endswith("Patient note:\n" + text + "\n")
+        assert rendered.count("### thunderclap") == 1
+        assert rendered.count(CRITERIA) == rendered.count(PLACEHOLDER) == 1
 
     @pytest.mark.parametrize("strategy", list(PromptStrategy))
     def test_fixed_answer_format_present(self, prompts, vignette, strategy):
@@ -156,6 +172,48 @@ class TestLibraryLoading:
         target.write_text(body, encoding="utf-8")
         with pytest.raises(TemplateInvalid, match="Definition"):
             PromptLibrary.load(dst)
+
+    def test_a_definition_edited_once_reaches_both_architectures(self, tmp_path, vignette):
+        dst = self._copy_default(tmp_path)
+        target = dst / "meningismus" / "gprompt.txt"
+        body = target.read_text(encoding="utf-8")
+        (old,) = [line for line in body.splitlines() if line.startswith("Definition:")]
+        new = "Definition: Meningismus is neck stiffness with pain on flexion."
+        target.write_text(body.replace(old, new), encoding="utf-8")
+        lib = PromptLibrary.load(dst)
+        specialist = lib.specialist_prompt(RedFlag.MENINGISMUS, PromptStrategy.GPROMPT, vignette)
+        baseline = lib.baseline_prompt(PromptStrategy.GPROMPT, vignette)
+        for rendered in (specialist, baseline):
+            assert new in rendered.splitlines()
+            assert old not in rendered
+        assert f"### meningismus\n{new}\nAnswer YES if" in baseline
+
+    @pytest.mark.parametrize("rel, edit, named, problem", [
+        ("baseline/gprompt.txt", lambda b: b.replace(CRITERIA, ""),
+         "baseline/gprompt.txt", "0 criteria placeholders"),
+        ("baseline/gprompt.txt", lambda b: b.replace(CRITERIA, CRITERIA * 2),
+         "baseline/gprompt.txt", "2 criteria placeholders"),
+        ("papilledema/gprompt.txt", lambda b: b.replace("\nDefinition:", "\nIn short:"),
+         "papilledema/gprompt.txt", "0 lines starting 'Definition:'"),
+        ("papilledema/gprompt.txt", lambda b: b + "Definition: a second one.\n",
+         "papilledema/gprompt.txt", "2 lines starting 'Definition:'"),
+        ("focal_deficits/gprompt.txt", lambda b: b.replace("\nAnswer YES if", "\nSay YES if"),
+         "focal_deficits/gprompt.txt", "0 lines starting 'Answer YES if'"),
+        ("focal_deficits/gprompt.txt", lambda b: b + "Answer YES if asked twice.\n",
+         "focal_deficits/gprompt.txt", "2 lines starting 'Answer YES if'"),
+        # the specialist still holds one placeholder; the baseline it fills in holds two
+        ("thunderclap/gprompt.txt",
+         lambda b: b.replace("\n{{VIGNETTE}}", "").replace("one hour.", "one hour. {{VIGNETTE}}", 1),
+         "baseline/gprompt.txt", "2 vignette placeholders"),
+    ], ids=["no-criteria-placeholder", "two-criteria-placeholders", "no-definition",
+            "two-definitions", "no-answer-line", "two-answer-lines", "vignette-in-a-criterion"])
+    def test_criteria_lint_names_the_file(self, tmp_path, rel, edit, named, problem):
+        dst = self._copy_default(tmp_path)
+        target = dst / rel
+        target.write_text(edit(target.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(TemplateInvalid) as raised:
+            PromptLibrary.load(dst)
+        assert f"{dst / named}: {problem} (need exactly 1)" in str(raised.value)
 
     def test_custom_directory_overrides_defaults(self, tmp_path, vignette):
         dst = self._copy_default(tmp_path)
