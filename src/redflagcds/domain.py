@@ -56,6 +56,11 @@ class Decision(enum.Enum):
     ERROR = "ERROR"
 
 
+class FanoutMode(enum.Enum):
+    ROUTED = "routed"
+    EXHAUSTIVE = "exhaustive"
+
+
 class Stage(enum.Enum):
     ROUTING = "ROUTING"
     AGENT_START = "AGENT_START"

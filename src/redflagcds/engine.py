@@ -40,6 +40,7 @@ from .domain import (
     AgentVerdict,
     CaseResult,
     Decision,
+    FanoutMode,
     GraphState,
     RedFlag,
     RoutingDecision,
@@ -79,11 +80,6 @@ InFlight = dict[RedFlag, Call]
 class Architecture(enum.Enum):
     MULTI_AGENT = "multi"
     SINGLE_LLM = "single"
-
-
-class FanoutMode(enum.Enum):
-    ROUTED = "routed"
-    EXHAUSTIVE = "exhaustive"
 
 
 @dataclass
@@ -285,7 +281,8 @@ def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFl
     Missing are the routed agents still pending (a dropped call leaves its agent
     pending) under ROUTED mode, or all seven but those with a verdict under EXHAUSTIVE
     mode. Their calls are taken from `sent` when step 1 sent them; only routed agents
-    whose call was dropped are called again. Always emits exactly one FANOUT event.
+    whose call was dropped are called again. Always emits exactly one FANOUT event, which
+    records the mode.
     """
     missing = canonical_order(set(RedFlag) - summarize(state.trace).verdicts.keys()
                               if cfg.fanout_mode is FanoutMode.EXHAUSTIVE else state.pending)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import RedFlag, Stage, TraceEvent, UnknownAgentName, parse_red_flag
+from .domain import FanoutMode, RedFlag, Stage, TraceEvent, UnknownAgentName, parse_red_flag
 from .encoding import BadRecord, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -90,6 +90,7 @@ class Summary:
     verdicts: dict = field(default_factory=dict)  # flag -> its AGENT_DONE or AGENT_ERROR payload
     started: list = field(default_factory=list)  # the flag of each AGENT_START, in order
     routed_starts: int = 0  # how many of `started` came before the FANOUT
+    decided_before_fanout: frozenset = frozenset()  # the flags with a verdict before the FANOUT
 
     @property
     def predicted(self) -> frozenset[RedFlag]:
@@ -109,6 +110,7 @@ def summarize(events: Iterable[TraceEvent]) -> Summary:
             summary.started.append(event.subject)
         elif event.stage is Stage.FANOUT:
             summary.fanout, summary.routed_starts = event.payload, len(summary.started)
+            summary.decided_before_fanout = frozenset(summary.verdicts)
     return summary
 
 
@@ -127,13 +129,18 @@ def _flags(names) -> Optional[set[RedFlag]]:
     return flags if len(flags) == len(names) else None
 
 
+_MODES = [mode.value for mode in FanoutMode]
+
+
 def _routing_problems(summary: Summary) -> list[str]:
-    """Check a multi-agent trace's ROUTING and FANOUT against the flags it started, by
-    what holds in both fan-out modes: the flags started before FANOUT are ROUTING's
-    `next`, each once; the flags started at all are `next` and FANOUT's `missing`; and a
-    ROUTING with `fallback` routes all seven red flags."""
+    """Check a multi-agent trace's ROUTING and FANOUT against the flags it started and
+    decided: the flags started before FANOUT are ROUTING's `next`, each once; the flags
+    started at all are `next` and FANOUT's `missing`; `missing` is the fan-out's targets
+    (`next` under routed fan-out, all seven red flags under exhaustive) less the flags
+    with a verdict before the FANOUT; and a ROUTING with `fallback` routes all seven."""
     routing, fanout = summary.routing, summary.fanout
     routed, missing = _flags(routing.get("next")), _flags(fanout.get("missing"))
+    mode = fanout.get("mode")
     problems = []
     if routed is None:
         problems.append(f"ROUTING next is not a list of distinct red flags: "
@@ -141,6 +148,8 @@ def _routing_problems(summary: Summary) -> list[str]:
     if missing is None:
         problems.append(f"FANOUT missing is not a list of distinct red flags: "
                         f"{fanout.get('missing')!r}")
+    if mode not in _MODES:
+        problems.append(f"FANOUT mode is not one of {_MODES}: {mode!r}")
     if problems:
         return problems
     before = summary.started[:summary.routed_starts]
@@ -151,6 +160,11 @@ def _routing_problems(summary: Summary) -> list[str]:
         problems.append(f"the flags started are not ROUTING's next and FANOUT's missing: "
                         f"started {_names(set(summary.started))}; "
                         f"next and missing {_names(routed | missing)}")
+    targets = routed if mode == FanoutMode.ROUTED.value else set(RedFlag)
+    if missing != targets - summary.decided_before_fanout:
+        problems.append(f"FANOUT missing is not what {mode} fan-out leaves: missing "
+                        f"{_names(missing)}; targets without a verdict before FANOUT "
+                        f"{_names(targets - summary.decided_before_fanout)}")
     if routing.get("fallback") and routed != set(RedFlag):
         problems.append(f"a ROUTING with fallback routes {_names(routed)}, not all seven red flags")
     return problems

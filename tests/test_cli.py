@@ -893,6 +893,55 @@ class TestReplay:
         assert result.exit_code == EXIT_INVARIANT
         assert f"invariant violation: {message}\n" in result.output
 
+    def _edited_fanout_trace(self, runner, tmp_path, fanout, edit):
+        """case19's multi-agent trace under `fanout` fan-out, its events passed to `edit`
+        and renumbered; `replay --verify` must exit 4, and its invariant lines are returned."""
+        printed = classify_fixture_case(runner, tmp_path, "case19", "--fanout", fanout)
+        trace = Path(printed["trace_file"])
+        assert runner.invoke(cli, ["replay", str(trace), "--verify"]).exit_code == EXIT_OK
+        events = edit([json.loads(l) for l in trace.read_text(encoding="utf-8").splitlines()])
+        for sequence, event in enumerate(events, start=1):
+            event["sequence"] = sequence
+        write_jsonl(trace, events)
+        result = runner.invoke(cli, ["replay", str(trace), "--verify"])
+        assert result.exit_code == EXIT_INVARIANT, result.output
+        return [line for line in result.output.splitlines() if "invariant" in line]
+
+    def test_verify_rejects_routed_fanout_of_an_unrouted_flag(self, runner, tmp_path):
+        """Routed fan-out re-runs only routed flags: a FANOUT that names the unrouted
+        papilledema, with its start and a NO verdict, breaks the one FANOUT rule alone."""
+        def edit(events):
+            routing, start, warning, fanout, rerun, done, aggregate = events
+            assert fanout["payload"] == {"mode": "routed", "missing": ["meningismus"]}
+            fanout["payload"]["missing"].append("papilledema")
+            aggregate["payload"]["verdict_count"] = 2
+            extra_start = dict(rerun, subject="papilledema")
+            extra_done = dict(done, subject="papilledema",
+                              payload=dict(done["payload"], decision="NO"))
+            return [routing, start, warning, fanout, rerun, extra_start, done, extra_done,
+                    aggregate]
+
+        assert self._edited_fanout_trace(runner, tmp_path, "routed", edit) == [
+            "invariant violation: FANOUT missing is not what routed fan-out leaves: missing "
+            "meningismus, papilledema; targets without a verdict before FANOUT meningismus"]
+
+    def test_verify_rejects_exhaustive_fanout_that_leaves_out_a_flag(self, runner, tmp_path):
+        """Exhaustive fan-out runs every flag without a verdict: a FANOUT that leaves out
+        thunderclap, with its start and verdict gone, breaks the one FANOUT rule alone."""
+        def edit(events):
+            (fanout,) = [e for e in events if e["stage"] == "FANOUT"]
+            assert fanout["payload"]["mode"] == "exhaustive"
+            fanout["payload"]["missing"].remove("thunderclap")
+            events[-1]["payload"]["verdict_count"] -= 1
+            return [e for e in events if e["subject"] != "thunderclap"]
+
+        assert self._edited_fanout_trace(runner, tmp_path, "exhaustive", edit) == [
+            "invariant violation: FANOUT missing is not what exhaustive fan-out leaves: missing "
+            "first_worst_headache, focal_deficits, meningismus, papilledema, systemic_illness, "
+            "temporal_arteritis; targets without a verdict before FANOUT first_worst_headache, "
+            "focal_deficits, meningismus, papilledema, systemic_illness, temporal_arteritis, "
+            "thunderclap"]
+
     @pytest.mark.parametrize("arch, stage, edit, message", [
         ("multi", "AGENT_DONE", lambda e: e["payload"].pop("decision"),
          "AGENT_DONE of meningismus has decision None and error_detail None"),
@@ -905,11 +954,16 @@ class TestReplay:
          "ROUTING next is not a list of distinct red flags: None"),
         ("multi", "FANOUT", lambda e: e["payload"].update(missing="meningismus"),
          "FANOUT missing is not a list of distinct red flags: 'meningismus'"),
+        ("multi", "FANOUT", lambda e: e["payload"].pop("mode"),
+         "FANOUT mode is not one of ['routed', 'exhaustive']: None"),
+        ("multi", "FANOUT", lambda e: e["payload"].update(mode="ROUTED"),
+         "FANOUT mode is not one of ['routed', 'exhaustive']: 'ROUTED'"),
         ("multi", "ROUTING", lambda e: e["payload"].update(next=["meningismus"] * 2),
          "ROUTING next is not a list of distinct red flags: ['meningismus', 'meningismus']"),
     ], ids=["verdict-without-decision", "verdict-without-subject",
             "single-llm-verdict-without-subject", "routing-without-next",
-            "missing-not-a-list", "next-repeats-a-flag"])
+            "missing-not-a-list", "fanout-without-mode", "fanout-mode-misspelt",
+            "next-repeats-a-flag"])
     def test_verify_reports_an_event_without_what_the_fold_reads(
         self, runner, tmp_path, arch, stage, edit, message
     ):

@@ -203,7 +203,7 @@ class TestLibraryLoading:
          "focal_deficits/gprompt.txt", "2 lines starting 'Answer YES if'"),
         # the specialist still holds one placeholder; the baseline it fills in holds two
         ("thunderclap/gprompt.txt",
-         lambda b: b.replace("\n{{VIGNETTE}}", "").replace("one hour.", "one hour. {{VIGNETTE}}", 1),
+         lambda b: b.replace("\n{{VIGNETTE}}", "").replace("hour.", "hour. {{VIGNETTE}}", 1),
          "baseline/gprompt.txt", "2 vignette placeholders"),
     ], ids=["no-criteria-placeholder", "two-criteria-placeholders", "no-definition",
             "two-definitions", "no-answer-line", "two-answer-lines", "vignette-in-a-criterion"])

@@ -13,23 +13,24 @@ def event(sequence, stage, subject=None, **payload):
 
 def test_summarize_folds_routing_verdicts_starts_and_fanout():
     events = [
-        event(1, Stage.ROUTING, next=["meningismus"], why="w", evidence=[]),
+        event(1, Stage.ROUTING, next=["meningismus", "papilledema"], why="w", evidence=[]),
         event(2, Stage.AGENT_START, RedFlag.MENINGISMUS),
-        event(3, Stage.WARNING, RedFlag.MENINGISMUS, message="tool call dropped"),
-        event(4, Stage.FANOUT, missing=["meningismus", "papilledema"]),
-        event(5, Stage.AGENT_START, RedFlag.MENINGISMUS),
-        event(6, Stage.AGENT_START, RedFlag.PAPILLEDEMA),
-        event(7, Stage.AGENT_DONE, RedFlag.MENINGISMUS, decision="YES"),
-        event(8, Stage.AGENT_ERROR, RedFlag.PAPILLEDEMA, decision="ERROR", error_detail="x"),
+        event(3, Stage.AGENT_START, RedFlag.PAPILLEDEMA),
+        event(4, Stage.WARNING, RedFlag.MENINGISMUS, message="tool call dropped"),
+        event(5, Stage.AGENT_ERROR, RedFlag.PAPILLEDEMA, decision="ERROR", error_detail="x"),
+        event(6, Stage.FANOUT, mode="routed", missing=["meningismus"]),
+        event(7, Stage.AGENT_START, RedFlag.MENINGISMUS),
+        event(8, Stage.AGENT_DONE, RedFlag.MENINGISMUS, decision="YES"),
         event(9, Stage.AGGREGATE, predicted=["meningismus"], verdict_count=2),
     ]
     summary = summarize(events)
     assert summary.routing == events[0].payload
-    assert summary.fanout == events[3].payload
-    assert summary.verdicts == {RedFlag.MENINGISMUS: events[6].payload,
-                                RedFlag.PAPILLEDEMA: events[7].payload}
-    assert summary.started == [RedFlag.MENINGISMUS, RedFlag.MENINGISMUS, RedFlag.PAPILLEDEMA]
-    assert summary.routed_starts == 1
+    assert summary.fanout == events[5].payload
+    assert summary.verdicts == {RedFlag.MENINGISMUS: events[7].payload,
+                                RedFlag.PAPILLEDEMA: events[4].payload}
+    assert summary.started == [RedFlag.MENINGISMUS, RedFlag.PAPILLEDEMA, RedFlag.MENINGISMUS]
+    assert summary.routed_starts == 2
+    assert summary.decided_before_fanout == {RedFlag.PAPILLEDEMA}
     assert summary.predicted == {RedFlag.MENINGISMUS}
     assert verify_trace(events) == []
 
@@ -54,12 +55,12 @@ def test_untimed_drops_only_wall_time():
 
 _values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=12)
-    | st.sampled_from([f.value for f in RedFlag] + ["YES", "NO", "ERROR"]),
+    | st.sampled_from([f.value for f in RedFlag] + ["YES", "NO", "ERROR", "routed", "exhaustive"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=4,
 )
-_keys = st.sampled_from(["decision", "error_detail", "next", "missing", "fallback",
+_keys = st.sampled_from(["decision", "error_detail", "next", "missing", "mode", "fallback",
                          "predicted", "verdict_count", "why"])
 _events = st.lists(st.builds(
     TraceEvent,
