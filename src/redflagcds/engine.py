@@ -205,7 +205,8 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         if attempt > 1:  # a re-prompt sends the same prompt
             answer, _ = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
         if answer.exception() is not None:
-            wait([future for future, _ in sent.values()])  # fail after the calls sent with it
+            # fail after the calls sent with it: the next row's run follows
+            wait([future for future, _ in sent.values()])
         raw = answer.result()
         try:
             decision, warnings = parse_routing(raw, vignette)
