@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from .domain import EmptyVignette, Stage, Vignette
-from .encoding import BadRecord, read_text_fallback
+from .encoding import BadRecord, parse_json, read_text_fallback
 from .engine import DEFAULT_CONCURRENCY, Architecture, FanoutMode, RunConfig, run_case
 from .evaluation import APPROACH_ORDER, RunReport, load_dataset, run_experiment
 from .gateway import (
@@ -69,7 +69,7 @@ def _load_config_file(ctx, _param, path):
     if not path:
         return
     try:
-        file_cfg = json.loads(read_text_fallback(path))
+        file_cfg = parse_json(read_text_fallback(path))
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(file_cfg, dict):
@@ -289,20 +289,25 @@ def replay(trace_path, verify):
 
 
 def _summarize_payload(event) -> str:
+    """An event's fields in the listing; an event that records its prompt's sha256 (ROUTING,
+    AGENT_START and a single-LLM AGGREGATE) ends with its first 12 hex digits."""
     payload = event.payload
-    if event.stage is Stage.ROUTING:
-        return f"next={payload.get('next')} warnings={len(payload.get('warnings') or [])}"
-    if event.stage is Stage.FANOUT:
-        return f"missing={payload.get('missing')}"
-    if event.stage in (Stage.AGENT_DONE, Stage.AGENT_ERROR):
-        detail = payload.get("error_detail")
-        base = f"decision={payload.get('decision')}"
-        return f"{base} error={detail}" if detail else base
-    if event.stage is Stage.AGGREGATE:
-        return f"predicted={payload.get('predicted')}"
     if event.stage is Stage.WARNING:
         return str(payload.get("message", ""))[:100]
-    return ""
+    fields = []
+    if event.stage is Stage.ROUTING:
+        fields += [f"next={payload.get('next')}", f"warnings={len(payload.get('warnings') or [])}"]
+    elif event.stage is Stage.FANOUT:
+        fields += [f"mode={payload.get('mode')}", f"missing={payload.get('missing')}"]
+    elif event.stage in (Stage.AGENT_DONE, Stage.AGENT_ERROR):
+        fields.append(f"decision={payload.get('decision')}")
+        if payload.get("error_detail"):
+            fields.append(f"error={payload['error_detail']}")
+    elif event.stage is Stage.AGGREGATE:
+        fields.append(f"predicted={payload.get('predicted')}")
+    if "prompt_sha256" in payload:
+        fields.append(f"prompt_sha256={str(payload['prompt_sha256'])[:12]}")
+    return " ".join(fields)
 
 
 def main():

@@ -1,4 +1,5 @@
-"""Reading input files: the character-encoding fallback chain and the JSON Lines format."""
+"""Reading input files: the character-encoding fallback chain, JSON nested too deep, and
+the JSON Lines format."""
 
 from __future__ import annotations
 
@@ -26,6 +27,15 @@ def read_text_fallback(path) -> str:
         return data.decode("latin-1")
 
 
+def parse_json(text):
+    """`json.loads`, but JSON nested past the recursion limit raises the JSONDecodeError of
+    any other invalid JSON, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deep", "", 0) from None
+
+
 def read_jsonl(path, required=()) -> Iterator[tuple[int, dict]]:
     r"""Yield (line number, record) for each non-blank line of a JSON Lines file.
 
@@ -38,7 +48,7 @@ def read_jsonl(path, required=()) -> Iterator[tuple[int, dict]]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = parse_json(line)
         except json.JSONDecodeError as exc:
             raise BadRecord(lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):

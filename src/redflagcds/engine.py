@@ -16,20 +16,22 @@ whatever order the calls finish in.
 
 `run_case` runs one case-run's steps on its caller's thread, with no coordinator
 thread, and sends its backend calls to one call executor of its own with
-`concurrency` workers. It returns once every call has been read, without waiting
-for the idle workers to exit.
+`concurrency` workers. It returns or raises once every call it sent has ended,
+without waiting for the idle workers to exit.
 
-A case-run's steps share one map of the specialist calls in flight. Under EXHAUSTIVE
-fan-out, step 1 sends all seven right after the first orchestrator call; steps 2 and
-3 take their flags' calls from the map and send the rest, so only the re-runs of
-dropped routed calls wait for step 2. Events are still written in step order.
+A case-run's steps share one map of the specialist calls sent and not yet read. Under
+EXHAUSTIVE fan-out, step 1 sends all seven right after the first orchestrator call;
+steps 2 and 3 send the calls of their flags not in the map, and a call leaves the map
+as it is read, so only the re-runs of dropped routed calls wait for step 2. Events are
+still written in step order. A case-run ends after every call it sent, in one place:
+when a step raises, `_coordinate` waits for the calls left in the map before the
+exception goes on, so the case's next row never overlaps them.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import logging
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -53,8 +55,6 @@ from .prompts import PromptLibrary, PromptStrategy
 from .recovery import NoJsonFound, SchemaUnusable, parse_baseline, parse_routing, parse_verdict
 from .trace import summarize
 
-logger = logging.getLogger(__name__)
-
 
 class PendingNotEmpty(RuntimeError):
     """Aggregation reached with agents still pending; an engine bug, not an agent failure."""
@@ -71,8 +71,8 @@ DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 # the head keeps the others busy, few enough that finished results do not pile up.
 CASES_AHEAD = 4
 
-# A case-run's specialist calls in flight, by flag, until a step takes them; a call sent is
-# its future and its prompt's sha256.
+# A case-run's specialist calls sent and not yet read, by flag; a call sent is its future
+# and its prompt's sha256.
 Call = tuple[Future, str]
 InFlight = dict[RedFlag, Call]
 
@@ -145,33 +145,34 @@ def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
     """Run one case end to end on the caller's thread, with no coordinator thread; its
     backend calls go to one call executor with `cfg.concurrency` workers. Agent-level
     failures never raise; they become ERROR verdicts. A case-level failure raises once
-    the calls it sent have ended."""
+    the calls it sent have ended, which `_coordinate` sees to."""
     calls = ThreadPoolExecutor(max_workers=cfg.concurrency, thread_name_prefix="redflagcds-call")
     try:
-        result = _coordinate(vignette, cfg, calls, None)
-    except BaseException:
-        calls.shutdown()
-        raise
-    # every call has been taken and read, so the idle workers can exit on their own
-    calls.shutdown(wait=False)
-    return result
+        return _coordinate(vignette, cfg, calls, None)
+    finally:  # every call has ended, so the idle workers can exit on their own
+        calls.shutdown(wait=False)
 
 
 def _coordinate(
     vignette: Vignette, cfg: RunConfig, calls: Executor, after: Optional[Future]
 ) -> CaseResult:
     """One case-run's steps, in order, once the case's run `after` has ended; its backend
-    calls go to `calls`."""
+    calls go to `calls`. It ends after every call it sent: a step that raises leaves the
+    specialist calls in `sent`, which are waited for before the exception goes on."""
     if after is not None:
         wait([after])
     if cfg.architecture is Architecture.SINGLE_LLM:
         return run_single_llm(vignette, cfg, calls)
     state = GraphState(note=vignette)
     sent: InFlight = {}
-    route(state, cfg, calls, sent)
-    execute_specialists(state, cfg, calls, sent)
-    manual_fanout(state, cfg, calls, sent)
-    return aggregate(state)
+    try:
+        route(state, cfg, calls, sent)
+        execute_specialists(state, cfg, calls, sent)
+        manual_fanout(state, cfg, calls, sent)
+        return aggregate(state)
+    except BaseException:
+        wait([future for future, _ in sent.values()])  # the case's next row follows them
+        raise
 
 
 def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Call:
@@ -204,9 +205,6 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
     for attempt in range(1, ROUTE_ATTEMPTS + 1):
         if attempt > 1:  # a re-prompt sends the same prompt
             answer, _ = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
-        if answer.exception() is not None:
-            # fail after the calls sent with it: the next row's run follows
-            wait([future for future, _ in sent.values()])
         raw = answer.result()
         try:
             decision, warnings = parse_routing(raw, vignette)
@@ -240,20 +238,22 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
 
 def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
                 flags: list[RedFlag], fanout_phase: bool) -> None:
-    """Take each flag's call from `sent` or send it, record the agents' starts, then
-    apply their calls' results through the serialized merge point.
+    """Send into `sent` each flag's call that step 1 did not, record the agents' starts,
+    then read their calls, each leaving `sent` as it is read, and apply their results
+    through the serialized merge point.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
     """
-    taken = {flag: sent.pop(flag) if flag in sent else _specialist(calls, cfg, state.note, flag)
-             for flag in flags}
+    sent.update((flag, _specialist(calls, cfg, state.note, flag))
+                for flag in flags if flag not in sent)
     for flag in flags:
         state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value,
-                        prompt_sha256=taken[flag][1])
+                        prompt_sha256=sent[flag][1])
     for flag in flags:
+        future, _ = sent.pop(flag)
         try:
-            verdict = parse_verdict(taken[flag][0].result(), flag)
+            verdict = parse_verdict(future.result(), flag)
         except DroppedToolCall as exc:
             if fanout_phase:
                 verdict = AgentVerdict(flag=flag, decision=Decision.ERROR, error_detail=str(exc))

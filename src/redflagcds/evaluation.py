@@ -135,6 +135,12 @@ CONVENTION_FOOTNOTES = (
     "Macro values are arithmetic means of per-case metrics, each case weighted equally.",
 )
 
+# report.csv's columns, in order, and the header of each column the table shows
+CSV_COLUMNS = ("model", "approach", "architecture", "strategy", "precision", "recall", "f1",
+               "cases", "error_cases")
+TABLE_HEADERS = {"model": "LLM", "approach": "Approach", "precision": "Precision",
+                 "recall": "Recall", "f1": "F1 Score"}
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -151,23 +157,22 @@ class ReportRow:
     def approach(self) -> str:
         return APPROACH_LABELS[(self.architecture, self.strategy)]
 
+    def cells(self) -> dict[str, str]:
+        """The row's cell in each of CSV_COLUMNS, as report.csv and the table write it."""
+        return dict(zip(CSV_COLUMNS, (
+            self.model, self.approach, self.architecture.value, self.strategy.value,
+            f"{self.precision:.3f}", f"{self.recall:.3f}", f"{self.f1:.3f}",
+            str(self.case_count), str(self.error_case_count))))
+
 
 @dataclass
 class RunReport:
     rows: list[ReportRow]
 
     def render_table(self) -> str:
-        headers = ["LLM", "Approach", "Precision", "Recall", "F1 Score"]
-        body = [
-            [
-                row.model,
-                row.approach,
-                f"{row.precision:.3f}",
-                f"{row.recall:.3f}",
-                f"{row.f1:.3f}",
-            ]
-            for row in self.rows
-        ]
+        headers = list(TABLE_HEADERS.values())
+        rows = [row.cells() for row in self.rows]
+        body = [[cells[column] for column in TABLE_HEADERS] for cells in rows]
         widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
                   for i, h in enumerate(headers)]
         lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
@@ -186,25 +191,9 @@ class RunReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["model", "approach", "architecture", "strategy",
-             "precision", "recall", "f1", "cases", "error_cases"]
-        )
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.model,
-                    row.approach,
-                    row.architecture.value,
-                    row.strategy.value,
-                    f"{row.precision:.3f}",
-                    f"{row.recall:.3f}",
-                    f"{row.f1:.3f}",
-                    row.case_count,
-                    row.error_case_count,
-                ]
-            )
+        writer = csv.DictWriter(buf, CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(row.cells() for row in self.rows)
         return buf.getvalue()
 
     @classmethod

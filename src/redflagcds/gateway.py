@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 from urllib.parse import urlsplit
 
-from .encoding import BadRecord, read_jsonl
+from .encoding import BadRecord, parse_json, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -195,7 +195,7 @@ class HttpBackend:
         if status >= 400:
             raise BadResponse(f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}")
         try:
-            content = json.loads(data)["choices"][0]["message"]["content"]
+            content = parse_json(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BadResponse(f"response lacks an assistant message: {exc}") from exc
         if not isinstance(content, str):

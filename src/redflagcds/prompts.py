@@ -88,9 +88,10 @@ class PromptLibrary:
         problems = []
         for flag in RedFlag:
             rel = _specialist_path(flag, PromptStrategy.GPROMPT)
+            q_rel = _specialist_path(flag, PromptStrategy.QPROMPT)
             g = templates[rel]
-            if len(g) <= len(templates[_specialist_path(flag, PromptStrategy.QPROMPT)]):
-                problems.append(f"{flag.value}: gprompt is not longer than qprompt")
+            if len(g) <= len(templates[q_rel]):
+                problems.append(f"{directory / rel}: not longer than {directory / q_rel}")
             for prefix in CRITERIA_PREFIXES:
                 counts[rel, f"lines starting {prefix!r}"] = sum(
                     line.startswith(prefix) for line in g.split("\n"))

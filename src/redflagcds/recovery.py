@@ -23,6 +23,7 @@ from .domain import (
     Vignette,
     parse_red_flag,
 )
+from .encoding import parse_json
 
 
 class NoJsonFound(ValueError):
@@ -111,7 +112,7 @@ def extract_json(raw: str) -> RecoveryOutcome:
     stripped = raw.strip()
     if stripped:
         try:
-            return RecoveryOutcome(json.loads(stripped), Strategy.STRICT)
+            return RecoveryOutcome(parse_json(stripped), Strategy.STRICT)
         except json.JSONDecodeError:
             pass
 
@@ -120,7 +121,7 @@ def extract_json(raw: str) -> RecoveryOutcome:
         if not inner:
             continue
         try:
-            return RecoveryOutcome(json.loads(inner), Strategy.FENCED_BLOCK)
+            return RecoveryOutcome(parse_json(inner), Strategy.FENCED_BLOCK)
         except json.JSONDecodeError:
             continue
 
@@ -131,14 +132,14 @@ def extract_json(raw: str) -> RecoveryOutcome:
         if end is not None:
             span_text = raw[pos:end]
             try:
-                return RecoveryOutcome(json.loads(span_text), Strategy.BRACE_SPAN)
+                return RecoveryOutcome(parse_json(span_text), Strategy.BRACE_SPAN)
             except json.JSONDecodeError:
                 candidates.append(span_text)
         pos = raw.find("{", pos + 1)
 
     for span_text in candidates:
         try:
-            return RecoveryOutcome(json.loads(repair_json_text(span_text)), Strategy.REPAIRED)
+            return RecoveryOutcome(parse_json(repair_json_text(span_text)), Strategy.REPAIRED)
         except json.JSONDecodeError:
             continue
 
@@ -225,6 +226,14 @@ _QUOTED_RE = re.compile(r'"([^"]+)"')
 _LEADING_PUNCT = " \t\r\n.,:;!—–-"
 
 
+def _verdict(flag: RedFlag, word: str, rationale: str, raw: str) -> AgentVerdict:
+    """The verdict a YES/NO word decides, with the rationale's double-quoted spans as
+    its evidence."""
+    decision = Decision.YES if word.lower() == "yes" else Decision.NO
+    evidence = _QUOTED_RE.findall(rationale)
+    return AgentVerdict(flag=flag, decision=decision, rationale=rationale, evidence=evidence, raw=raw)
+
+
 def parse_verdict(raw: str, flag: RedFlag) -> AgentVerdict:
     """Turn raw specialist output into a verdict. Total: never raises.
 
@@ -240,10 +249,8 @@ def parse_verdict(raw: str, flag: RedFlag) -> AgentVerdict:
             raw=raw,
             error_detail="no YES/NO token",
         )
-    decision = Decision.YES if m.group(1).lower() == "yes" else Decision.NO
     rationale = raw[m.end():].lstrip(_LEADING_PUNCT).rstrip()
-    evidence = _QUOTED_RE.findall(rationale)
-    return AgentVerdict(flag=flag, decision=decision, rationale=rationale, evidence=evidence, raw=raw)
+    return _verdict(flag, m.group(1), rationale, raw)
 
 
 _BASELINE_LINE_RE = re.compile(
@@ -268,15 +275,7 @@ def parse_baseline(raw: str) -> dict[RedFlag, AgentVerdict]:
             continue
         if flag in verdicts:
             continue
-        decision = Decision.YES if m.group(2).lower() == "yes" else Decision.NO
-        rationale = m.group(3).strip()
-        verdicts[flag] = AgentVerdict(
-            flag=flag,
-            decision=decision,
-            rationale=rationale,
-            evidence=_QUOTED_RE.findall(rationale),
-            raw=line,
-        )
+        verdicts[flag] = _verdict(flag, m.group(2), m.group(3).strip(), line)
     for flag in RedFlag:
         if flag not in verdicts:
             verdicts[flag] = AgentVerdict(

@@ -187,6 +187,8 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
     AGGREGATE's `predicted` and `verdict_count` are what the verdicts by flag add
     up to.
     """
+    if not events:  # what a failed case-run leaves
+        return ["the trace has no events"]
     summary = summarize(events)
     counts = dict.fromkeys(Stage, 0)
     verdicts: Counter = Counter()  # flag -> its AGENT_DONE and AGENT_ERROR events

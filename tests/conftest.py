@@ -168,11 +168,12 @@ class _CountingStub(ThreadingHTTPServer):
     POST waits `delay` seconds, then takes the next (status, body) from `replies`, or
     answers "NO." once they run out. With `close_idle`, it closes every connection after
     one answer without saying so, as a server ending an idle keep-alive connection does;
-    `closed` is set once it has."""
+    `closed` is set once it has. With `say_close`, every answer says `Connection: close`,
+    and the connection closes after it."""
 
     daemon_threads = True
 
-    def __init__(self, replies=(), delay=0.01, close_idle=False):
+    def __init__(self, replies=(), delay=0.01, close_idle=False, say_close=False):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.connections = 0
         self.gets: list[str] = []
@@ -180,6 +181,7 @@ class _CountingStub(ThreadingHTTPServer):
         self.replies = list(replies)
         self.delay = delay
         self.close_idle = close_idle
+        self.say_close = say_close
         self.closed = threading.Event()
         self.lock = threading.Lock()
 
@@ -218,6 +220,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     def _send(self, status, body):
         self.send_response(status)
         self.send_header("Content-Length", str(len(body)))
+        if self.server.say_close:
+            self.send_header("Connection", "close")  # closes the connection after this answer
         self.end_headers()
         self.wfile.write(body)
         if self.server.close_idle:

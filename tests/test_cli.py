@@ -173,6 +173,18 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_BACKEND
 
+    def test_orchestrator_reply_nested_too_deep_is_reprompted_then_falls_back(
+        self, runner, note_path, tmp_path
+    ):
+        script = write_script_file(tmp_path / "s.jsonl", full_script("case-7", "[" * 100_000))
+        result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
+        assert result.exit_code == EXIT_OK, result.output
+        printed = json.loads(result.output)
+        assert printed["routing"]["next"] == [flag.value for flag in RedFlag]
+        assert len(printed["verdicts"]) == len(RedFlag)
+        routing = summarize(read_trace(printed["trace_file"])).routing
+        assert (routing["attempt"], routing["fallback"]) == (2, True)
+
     @pytest.mark.parametrize("case_id, problem", [
         ("x" * 250, "id is too long for a trace file name"), (" ", "id is empty"),
         ("\ud800", "id cannot be encoded as a file name"),
@@ -336,6 +348,18 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
         assert "line 2" in result.output
 
+    def test_dataset_line_nested_too_deep_exits_2(self, runner, tmp_path):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        result = runner.invoke(
+            cli,
+            ["evaluate", "--dataset", str(deep),
+             "--script", str(FIXTURES_DIR / "script.jsonl"),
+             "--out", str(tmp_path / "out")],
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "bad dataset: line 1: invalid JSON: nested too deep" in result.output
+
     @pytest.mark.parametrize("flag, shown", [("migraine", "'migraine'"), (7, "7")])
     def test_unknown_red_flag_exits_2_naming_its_line(self, runner, tmp_path, flag, shown):
         dataset = write_jsonl(tmp_path / "d.jsonl", [{"id": "a", "text": "x", "red_flags": [flag]}])
@@ -407,7 +431,7 @@ class TestEvaluate:
         (lambda t: (t / "orchestrator.txt").unlink(), "orchestrator.txt"),
         (lambda t: shutil.copyfile(t / "thunderclap" / "gprompt.txt",
                                    t / "thunderclap" / "qprompt.txt"),
-         "thunderclap: gprompt is not longer than qprompt"),
+         "{dir}/thunderclap/gprompt.txt: not longer than {dir}/thunderclap/qprompt.txt"),
         (lambda t: (t / "baseline" / "gprompt.txt").write_text(
             "Criteria: none.\n{{VIGNETTE}}\n", encoding="utf-8"),
          "baseline/gprompt.txt: 0 criteria placeholders (need exactly 1)"),
@@ -423,7 +447,7 @@ class TestEvaluate:
         result = self._invoke(runner, tmp_path, "--prompt-dir", str(templates))
         assert result.exit_code == EXIT_USAGE, result.output
         assert "prompt templates: " in result.output
-        assert message in result.output
+        assert message.format(dir=templates) in result.output
         assert not (tmp_path / "out").exists()
         assert calls == []
 
@@ -463,6 +487,18 @@ class TestEvaluate:
         assert result.exit_code == EXIT_USAGE
         assert "cannot write traces:" in result.output
         assert "Traceback" not in result.output
+
+    def test_a_trace_write_failing_mid_run_exits_2(self, runner, tmp_path):
+        # the last row's trace directory is a regular file, so the run fails after the
+        # other three rows have written their traces, and writes no report
+        blocker = tmp_path / "out" / "traces" / "scripted_multi_gprompt"
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("a regular file", encoding="utf-8")
+        result = self._invoke(runner, tmp_path)
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "cannot write traces:" in result.output
+        assert len(list((blocker.parent / "scripted_multi_qprompt").iterdir())) == 22
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_unwritable_report_exits_2(self, runner, tmp_path, monkeypatch):
         calls = []
@@ -738,6 +774,29 @@ class TestReplay:
         assert "ROUTING" in result.output
         assert "AGGREGATE" in result.output
 
+    def test_lists_what_verify_checks(self, runner, tmp_path):
+        """case19's routed trace: FANOUT shows its mode, and each event that records its
+        prompt's sha256 shows its first 12 hex digits, as the single-LLM AGGREGATE does."""
+        printed = classify_fixture_case(runner, tmp_path, "case19")
+        result = runner.invoke(cli, ["replay", printed["trace_file"]])
+        assert result.exit_code == EXIT_OK, result.output
+        assert result.output.splitlines() == [
+            "   1  ROUTING      -                      next=['meningismus'] warnings=0 "
+            "prompt_sha256=76177ca553b7",
+            "   2  AGENT_START  meningismus            prompt_sha256=9d215ab8d42f",
+            "   3  WARNING      meningismus            tool call dropped: scripted drop of first "
+            "call for ('case19', 'meningismus')",
+            "   4  FANOUT       -                      mode=routed missing=['meningismus']",
+            "   5  AGENT_START  meningismus            prompt_sha256=9d215ab8d42f",
+            "   6  AGENT_DONE   meningismus            decision=YES",
+            "   7  AGGREGATE    -                      predicted=['meningismus']",
+        ]
+        printed = classify_fixture_case(runner, tmp_path, "case19", "--arch", "single")
+        result = runner.invoke(cli, ["replay", printed["trace_file"]])
+        assert result.output.splitlines()[-1] == (
+            "   8  AGGREGATE    -                      predicted=['meningismus'] "
+            "prompt_sha256=07e03eac6260")
+
     def test_verify_passes_on_real_trace(self, runner, note_path, script_path, tmp_path):
         trace = self._trace_path(runner, note_path, script_path, tmp_path)
         result = runner.invoke(cli, ["replay", str(trace), "--verify"])
@@ -789,7 +848,7 @@ class TestReplay:
         empty.write_text("", encoding="utf-8")
         result = runner.invoke(cli, ["replay", str(empty), "--verify"])
         assert result.exit_code == EXIT_INVARIANT
-        assert "AGGREGATE" in result.output
+        assert result.output == "invariant violation: the trace has no events\n"
 
     def _dropped_trace(self, runner, note_path, tmp_path):
         """ROUTING, AGENT_START, WARNING (the call dropped), FANOUT, AGENT_START,
@@ -960,10 +1019,12 @@ class TestReplay:
          "FANOUT mode is not one of ['routed', 'exhaustive']: 'ROUTED'"),
         ("multi", "ROUTING", lambda e: e["payload"].update(next=["meningismus"] * 2),
          "ROUTING next is not a list of distinct red flags: ['meningismus', 'meningismus']"),
+        ("multi", "ROUTING", lambda e: e["payload"].update(next=["no_such_flag"]),
+         "ROUTING next is not a list of distinct red flags: ['no_such_flag']"),
     ], ids=["verdict-without-decision", "verdict-without-subject",
             "single-llm-verdict-without-subject", "routing-without-next",
             "missing-not-a-list", "fanout-without-mode", "fanout-mode-misspelt",
-            "next-repeats-a-flag"])
+            "next-repeats-a-flag", "next-names-an-unknown-flag"])
     def test_verify_reports_an_event_without_what_the_fold_reads(
         self, runner, tmp_path, arch, stage, edit, message
     ):
@@ -991,6 +1052,7 @@ class TestReplay:
         '{"sequence": null, "stage": "WARNING"}',
         '{"sequence": 1, "stage": "WARNING", "wall_time": null}',
         "[1]",
+        pytest.param("[" * 100_000, id="nested-too-deep"),
     ])
     def test_malformed_event_exits_2_naming_its_line(self, runner, tmp_path, line):
         bad = tmp_path / "bad.trace.jsonl"
@@ -1035,6 +1097,15 @@ class TestConfigFile:
                                                   "--config", str(config)))
         assert result.exit_code == EXIT_USAGE
         assert "cannot read config file" in result.output
+
+    def test_config_file_nested_too_deep_exits_2(self, runner, note_path, script_path, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000, encoding="utf-8")
+        result = runner.invoke(cli, classify_args(note_path, script_path, tmp_path,
+                                                  "--config", str(config)))
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "cannot read config file" in result.output
+        assert "nested too deep" in result.output
 
     @pytest.mark.parametrize("value", [0, -1, "4", True])
     def test_config_concurrency_not_a_positive_integer_exits_2(

@@ -684,13 +684,29 @@ class TestExhaustiveMatrixOrder:
         assert decision_of(row2, RedFlag.PAPILLEDEMA) is Decision.NO
         assert events(row2, Stage.AGENT_ERROR) == []
 
-    def test_a_failed_case_run_ends_after_the_calls_it_sent(self, prompts):
-        # row 1's routing call is dropped, so its case fails; the seven specialist calls
-        # sent with it still end before row 2 starts, and one of them takes the drop
+    @pytest.mark.parametrize("failure, concurrency",
+                             [("routing call dropped", 2), ("step 2 raises", 3)])
+    def test_a_failed_case_run_ends_after_the_calls_it_sent(self, prompts, monkeypatch, failure,
+                                                            concurrency):
+        # row 1's case fails after step 1 sent the seven specialist calls: its routing call is
+        # dropped, or step 2 raises before it reads one; the seven calls still end before
+        # row 2 starts, and one of them takes the drop. With three slots, a row 2 that did not
+        # wait would start its routing call 20 ms before row 1's last two calls end.
         entries = full_script("case-7", TABLE1_RAW, faults={RedFlag.PAPILLEDEMA: Fault.DROPPED})
-        entries[0] = ScriptEntry("case-7", "orchestrator", TABLE1_RAW, fault=Fault.DROPPED)
-        first, second, (row1, row2) = self._run(prompts, entries, concurrency=2)
-        assert isinstance(row1, DroppedToolCall)
+        if failure == "routing call dropped":
+            entries[0] = ScriptEntry("case-7", "orchestrator", TABLE1_RAW, fault=Fault.DROPPED)
+            expected = DroppedToolCall
+        else:
+            execute = engine.execute_specialists
+
+            def execute_in_row_2(state, cfg, *args):
+                if cfg.strategy is PromptStrategy.QPROMPT:
+                    raise RuntimeError("step 2 failed")
+                return execute(state, cfg, *args)
+            monkeypatch.setattr(engine, "execute_specialists", execute_in_row_2)
+            expected = RuntimeError
+        first, second, (row1, row2) = self._run(prompts, entries, concurrency)
+        assert isinstance(row1, expected)
         assert len(first) == len(second) == 1 + len(RedFlag)
         assert events(row2, Stage.AGENT_ERROR) == []
         assert len(verdicts(row2)) == len(RedFlag)

@@ -239,6 +239,14 @@ class TestHttpBackend:
         with pytest.raises(BadResponse):
             backend.complete("p")
 
+    def test_an_answer_nested_too_deep_is_a_bad_response(self, serve_stub):
+        backend, stub, sleeps = self._backend(serve_stub, [(200, b"[" * 100_000)])
+        with pytest.raises(BadResponse,
+                           match="^response lacks an assistant message: nested too deep"):
+            backend.complete("p")
+        assert len(stub.posts) == 1
+        assert sleeps == []
+
     def test_assistant_content_that_is_not_text(self, serve_stub):
         body = json.dumps({"choices": [{"message": {"content": None}}]}).encode()
         backend, _, _ = self._backend(serve_stub, [(200, body)])
@@ -273,6 +281,14 @@ class TestHttpBackend:
         assert sleeps == []
         assert len(stub.posts) == 1
         assert stub.connections == 2
+
+    def test_an_answer_that_says_connection_close_is_not_reused(self, serve_stub):
+        backend, stub, sleeps = self._backend(serve_stub, [], say_close=True)
+        for _ in range(2):
+            assert backend.complete("p") == "NO."
+            assert backend._idle == []  # the connection closed with its answer
+        assert stub.connections == 2
+        assert sleeps == []
 
     def test_concurrent_calls_never_share_a_connection(self, serve_stub):
         """More callers than cores, switching threads as often as the interpreter allows:

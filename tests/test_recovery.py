@@ -42,6 +42,12 @@ class TestExtractJson:
         assert outcome.strategy_used is Strategy.FENCED_BLOCK
         assert outcome.value == {"next": ["thunderclap"]}
 
+    def test_an_empty_fenced_block_is_skipped(self):
+        raw = 'Routing:\n```json\n```\nthen\n```json\n{"next": ["thunderclap"]}\n```'
+        outcome = extract_json(raw)
+        assert outcome.strategy_used is Strategy.FENCED_BLOCK
+        assert outcome.value == {"next": ["thunderclap"]}
+
     def test_brace_span_in_prose(self):
         raw = 'The decision is {"next": ["papilledema"], "why": "x", "evidence": []} as stated.'
         outcome = extract_json(raw)
@@ -93,6 +99,20 @@ class TestExtractJson:
     def test_unbalanced_brace(self):
         with pytest.raises(NoJsonFound):
             extract_json('{"next": ["thunderclap"')
+
+    @pytest.mark.parametrize("raw", [
+        "[" * 100_000,
+        "```json\n" + "[" * 100_000 + "\n```",
+        '{"next": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ], ids=["strict", "fenced", "brace-span"])
+    def test_json_nested_too_deep_is_invalid_json(self, raw):
+        with pytest.raises(NoJsonFound):
+            extract_json(raw)
+
+    def test_a_document_after_json_nested_too_deep_is_found(self):
+        outcome = extract_json("[" * 100_000 + ' {"next": []}')
+        assert outcome.strategy_used is Strategy.BRACE_SPAN
+        assert outcome.value == {"next": []}
 
     def test_strict_span_covers_trimmed_input(self):
         raw = '  {"a": 1}  '
