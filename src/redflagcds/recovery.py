@@ -1,8 +1,8 @@
 """Recovery of structured content from noisy generator output.
 
-Three parsers live here: multi-strategy JSON extraction for orchestrator turns,
-schema mapping of routing documents with the routing rules they are checked against,
-and token scanning for specialist verdicts.
+Three parsers live here: JSON extraction for orchestrator turns, which parses one
+ordered stream of candidate texts (see `extract_json`), schema mapping of routing documents
+with the routing rules they are checked against, and token scanning for specialist verdicts.
 All functions are pure.
 """
 
@@ -12,7 +12,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .domain import (
     AgentVerdict,
@@ -58,22 +58,6 @@ _SINGLE = _STRING.format(q="'", inside="single")
 _BRACE_TOKENS = re.compile(rf"{_DOUBLE}|[{{}}]", re.DOTALL)
 
 
-def _balanced_brace_span(text: str, start: int) -> Optional[int]:
-    """Return the index just past the `}` balancing text[start] == '{', or None.
-
-    Braces inside double-quoted strings are not counted.
-    """
-    depth = 0
-    for token in _BRACE_TOKENS.finditer(text, start):
-        if token[0] == "{":
-            depth += 1
-        elif token[0] == "}":
-            depth -= 1
-            if depth == 0:
-                return token.end()
-    return None
-
-
 _REPAIRS = re.compile(
     rf"""{_DOUBLE}             # a double-quoted string: kept
     | {_SINGLE}                # a single-quoted string: re-quoted
@@ -102,47 +86,52 @@ def repair_json_text(text: str) -> str:
     return _REPAIRS.sub(_repair, text)
 
 
-def extract_json(raw: str) -> RecoveryOutcome:
-    """Extract a JSON document from raw text, least-invasive strategy first.
+def _brace_spans(raw: str) -> list[tuple[int, int]]:
+    """The (start, end) of each balanced `{...}` span of raw, in the order of its `{`.
 
-    Order: STRICT parse of the trimmed input, then fenced code blocks, then
-    balanced brace spans, then the bounded repair set applied to brace-span
-    candidates. Raises NoJsonFound when nothing parses.
+    Every `{` starts a span, one inside a string too, tokenized from that `{`: braces in
+    double-quoted strings are not counted, and a string never closed runs to the end. One
+    pass from the last `{` back to the first measures them all: a scan that meets a later
+    `{` jumps to the end of its span, or stops if it never closes, so time stays linear.
     """
-    stripped = raw.strip()
-    if stripped:
+    ends: dict[int, Optional[int]] = {}
+    start = raw.rfind("{")
+    while start != -1:
+        pos: Optional[int] = start + 1
+        while pos is not None and (token := _BRACE_TOKENS.search(raw, pos)) and token[0] != "}":
+            pos = ends[token.start()] if token[0] == "{" else token.end()
+        ends[start] = token.end() if token and token[0] == "}" else None
+        start = raw.rfind("{", 0, start)
+    return [(start, end) for start, end in reversed(ends.items()) if end is not None]
+
+
+def _candidates(raw: str) -> Iterator[tuple[Strategy, str]]:
+    """The texts extract_json parses, in order; spans are measured only once reached."""
+    yield Strategy.STRICT, raw.strip()
+    for fence in _FENCE_RE.finditer(raw):
+        yield Strategy.FENCED_BLOCK, fence.group(1).strip()
+    spans = _brace_spans(raw)
+    for start, end in spans:
+        yield Strategy.BRACE_SPAN, raw[start:end]
+    for start, end in spans:
+        yield Strategy.REPAIRED, repair_json_text(raw[start:end])
+
+
+def extract_json(raw: str) -> RecoveryOutcome:
+    """Return the first candidate of raw that parses, least-invasive strategy first.
+
+    Candidates, in order: the trimmed input (STRICT), each fenced code block (FENCED_BLOCK),
+    each balanced brace span as `_brace_spans` defines it (BRACE_SPAN), then each span after
+    the bounded repair set (REPAIRED). Measuring the spans is linear in unmatched braces,
+    but each nested span is still sliced, parsed and maybe repaired, so a reply nesting `{`
+    d deep costs O(length × d), which `gateway.MAX_TOKENS` bounds. Raises NoJsonFound when
+    nothing parses.
+    """
+    for strategy, text in _candidates(raw):
         try:
-            return RecoveryOutcome(parse_json(stripped), Strategy.STRICT)
-        except json.JSONDecodeError:
-            pass
-
-    for m in _FENCE_RE.finditer(raw):
-        inner = m.group(1).strip()
-        if not inner:
-            continue
-        try:
-            return RecoveryOutcome(parse_json(inner), Strategy.FENCED_BLOCK)
+            return RecoveryOutcome(parse_json(text), strategy)
         except json.JSONDecodeError:
             continue
-
-    candidates: list[str] = []
-    pos = raw.find("{")
-    while pos != -1:
-        end = _balanced_brace_span(raw, pos)
-        if end is not None:
-            span_text = raw[pos:end]
-            try:
-                return RecoveryOutcome(parse_json(span_text), Strategy.BRACE_SPAN)
-            except json.JSONDecodeError:
-                candidates.append(span_text)
-        pos = raw.find("{", pos + 1)
-
-    for span_text in candidates:
-        try:
-            return RecoveryOutcome(parse_json(repair_json_text(span_text)), Strategy.REPAIRED)
-        except json.JSONDecodeError:
-            continue
-
     raise NoJsonFound(f"no parseable JSON in {len(raw)} chars of output")
 
 

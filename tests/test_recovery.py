@@ -5,8 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redflagcds.domain import Decision, RedFlag, RoutingDecision, Vignette
+from redflagcds.encoding import parse_json
 from redflagcds.recovery import (
+    _BRACE_TOKENS,
+    _FENCE_RE,
     NoJsonFound,
+    RecoveryOutcome,
     SchemaUnusable,
     Strategy,
     extract_json,
@@ -16,7 +20,7 @@ from redflagcds.recovery import (
     repair_json_text,
     validate_routing,
 )
-from tests.conftest import TABLE1_RAW
+from tests.conftest import TABLE1_RAW, within
 
 
 class TestExtractJson:
@@ -140,6 +144,12 @@ class TestExtractJson:
         assert outcome.strategy_used is Strategy.BRACE_SPAN
         assert outcome.value == {"next": ["thunderclap"]}
 
+    @pytest.mark.parametrize("raw", ["x{" * 8192, '{"' * 8192], ids=["x-brace", "brace-quote"])
+    def test_unmatched_braces_fail_in_linear_time(self, raw):
+        # a scan from every `{` to the end of the reply takes seconds on these
+        with pytest.raises(NoJsonFound):
+            within(1.0, lambda: extract_json(raw))
+
 
 json_values = st.recursive(
     st.one_of(
@@ -184,6 +194,73 @@ def test_embedding_invariance(doc, prefix, suffix):
 def test_fence_invariance(doc, prefix, suffix):
     raw = prefix + "\n```json\n" + json.dumps(doc) + "\n```\n" + suffix
     assert extract_json(raw).value == doc
+
+
+def reference_span_end(text, start):
+    """The index just past the `}` balancing text[start] == '{', or None, found by a scan
+    to the end of the text from this `{` alone."""
+    depth = 0
+    for token in _BRACE_TOKENS.finditer(text, start):
+        if token[0] == "{":
+            depth += 1
+        elif token[0] == "}":
+            depth -= 1
+            if depth == 0:
+                return token.end()
+    return None
+
+
+def reference_extract_json(raw):
+    """extract_json with one loop per tier and each brace span measured on its own."""
+    stripped = raw.strip()
+    if stripped:
+        try:
+            return RecoveryOutcome(parse_json(stripped), Strategy.STRICT)
+        except json.JSONDecodeError:
+            pass
+    for m in _FENCE_RE.finditer(raw):
+        inner = m.group(1).strip()
+        if inner:
+            try:
+                return RecoveryOutcome(parse_json(inner), Strategy.FENCED_BLOCK)
+            except json.JSONDecodeError:
+                pass
+    candidates = []
+    pos = raw.find("{")
+    while pos != -1:
+        end = reference_span_end(raw, pos)
+        if end is not None:
+            try:
+                return RecoveryOutcome(parse_json(raw[pos:end]), Strategy.BRACE_SPAN)
+            except json.JSONDecodeError:
+                candidates.append(raw[pos:end])
+        pos = raw.find("{", pos + 1)
+    for span in candidates:
+        try:
+            return RecoveryOutcome(parse_json(repair_json_text(span)), Strategy.REPAIRED)
+        except json.JSONDecodeError:
+            pass
+    raise NoJsonFound
+
+
+def outcome_of(extract, raw):
+    try:
+        outcome = extract(raw)
+    except NoJsonFound:
+        return None
+    return outcome.strategy_used, repr(outcome.value)  # repr: NaN is not equal to itself
+
+
+noisy_replies = st.lists(st.sampled_from([
+    "{", "}", '"', "\\", "'", "#", "//", "[", "]", ":", ",", " ", "\n", "x",
+    "```", "```json\n", "\n```", '{"a": 1}', '{"next": []}', '"{"', '\\"', "{}",
+    "{'a': 'b'}", "'s'", "[1,]", '{"a": [1],}', "# c\n", "// c\n", "NaN",
+]), max_size=24).map("".join)
+
+
+@given(raw=noisy_replies)
+def test_extract_json_agrees_with_the_reference(raw):
+    assert outcome_of(extract_json, raw) == outcome_of(reference_extract_json, raw)
 
 
 class TestParseRouting:
