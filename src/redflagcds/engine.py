@@ -20,7 +20,7 @@ thread, and sends its backend calls to one call executor of its own with
 without waiting for the idle workers to exit.
 
 A case-run's steps share one map of the specialist calls sent and not yet read. Under
-EXHAUSTIVE fan-out, step 1 sends all seven right after the first orchestrator call;
+EXHAUSTIVE fan-out, step 1 sends all seven right after the orchestrator call;
 steps 2 and 3 send the calls of their flags not in the map, and a call leaves the map
 as it is read, so only the re-runs of dropped routed calls wait for step 2. Events are
 still written in step order. A case-run ends after every call it sent, in one place:
@@ -59,9 +59,6 @@ from .trace import summarize
 class PendingNotEmpty(RuntimeError):
     """Aggregation reached with agents still pending; an engine bug, not an agent failure."""
 
-
-# Orchestrator calls per case before the seven-agent fallback: the first and one re-prompt.
-ROUTE_ATTEMPTS = 2
 
 # Backend calls in flight by default: all an exhaustive screen sends at once, its routing
 # call and its seven specialist calls.
@@ -191,35 +188,22 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
     """Step 1: ask the orchestrator for a routing decision; set the pending agent set.
 
     Under EXHAUSTIVE fan-out every specialist will be called, so right after the
-    first orchestrator call each flag's call is sent into `sent`. An unusable output
-    is re-prompted until ROUTE_ATTEMPTS calls are made; if it stays unusable, fall
-    back to all seven agents so no red flag is silently skipped. ROUTING records the
-    sha256 of the one prompt every attempt sends.
+    orchestrator call each flag's call is sent into `sent`. The orchestrator is asked
+    once. An unusable output falls back to all seven agents, so no red flag is silently
+    skipped, and one WARNING keeps its raw reply and parse error. ROUTING records the
+    sha256 of the prompt sent.
     """
     vignette = state.note
     prompt = cfg.prompts.orchestrator_prompt(vignette)
     answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
     if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:  # after it: routing is on the critical path
         sent.update((flag, _specialist(calls, cfg, vignette, flag)) for flag in RedFlag)
-    fallback = {}
-    for attempt in range(1, ROUTE_ATTEMPTS + 1):
-        if attempt > 1:  # a re-prompt sends the same prompt
-            answer, _ = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
-        raw = answer.result()
-        try:
-            decision, warnings = parse_routing(raw, vignette)
-            break
-        except (NoJsonFound, SchemaUnusable) as exc:
-            state.add_event(
-                Stage.WARNING,
-                message=f"unusable orchestrator output on attempt {attempt}: {exc}",
-                raw=raw,
-            )
-    else:
-        state.add_event(
-            Stage.WARNING,
-            message=f"orchestrator output unusable after {ROUTE_ATTEMPTS} attempts; exhaustive fallback",
-        )
+    raw, fallback = answer.result(), {}
+    try:
+        decision, warnings = parse_routing(raw, vignette)
+    except (NoJsonFound, SchemaUnusable) as exc:
+        state.add_event(Stage.WARNING, raw=raw,
+                        message=f"orchestrator output unusable, exhaustive fallback: {exc}")
         decision = RoutingDecision(next=list(RedFlag), why="fallback: orchestrator output unusable")
         raw, warnings, fallback = None, [], {"fallback": True}
     state.pending = set(decision.next)
@@ -230,7 +214,7 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         why=decision.why,
         evidence=list(decision.evidence),
         warnings=warnings,
-        attempt=attempt,
+        attempt=1,
         **fallback,
         prompt_sha256=digest,
     )

@@ -173,7 +173,7 @@ class TestClassify:
         result = runner.invoke(cli, classify_args(note_path, script, tmp_path))
         assert result.exit_code == EXIT_BACKEND
 
-    def test_orchestrator_reply_nested_too_deep_is_reprompted_then_falls_back(
+    def test_orchestrator_reply_nested_too_deep_falls_back(
         self, runner, note_path, tmp_path
     ):
         script = write_script_file(tmp_path / "s.jsonl", full_script("case-7", "[" * 100_000))
@@ -183,7 +183,7 @@ class TestClassify:
         assert printed["routing"]["next"] == [flag.value for flag in RedFlag]
         assert len(printed["verdicts"]) == len(RedFlag)
         routing = summarize(read_trace(printed["trace_file"])).routing
-        assert (routing["attempt"], routing["fallback"]) == (2, True)
+        assert (routing["attempt"], routing["fallback"]) == (1, True)
 
     @pytest.mark.parametrize("case_id, problem", [
         ("x" * 250, "id is too long for a trace file name"), (" ", "id is empty"),

@@ -94,7 +94,7 @@ class TestRouting:
             "EvidenceNotInNote: 'papilledema' is not a quote from the note"
         ]
 
-    def test_garbage_twice_falls_back_to_all_seven(self, prompts):
+    def test_garbage_falls_back_to_all_seven(self, prompts):
         entries = full_script("case-7", "complete garbage, no json", yes_flags={RedFlag.MENINGISMUS})
         backend = ScriptedBackend(entries)
         result = run_case(note(), multi_config(backend, prompts))
@@ -237,11 +237,14 @@ class TestEarlySends:
         assert sum(per_role.values()) == specialist_calls
         assert set(per_role.values()) <= {1}
 
-    def test_fallback_takes_up_the_calls_in_flight(self, prompts):
+    @pytest.mark.parametrize("mode", list(FanoutMode))
+    def test_fallback_takes_up_the_calls_in_flight(self, prompts, mode):
         entries = full_script("case-7", "no routing here", yes_flags={RedFlag.PAPILLEDEMA})
-        calls, result = self._run(prompts, entries, FanoutMode.EXHAUSTIVE, delay=0.01)
+        calls, result = self._run(prompts, entries, mode, delay=0.01)
         per_role = collections.Counter(c.role for c in calls)
-        assert per_role == {"orchestrator": 2, **{f.value: 1 for f in RedFlag}}
+        assert per_role == {"orchestrator": 1, **{f.value: 1 for f in RedFlag}}
+        (warning,) = events(result, Stage.WARNING)
+        assert warning.payload["raw"] == "no routing here"
         (routing,) = events(result, Stage.ROUTING)
         assert routing.payload["fallback"] is True
         (fanout,) = events(result, Stage.FANOUT)
@@ -415,11 +418,11 @@ class PromptRecorder:
 
 class TestPromptDigests:
     """Each call's prompt digest is on the event that stands for it: ROUTING for the
-    orchestrator (re-prompt included), AGENT_START for a specialist, AGGREGATE for the
+    orchestrator, AGENT_START for a specialist, AGGREGATE for the
     single-LLM baseline."""
 
     @pytest.mark.parametrize("mode", list(FanoutMode))
-    @pytest.mark.parametrize("routing", [ROUTE_TWO, "no json, twice: fallback"])
+    @pytest.mark.parametrize("routing", [ROUTE_TWO, "no json: fallback"])
     def test_every_start_carries_the_digest_of_its_call(self, prompts, mode, routing):
         # temporal_arteritis drops once, so fan-out re-runs it when it is routed
         entries = full_script("case-7", routing, faults={RedFlag.TEMPORAL_ARTERITIS: Fault.DROPPED})
@@ -430,7 +433,7 @@ class TestPromptDigests:
         digest = routing_event.payload["prompt_sha256"]
         assert digest == sha256(prompts.orchestrator_prompt(note()))
         orchestrator = [d for role, d in recorder.sent if role == "orchestrator"]
-        assert orchestrator == [digest] * (1 if routing == ROUTE_TWO else 2)
+        assert orchestrator == [digest]
         starts = [(e.subject.value, e.payload["prompt_sha256"])
                   for e in events(result, Stage.AGENT_START)]
         assert collections.Counter(starts) == collections.Counter(
@@ -438,7 +441,7 @@ class TestPromptDigests:
         for flag, digest in starts:
             assert digest == sha256(prompts.specialist_prompt(
                 RedFlag(flag), PromptStrategy.GPROMPT, note()))
-        # one render per specialist call, and one routing prompt for both routing calls
+        # one render per specialist call, and one for the routing call
         assert recorder.rendered == len(recorder.sent) - len(orchestrator) + 1
 
     @pytest.mark.parametrize("strategy", list(PromptStrategy))

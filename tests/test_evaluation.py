@@ -571,9 +571,9 @@ def test_fixture_traces_match_pinned_digests(tmp_path):
 
 
 def test_corpus_traces_match_oracle_and_pinned_digests(tmp_path):
-    """The seed-7 corpus reaches every recovery tier, the re-prompt, the seven-agent
-    fallback and every fault: its exhaustive case-runs predict what the generator's
-    oracle expects, and every trace of both fan-out modes matches its pinned digest and
+    """The seed-7 corpus reaches every recovery tier, the seven-agent fallback and
+    every fault: its exhaustive case-runs predict what the generator's oracle
+    expects, and every trace of both fan-out modes matches its pinned digest and
     passes `replay --verify`'s checks."""
     from scripts.trace_digests import CORPUS_DIGESTS_FILE, corpus_trace_digests, read_digests
 
