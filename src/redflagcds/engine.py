@@ -214,7 +214,6 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         why=decision.why,
         evidence=list(decision.evidence),
         warnings=warnings,
-        attempt=1,
         **fallback,
         prompt_sha256=digest,
     )
