@@ -150,7 +150,7 @@ class TestFanout:
 
 
 class TestEarlySends:
-    """Step 1 sends, with the first routing call, the calls of the flags expected before
+    """Step 1 sends, with the routing call, the calls of the flags expected before
     routing is known: all seven under EXHAUSTIVE, none under ROUTED."""
 
     def _run(self, prompts, entries, mode, delay=0.05):
