@@ -198,9 +198,10 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
     answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
     if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:  # after it: routing is on the critical path
         sent.update((flag, _specialist(calls, cfg, vignette, flag)) for flag in RedFlag)
-    raw, fallback = answer.result(), {}
+    raw = answer.result()
     try:
         decision, warnings = parse_routing(raw, vignette)
+        fallback = {}
     except (NoJsonFound, SchemaUnusable) as exc:
         state.add_event(Stage.WARNING, raw=raw,
                         message=f"orchestrator output unusable, exhaustive fallback: {exc}")
