@@ -418,8 +418,7 @@ class PromptRecorder:
 
 class TestPromptDigests:
     """Each call's prompt digest is on the event that stands for it: ROUTING for the
-    orchestrator, AGENT_START for a specialist, AGGREGATE for the
-    single-LLM baseline."""
+    orchestrator, AGENT_START for a specialist, AGGREGATE for the single-LLM baseline."""
 
     @pytest.mark.parametrize("mode", list(FanoutMode))
     @pytest.mark.parametrize("routing", [ROUTE_TWO, "no json: fallback"])
