@@ -2,9 +2,9 @@
 """Run the benchmark on two commits in alternating pairs and judge each end-to-end metric.
 
     python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...] [--pairs 10]
-        [--seconds 30] [--first-seed 201] [--scratch DIR] [--out FILE]
+        [--seconds 30] [--first-seed 201]
 
-Each commit is exported with `git archive` into its own directory under a scratch
+Each commit is exported with `git archive` into its own directory under a temporary
 directory, which is removed at the end. Both checkouts must hold the same benchmark:
 the run is refused when `BENCHMARK.json` or any of the `paths` it lists differ between
 the two commits. For each pair the benchmark's `command` (`--trace 0`) runs once per
@@ -12,7 +12,8 @@ commit and workload with the pair's seed; even pairs run the parent first, odd p
 the change first.
 
 Per workload and metric it records every pair's values, both medians and both
-interquartile ranges (IQR), the pairs the change wins (ties count for neither side)
+interquartile ranges (IQR) over the pairs where both runs are correct, the pairs the
+change wins (ties count for neither side, a pair with a failed run counts as a loss)
 and a verdict. The gap is the change's median against the parent's, relative to the
 parent's median, and the spread is the parent's IQR relative to the same; each
 metric's bound is read from `BENCHMARK.json`.
@@ -21,12 +22,14 @@ metric's bound is read from `BENCHMARK.json`.
                 the spread;
   unresolved    worse by more than the bound but within the spread, or the spread is
                 wider than the bound, so a regression could hide in it;
-  better        at least nine tenths of the pairs won and a gap wider than the spread;
+  better        at least nine tenths of all pairs run won, a gap wider than the spread,
+                and a share of failed operations no larger than the parent's;
   within bound  otherwise.
 
-The result goes to BENCH_<change short sha>.json in the repository root (or --out).
-The exit status is 1 when a run failed or reported `correct: false`, or a metric is
-worse; 0 otherwise. Run it from a checkout that holds both commits.
+The result goes to BENCH_<change short sha>.json in the repository root. The exit
+status is 1 when a run failed or reported `correct: false`, a metric is worse, or the
+change fails a larger share of its operations than the parent; 0 otherwise. Run it
+from a checkout that holds both commits.
 """
 
 from __future__ import annotations
@@ -91,8 +94,21 @@ def relative(delta: float, base: float) -> float:
     return 0.0 if delta == 0 else float("inf") if delta > 0 else float("-inf")
 
 
+def operations(runs: list[dict]) -> dict:
+    """Each side's operations attempted and failed, summed over its runs."""
+    return {side: {key: sum(r[side].get(key, 0) for r in runs) for key in ("attempted", "failed")}
+            for side in SIDES}
+
+
+def fails_more(ops: dict) -> bool:
+    """Whether the change fails a larger share of its operations than the parent."""
+    share = {side: ops[side]["failed"] / ops[side]["attempted"] if ops[side]["attempted"] else 0.0
+             for side in SIDES}
+    return share["change"] > share["parent"]
+
+
 def judge(metric: dict, runs: list[dict]) -> dict:
-    """Medians, IQRs, wins and the verdict of one metric over the pairs both sides measured."""
+    """Medians, IQRs and wins of one metric over the pairs both sides measured; its verdict."""
     name, lower = metric["name"], metric["better"] == "lower"
     pairs = [(r["parent"]["metrics"].get(name), r["change"]["metrics"].get(name))
              for r in runs if r["parent"]["correct"] and r["change"]["correct"]]
@@ -108,7 +124,8 @@ def judge(metric: dict, runs: list[dict]) -> dict:
     spread = relative(parent_iqr, parent)
     if worse_by > metric["bound"]:
         verdict = "worse" if worse_by > spread else "unresolved"
-    elif worse_by < 0 and -worse_by > spread and wins * 10 >= 9 * len(pairs):
+    elif (worse_by < 0 and -worse_by > spread and wins * 10 >= 9 * len(runs)
+          and not fails_more(operations(runs))):
         verdict = "better"
     elif spread > metric["bound"]:
         verdict = "unresolved"
@@ -119,12 +136,6 @@ def judge(metric: dict, runs: list[dict]) -> dict:
             "ties": sum(c == p for p, c in pairs), "verdict": verdict}
 
 
-def operations(runs: list[dict]) -> dict:
-    """Each side's operations attempted and failed, summed over its runs."""
-    return {side: {key: sum(r[side].get(key, 0) for r in runs) for key in ("attempted", "failed")}
-            for side in SIDES}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -133,8 +144,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=None, help="default: run_seconds")
     parser.add_argument("--first-seed", type=int, default=201)
-    parser.add_argument("--scratch", type=Path, default=None, help="default: a temporary directory")
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -153,7 +162,7 @@ def main(argv=None) -> int:
     seconds = args.seconds or spec["run_seconds"]
     seeds = [args.first_seed + i for i in range(args.pairs)]
 
-    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-", dir=args.scratch))
+    scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     try:
         checkouts = {side: scratch / side for side in SIDES}
@@ -177,7 +186,7 @@ def main(argv=None) -> int:
         "workloads": {w: {"metrics": {m["name"]: judge(m, runs[w]) for m in spec["end_to_end"]},
                           "operations": operations(runs[w]), "runs": runs[w]} for w in workloads},
     }
-    out = args.out or ROOT / f"BENCH_{shas['change'][:7]}.json"
+    out = ROOT / f"BENCH_{shas['change'][:7]}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(f"{'workload':<16} {'metric':<28} {'parent':>10} {'change':>10} {'wins':>5}  verdict")
     for workload, body in result["workloads"].items():
@@ -196,7 +205,8 @@ def main(argv=None) -> int:
               f"{ops['change']['attempted']}")
     worse = any(m["verdict"] == "worse" for body in result["workloads"].values()
                 for m in body["metrics"].values())
-    return 1 if failed or worse else 0
+    more_failures = any(fails_more(body["operations"]) for body in result["workloads"].values())
+    return 1 if failed or worse or more_failures else 0
 
 
 if __name__ == "__main__":

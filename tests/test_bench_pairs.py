@@ -5,9 +5,11 @@ import pytest
 from scripts.bench_pairs import judge
 
 
-def runs(parent, change, correct=True):
-    return [{"parent": {"correct": correct, "metrics": {"m": p}},
-             "change": {"correct": True, "metrics": {"m": c}}} for p, c in zip(parent, change)]
+def runs(parent, change, correct=True, failed=(0, 0)):
+    def side(ok, fails, value):
+        return {"correct": ok, "attempted": 100, "failed": fails, "metrics": {"m": value}}
+    return [{"parent": side(correct, failed[0], p), "change": side(True, failed[1], c)}
+            for p, c in zip(parent, change)]
 
 
 @pytest.mark.parametrize("better, parent, change, verdict", [
@@ -26,6 +28,16 @@ def runs(parent, change, correct=True):
 def test_verdict(better, parent, change, verdict):
     metric = {"name": "m", "unit": "u", "better": better, "bound": 0.1}
     assert judge(metric, runs(parent, change))["verdict"] == verdict
+
+
+@pytest.mark.parametrize("pairs, verdict", [
+    (runs([10] * 8, [9] * 8) + runs([10] * 2, [9] * 2, correct=False), "within bound"),
+    (runs([10] * 10, [9] * 10, failed=(0, 1)), "within bound"),
+    (runs([10] * 10, [9] * 10, failed=(1, 1)), "better"),
+], ids=["failed-run-is-a-loss", "more-failed-operations", "same-failed-operations"])
+def test_better_needs_every_pair_and_no_more_failures(pairs, verdict):
+    metric = {"name": "m", "unit": "u", "better": "lower", "bound": 0.1}
+    assert judge(metric, pairs)["verdict"] == verdict
 
 
 def test_a_pair_with_a_failed_run_is_left_out():
