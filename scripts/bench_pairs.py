@@ -22,8 +22,9 @@ metric's bound is read from `BENCHMARK.json`.
                 the spread;
   unresolved    worse by more than the bound but within the spread, or the spread is
                 wider than the bound, so a regression could hide in it;
-  better        at least nine tenths of all pairs run won, a gap wider than the spread,
-                and a share of failed operations no larger than the parent's;
+  better        at least ten pairs run and nine tenths of them won, a gap wider than
+                the spread, and a share of failed operations no larger than the
+                parent's (five pairs all won happen by chance once in 32 times);
   within bound  otherwise.
 
 The result goes to BENCH_<change short sha>.json in the repository root. The exit
@@ -45,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_PAIRS_FOR_BETTER = 10
 
 
 def git(*args: str) -> str:
@@ -124,8 +126,8 @@ def judge(metric: dict, runs: list[dict]) -> dict:
     spread = relative(parent_iqr, parent)
     if worse_by > metric["bound"]:
         verdict = "worse" if worse_by > spread else "unresolved"
-    elif (worse_by < 0 and -worse_by > spread and wins * 10 >= 9 * len(runs)
-          and not fails_more(operations(runs))):
+    elif (worse_by < 0 and -worse_by > spread and len(runs) >= MIN_PAIRS_FOR_BETTER
+          and wins * 10 >= 9 * len(runs) and not fails_more(operations(runs))):
         verdict = "better"
     elif spread > metric["bound"]:
         verdict = "unresolved"

@@ -34,7 +34,9 @@ def test_verdict(better, parent, change, verdict):
     (runs([10] * 8, [9] * 8) + runs([10] * 2, [9] * 2, correct=False), "within bound"),
     (runs([10] * 10, [9] * 10, failed=(0, 1)), "within bound"),
     (runs([10] * 10, [9] * 10, failed=(1, 1)), "better"),
-], ids=["failed-run-is-a-loss", "more-failed-operations", "same-failed-operations"])
+    (runs([10] * 5, [9] * 5), "within bound"),
+], ids=["failed-run-is-a-loss", "more-failed-operations", "same-failed-operations",
+        "too-few-pairs"])
 def test_better_needs_every_pair_and_no_more_failures(pairs, verdict):
     metric = {"name": "m", "unit": "u", "better": "lower", "bound": 0.1}
     assert judge(metric, pairs)["verdict"] == verdict
