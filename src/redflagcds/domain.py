@@ -12,10 +12,6 @@ class UnknownAgentName(ValueError):
     """Raised when a routing target is not one of the seven valid agent names."""
 
 
-class NotPending(RuntimeError):
-    """Raised when a verdict arrives for an agent that was never pending (double execution)."""
-
-
 class EmptyVignette(ValueError):
     """Raised when a vignette has no text after whitespace trimming."""
 
@@ -147,24 +143,20 @@ class TraceEvent:
 
 @dataclass
 class GraphState:
-    """Evolving workflow state for one case.
+    """One case-run's note and its trace, the only record of which agents owe a verdict.
 
     Mutated only by the coordinating thread; specialist results are applied through
     apply_verdict at the serialized merge point.
     """
 
     note: Vignette
-    pending: set[RedFlag] = field(default_factory=set)
     trace: list[TraceEvent] = field(default_factory=list)
 
     def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
         self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
 
     def apply_verdict(self, verdict: AgentVerdict) -> None:
-        """Take the agent off pending and record its verdict in the trace."""
-        if verdict.flag not in self.pending:
-            raise NotPending(verdict.flag.value)
-        self.pending.discard(verdict.flag)
+        """Record the agent's verdict in the trace."""
         stage = Stage.AGENT_ERROR if verdict.decision is Decision.ERROR else Stage.AGENT_DONE
         self.add_event(
             stage,

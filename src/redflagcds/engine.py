@@ -53,11 +53,11 @@ from .domain import (
 from .gateway import ROLE_BASELINE, ROLE_ORCHESTRATOR, DroppedToolCall
 from .prompts import PromptLibrary, PromptStrategy
 from .recovery import NoJsonFound, SchemaUnusable, parse_baseline, parse_routing, parse_verdict
-from .trace import summarize
+from .trace import fanout_targets, summarize
 
 
 class PendingNotEmpty(RuntimeError):
-    """Aggregation reached with agents still pending; an engine bug, not an agent failure."""
+    """A started agent has no verdict at aggregation: an engine bug, not an agent failure."""
 
 
 # Backend calls in flight by default: all an exhaustive screen sends at once, its routing
@@ -163,9 +163,9 @@ def _coordinate(
     state = GraphState(note=vignette)
     sent: InFlight = {}
     try:
-        route(state, cfg, calls, sent)
-        execute_specialists(state, cfg, calls, sent)
-        manual_fanout(state, cfg, calls, sent)
+        routed = route(state, cfg, calls, sent)
+        execute_specialists(state, cfg, calls, sent, routed)
+        manual_fanout(state, cfg, calls, sent, routed)
         return aggregate(state)
     except BaseException:
         wait([future for future, _ in sent.values()])  # the case's next row follows them
@@ -184,8 +184,8 @@ def _specialist(calls: Executor, cfg: RunConfig, vignette: Vignette, flag: RedFl
     return _call(calls, cfg, prompt, vignette.id, flag.value)
 
 
-def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
-    """Step 1: ask the orchestrator for a routing decision; set the pending agent set.
+def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> list[RedFlag]:
+    """Step 1: ask the orchestrator which flags to route; return them in canonical order.
 
     Under EXHAUSTIVE fan-out every specialist will be called, so right after the
     orchestrator call each flag's call is sent into `sent`. The orchestrator is asked
@@ -207,7 +207,6 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
                         message=f"orchestrator output unusable, exhaustive fallback: {exc}")
         decision = RoutingDecision(next=list(RedFlag), why="fallback: orchestrator output unusable")
         raw, warnings, fallback = None, [], {"fallback": True}
-    state.pending = set(decision.next)
     state.add_event(
         Stage.ROUTING,
         raw=raw,
@@ -218,13 +217,15 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         **fallback,
         prompt_sha256=digest,
     )
+    return canonical_order(decision.next)
 
 
 def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
                 flags: list[RedFlag], fanout_phase: bool) -> None:
     """Send into `sent` each flag's call that step 1 did not, record the agents' starts,
     then read their calls, each leaving `sent` as it is read, and apply their results
-    through the serialized merge point.
+    through the serialized merge point. A dropped call is an ERROR verdict in step 3; in
+    step 2 it leaves its flag with no verdict, which step 3's fan-out rule runs again.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
@@ -242,7 +243,7 @@ def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlig
             if fanout_phase:
                 verdict = AgentVerdict(flag=flag, decision=Decision.ERROR, error_detail=str(exc))
             else:
-                # the invocation vanished; leave the agent pending for fan-out
+                # the invocation vanished; fan-out runs the agent again
                 state.add_event(Stage.WARNING, subject=flag, message=f"tool call dropped: {exc}")
                 continue
         except Exception as exc:  # per-agent error isolation
@@ -254,34 +255,32 @@ def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlig
         state.apply_verdict(verdict)
 
 
-def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
+def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
+                        routed: list[RedFlag]) -> None:
     """Step 2: run every routed specialist in parallel with error isolation, taking
     their calls from `sent` when step 1 sent them."""
-    _run_agents(state, cfg, calls, sent, canonical_order(state.pending), fanout_phase=False)
+    _run_agents(state, cfg, calls, sent, routed, fanout_phase=False)
 
 
-def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> None:
-    """Step 3: detect and execute expected-but-not-completed agents.
-
-    Missing are the routed agents still pending (a dropped call leaves its agent
-    pending) under ROUTED mode, or all seven but those with a verdict under EXHAUSTIVE
-    mode. Their calls are taken from `sent` when step 1 sent them; only routed agents
-    whose call was dropped are called again. Always emits exactly one FANOUT event, which
-    records the mode.
-    """
-    missing = canonical_order(set(RedFlag) - summarize(state.trace).verdicts.keys()
-                              if cfg.fanout_mode is FanoutMode.EXHAUSTIVE else state.pending)
+def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
+                  routed: list[RedFlag]) -> None:
+    """Step 3: detect and execute expected-but-not-completed agents, by the one rule that
+    `replay --verify` also checks (`trace.fanout_targets`): the routed flags under ROUTED
+    mode or all seven under EXHAUSTIVE, less the flags with a verdict. Their calls are
+    taken from `sent` when step 1 sent them; only routed agents whose call was dropped
+    are called again. Always emits exactly one FANOUT event, which records the mode."""
+    decided = summarize(state.trace).verdicts.keys()
+    missing = canonical_order(fanout_targets(cfg.fanout_mode, routed) - decided)
     state.add_event(Stage.FANOUT, mode=cfg.fanout_mode.value, missing=[f.value for f in missing])
-    state.pending.update(missing)
     _run_agents(state, cfg, calls, sent, missing, fanout_phase=True)
 
 
 def aggregate(state: GraphState, **call) -> CaseResult:
-    """Step 4: fold the trace's verdicts into the case result; `call` is the single-LLM
-    call's `raw` output and `prompt_sha256`."""
-    if state.pending:
-        raise PendingNotEmpty(sorted(f.value for f in state.pending))
+    """Step 4: fold the trace's verdicts into the case result, or raise PendingNotEmpty for
+    a started flag with none; `call` is the single-LLM call's `raw` and `prompt_sha256`."""
     summary = summarize(state.trace)
+    if unfinished := set(summary.started) - summary.verdicts.keys():
+        raise PendingNotEmpty(sorted(f.value for f in unfinished))
     state.add_event(Stage.AGGREGATE, **call, predicted=sorted(f.value for f in summary.predicted),
                     verdict_count=len(summary.verdicts))
     return CaseResult(state.note.id, summary.predicted, tuple(state.trace))
@@ -294,7 +293,6 @@ def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseR
     answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_BASELINE)
     raw = answer.result()
     verdicts = parse_baseline(raw)
-    state.pending = set(RedFlag)
     for flag in canonical_order(verdicts):
         state.apply_verdict(verdicts[flag])
     return aggregate(state, raw=raw, prompt_sha256=digest)

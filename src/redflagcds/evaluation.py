@@ -81,15 +81,20 @@ def load_dataset(path) -> list[GoldCase]:
 
     Unknown flag names are a BadRecord; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
-    An id names its case's trace file, so a null id, or one that cannot name a
-    trace file (`trace.trace_name_problem`), is a BadRecord. So is a repeated id,
+    An id is a string, or an integer read as its text, and names its case's trace file:
+    any other id, or one that cannot name a trace file (`trace.trace_name_problem`), is
+    a BadRecord. So is a repeated id,
     or two ids that share a trace file name: one case's trace would silently
     overwrite the other's.
     """
     cases: list[GoldCase] = []
     seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
     for lineno, record in read_jsonl(path, required=("id", "text", "red_flags")):
-        case_id = "" if record["id"] is None else str(record["id"])
+        case_id = record["id"]
+        if type(case_id) is int:  # a bool, an int subclass, is no id
+            case_id = str(case_id)
+        elif not isinstance(case_id, str):
+            raise BadRecord(lineno, "id is not a string or an integer")
         note_text, flag_names = record["text"], record["red_flags"]
         if problem := trace_name_problem(case_id):
             raise BadRecord(lineno, problem)

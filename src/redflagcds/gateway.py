@@ -69,21 +69,17 @@ class BackendConfig:
     api_key: Optional[str] = None
 
 
-def with_retries(
-    fn: Callable[[], str],
-    max_retries: int,
-    sleep: Callable[[float], None] = time.sleep,
-) -> str:
-    """Call fn, retrying TransientError up to max_retries times after 1 s, 2 s, 4 s, ..."""
+def with_retries(fn: Callable[[], str], sleep: Callable[[float], None] = time.sleep) -> str:
+    """Call fn, retrying TransientError MAX_RETRIES times, after 1 s, 2 s, 4 s, ..."""
     attempt = 0
     while True:
         try:
             return fn()
         except TransientError as exc:
-            if attempt >= max_retries:
+            if attempt >= MAX_RETRIES:
                 raise BackendUnavailable(f"retries exhausted after {attempt + 1} attempts: {exc}") from exc
             logger.warning("attempt %d of %d failed, retrying in %d s: %s",
-                           attempt + 1, max_retries + 1, 2 ** attempt, exc)
+                           attempt + 1, MAX_RETRIES + 1, 2 ** attempt, exc)
             sleep(2 ** attempt)
             attempt += 1
 
@@ -176,7 +172,7 @@ class HttpBackend:
             raise BackendUnavailable(f"endpoint unreachable: {exc}") from exc
 
     def complete(self, prompt: str, case_id: str = "", agent_role: str = "") -> str:
-        return with_retries(lambda: self._post_once(prompt), MAX_RETRIES, sleep=self._sleep)
+        return with_retries(lambda: self._post_once(prompt), sleep=self._sleep)
 
     def _post_once(self, prompt: str) -> str:
         body = {

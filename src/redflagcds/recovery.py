@@ -124,8 +124,8 @@ def extract_json(raw: str) -> RecoveryOutcome:
     each balanced brace span as `_brace_spans` defines it (BRACE_SPAN), then each span after
     the bounded repair set (REPAIRED). Measuring the spans is linear in unmatched braces,
     but each nested span is still sliced, parsed and maybe repaired, so a reply nesting `{`
-    d deep costs O(length × d), which `gateway.MAX_TOKENS` bounds. Raises NoJsonFound when
-    nothing parses.
+    d deep costs O(length × d), bounded by `gateway.MAX_TOKENS` for HttpBackend replies only:
+    a scripted one has no bound (ROADMAP item 15). Raises NoJsonFound when nothing parses.
     """
     for strategy, text in _candidates(raw):
         try:

@@ -132,12 +132,17 @@ def _flags(names) -> Optional[set[RedFlag]]:
 _MODES = [mode.value for mode in FanoutMode]
 
 
+def fanout_targets(mode: FanoutMode, routed) -> set[RedFlag]:
+    """The flags a case-run's fan-out must leave with a verdict: the routed flags under
+    ROUTED, all seven under EXHAUSTIVE. Fan-out runs those of them without one."""
+    return set(RedFlag) if mode is FanoutMode.EXHAUSTIVE else set(routed)
+
+
 def _routing_problems(summary: Summary) -> list[str]:
     """Check a multi-agent trace's ROUTING and FANOUT against the flags it started and
     decided: the flags started before FANOUT are ROUTING's `next`, each once; the flags
-    started at all are `next` and FANOUT's `missing`; `missing` is the fan-out's targets
-    (`next` under routed fan-out, all seven red flags under exhaustive) less the flags
-    with a verdict before the FANOUT; and a ROUTING with `fallback` routes all seven."""
+    started at all are `next` and FANOUT's `missing`; `missing` is `fanout_targets` of
+    the mode and `next`, less the flags with a verdict before the FANOUT; and a ROUTING with `fallback` routes all seven."""
     routing, fanout = summary.routing, summary.fanout
     routed, missing = _flags(routing.get("next")), _flags(fanout.get("missing"))
     mode = fanout.get("mode")
@@ -160,7 +165,7 @@ def _routing_problems(summary: Summary) -> list[str]:
         problems.append(f"the flags started are not ROUTING's next and FANOUT's missing: "
                         f"started {_names(set(summary.started))}; "
                         f"next and missing {_names(routed | missing)}")
-    targets = routed if mode == FanoutMode.ROUTED.value else set(RedFlag)
+    targets = fanout_targets(FanoutMode(mode), routed)
     if missing != targets - summary.decided_before_fanout:
         problems.append(f"FANOUT missing is not what {mode} fan-out leaves: missing "
                         f"{_names(missing)}; targets without a verdict before FANOUT "

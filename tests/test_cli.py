@@ -386,7 +386,8 @@ class TestEvaluate:
         assert f"bad dataset: line 1: {problem}\n" in result.output
 
     @pytest.mark.parametrize("case_id, problem", [
-        ("", "id is empty"), (None, "id is empty"), ("a\0b", "id holds a NUL character"),
+        ("", "id is empty"), (None, "id is not a string or an integer"),
+        ("a\0b", "id holds a NUL character"),
         ("x" * 250, "id is too long for a trace file name"),
         ("\ud800", "id cannot be encoded as a file name"),
     ], ids=["empty", "null", "nul-character", "too-long", "lone-surrogate"])

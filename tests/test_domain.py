@@ -7,7 +7,6 @@ from redflagcds.domain import (
     Decision,
     EmptyVignette,
     GraphState,
-    NotPending,
     RedFlag,
     RoutingDecision,
     UnknownAgentName,
@@ -83,53 +82,23 @@ class TestAgentVerdict:
 
 class TestApplyVerdict:
     def test_moves_flag_to_completed(self, vignette):
-        state = GraphState(note=vignette, pending={RedFlag.MENINGISMUS})
+        state = GraphState(note=vignette)
         state.apply_verdict(verdict(RedFlag.MENINGISMUS))
-        assert state.pending == set()
         assert RedFlag.MENINGISMUS in summarize(state.trace).verdicts
 
-    def test_other_flags_stay_pending(self, vignette):
-        state = GraphState(
-            note=vignette, pending={RedFlag.MENINGISMUS, RedFlag.TEMPORAL_ARTERITIS}
-        )
-        state.apply_verdict(verdict(RedFlag.MENINGISMUS, Decision.NO))
-        assert state.pending == {RedFlag.TEMPORAL_ARTERITIS}
-
-    def test_not_pending_raises(self, vignette):
-        state = GraphState(note=vignette, pending=set())
-        with pytest.raises(NotPending):
-            state.apply_verdict(verdict(RedFlag.PAPILLEDEMA))
-
     def test_trace_event_stage_matches_outcome(self, vignette):
-        state = GraphState(
-            note=vignette, pending={RedFlag.MENINGISMUS, RedFlag.PAPILLEDEMA}
-        )
+        state = GraphState(note=vignette)
         state.apply_verdict(verdict(RedFlag.MENINGISMUS))
         state.apply_verdict(verdict(RedFlag.PAPILLEDEMA, Decision.ERROR))
         stages = [e.stage.value for e in state.trace]
         assert stages == ["AGENT_DONE", "AGENT_ERROR"]
 
 
-flag_sets = st.sets(st.sampled_from(list(RedFlag)))
-
-
-@given(routed=flag_sets, decisions=st.lists(st.sampled_from(list(Decision)), min_size=7, max_size=7))
-def test_pending_completed_disjoint_under_any_sequence(routed, decisions):
-    state = GraphState(
-        note=Vignette(id="p", text="note"), pending=set(routed)
-    )
-    for flag, decision in zip(sorted(routed, key=lambda f: f.value), decisions):
-        state.apply_verdict(verdict(flag, decision))
-        completed = summarize(state.trace).verdicts.keys()
-        assert state.pending & completed == set()
-        assert state.pending | completed <= set(RedFlag)
-
-
 @given(
     decisions=st.dictionaries(st.sampled_from(list(RedFlag)), st.sampled_from(list(Decision)))
 )
 def test_case_result_predicted_matches_yes_verdicts(decisions):
-    state = GraphState(note=Vignette(id="c", text="note"), pending=set(decisions))
+    state = GraphState(note=Vignette(id="c", text="note"))
     for flag, decision in decisions.items():
         state.apply_verdict(verdict(flag, decision))
     result = aggregate(state)

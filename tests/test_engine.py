@@ -31,7 +31,7 @@ from redflagcds.gateway import (
     load_script,
 )
 from redflagcds.prompts import PromptStrategy
-from redflagcds.trace import untimed
+from redflagcds.trace import untimed, verify_trace
 from tests.conftest import (
     FIXTURES_DIR,
     TABLE1_RAW,
@@ -332,7 +332,7 @@ class TestTraceShape:
 
 class TestAggregate:
     def test_error_counts_as_non_prediction(self, prompts):
-        state = GraphState(note=note(), pending={RedFlag.PAPILLEDEMA})
+        state = GraphState(note=note())
         from redflagcds.domain import AgentVerdict
 
         state.apply_verdict(
@@ -342,8 +342,9 @@ class TestAggregate:
         assert result.predicted == frozenset()
 
     def test_pending_not_empty_guard(self, prompts):
-        state = GraphState(note=note(), pending={RedFlag.PAPILLEDEMA})
-        with pytest.raises(PendingNotEmpty):
+        state = GraphState(note=note())
+        state.add_event(Stage.AGENT_START, subject=RedFlag.PAPILLEDEMA)
+        with pytest.raises(PendingNotEmpty, match="papilledema"):
             aggregate(state)
 
     def test_empty_verdicts_is_a_valid_result(self, prompts):
@@ -461,12 +462,15 @@ class TestPromptDigests:
 
 class TestCoverageProperty:
     def test_random_routings_and_drops(self, prompts):
+        """Every target of the fan-out rule ends with exactly one verdict, whatever the
+        routing and the DROPPED and HTTP_500 faults: `verify_trace` finds no problem."""
         rng = random.Random(1234)
         flags = list(RedFlag)
         for i in range(60):
             case_id = f"rand{i}"
             routed = set(rng.sample(flags, rng.randint(0, 7)))
-            faults = {f: Fault.DROPPED for f in routed if rng.random() < 0.4}
+            faults = {f: rng.choice([Fault.DROPPED, Fault.HTTP_500])
+                      for f in flags if rng.random() < 0.4}
             raw = json.dumps(
                 {"next": [f.value for f in routed], "why": "r", "evidence": ["q"]}
             )
@@ -474,11 +478,16 @@ class TestCoverageProperty:
             backend = ScriptedBackend(full_script(case_id, raw, routed, faults))
             cfg = multi_config(backend, prompts, fanout_mode=mode)
             result = run_case(Vignette(id=case_id, text="note text"), cfg)
+            assert verify_trace(list(result.trace)) == []
             completed = set(verdicts(result))
             if mode is FanoutMode.EXHAUSTIVE:
                 assert completed == set(RedFlag)
             else:
-                assert completed >= routed
+                assert completed == routed
+            # a drop is run again only where step 2 read it, for a routed flag
+            errors = {f for f in completed if faults.get(f) is Fault.HTTP_500
+                      or faults.get(f) is Fault.DROPPED and f not in routed}
+            assert {f for f in completed if decision_of(result, f) is Decision.ERROR} == errors
 
 
 class TestScheduler:

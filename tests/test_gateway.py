@@ -129,25 +129,25 @@ class TestRetries:
 
     def test_success_after_k_failures_within_budget(self):
         fn, calls = self._flaky(fail_times=2)
-        assert with_retries(fn, max_retries=2, sleep=lambda _t: None) == "ok"
+        assert with_retries(fn, sleep=lambda _t: None) == "ok"
         assert calls["n"] == 3
 
     def test_failures_beyond_budget_raise(self):
         fn, _ = self._flaky(fail_times=3)
         with pytest.raises(BackendUnavailable):
-            with_retries(fn, max_retries=2, sleep=lambda _t: None)
+            with_retries(fn, sleep=lambda _t: None)
 
     def test_backoff_is_exponential(self):
         delays = []
-        fn, _ = self._flaky(fail_times=4)
-        with pytest.raises(BackendUnavailable):
-            with_retries(fn, max_retries=3, sleep=delays.append)
-        assert delays == [1.0, 2.0, 4.0]
+        fn, _ = self._flaky(fail_times=3)
+        with pytest.raises(BackendUnavailable, match="^retries exhausted after 3 attempts: "):
+            with_retries(fn, sleep=delays.append)
+        assert delays == [1.0, 2.0]
 
     def test_each_retry_logs_one_warning(self, caplog):
         fn, _ = self._flaky(fail_times=2)
         with caplog.at_level(logging.WARNING, logger="redflagcds.gateway"):
-            assert with_retries(fn, max_retries=2, sleep=lambda _t: None) == "ok"
+            assert with_retries(fn, sleep=lambda _t: None) == "ok"
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
             (logging.WARNING, "attempt 1 of 3 failed, retrying in 1 s: attempt 1"),
             (logging.WARNING, "attempt 2 of 3 failed, retrying in 2 s: attempt 2"),
