@@ -16,6 +16,14 @@ class BadRecord(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
+def read_case_id(lineno: int, value, key: str) -> str:
+    """A record's case id: a string, or an integer (not a bool) read as its text; any other
+    value is a BadRecord naming the line and the key."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
+    raise BadRecord(lineno, f"{key} is not a string or an integer")
+
+
 def read_text_fallback(path) -> str:
     """Read a file as UTF-8, stripping a leading BOM, else as Latin-1, which is total
     over bytes, so this never fails to decode."""

@@ -9,10 +9,10 @@ import re
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .domain import CaseResult, RedFlag, UnknownAgentName, Vignette, parse_red_flag
-from .encoding import BadRecord, read_jsonl
+from .encoding import BadRecord, read_case_id, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
 from .prompts import PromptStrategy
@@ -90,11 +90,7 @@ def load_dataset(path) -> list[GoldCase]:
     cases: list[GoldCase] = []
     seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
     for lineno, record in read_jsonl(path, required=("id", "text", "red_flags")):
-        case_id = record["id"]
-        if type(case_id) is int:  # a bool, an int subclass, is no id
-            case_id = str(case_id)
-        elif not isinstance(case_id, str):
-            raise BadRecord(lineno, "id is not a string or an integer")
+        case_id = read_case_id(lineno, record["id"], "id")
         note_text, flag_names = record["text"], record["red_flags"]
         if problem := trace_name_problem(case_id):
             raise BadRecord(lineno, problem)
@@ -225,19 +221,15 @@ def run_row_name(cfg: RunConfig) -> str:
     return f"{safe_model}_{cfg.architecture.value}_{cfg.strategy.value}"
 
 
-def run_experiment(
-    dataset: list[GoldCase],
-    matrix: list[RunConfig],
-    trace_dir: Optional[Path] = None,
-) -> RunReport:
+def run_experiment(dataset: list[GoldCase], matrix: list[RunConfig], trace_dir: Path) -> RunReport:
     """Run every case through every configuration and macro-average the scores.
 
     One `run_cases` runs the whole matrix: rows overlap under one call bound, and
     each case runs its rows in matrix order. Outcomes come back row by row, and
-    each row's are scored and their traces written here, in dataset order. A
-    case-level failure (orchestrator or baseline call unrecoverable) is counted
-    as an error case and scored with an empty predicted set; it never aborts the
-    batch.
+    each row's are scored and their traces written here, in dataset order, into
+    one directory per row under `trace_dir`. A case-level failure (orchestrator
+    or baseline call unrecoverable) is counted as an error case and scored with
+    an empty predicted set; it never aborts the batch.
     """
     if not dataset:
         raise EmptyRun("dataset is empty")
@@ -247,15 +239,14 @@ def run_experiment(
         for cfg in matrix:
             metrics = []
             error_cases = 0
-            row_dir = Path(trace_dir) / run_row_name(cfg) if trace_dir else None
+            row_dir = Path(trace_dir) / run_row_name(cfg)
             for case, outcome in zip(dataset, outcomes):
                 if isinstance(outcome, Exception):
                     logger.error("case %s failed: %s", case.vignette.id, outcome)
                     error_cases += 1
                     outcome = CaseResult(case.vignette.id, frozenset(), trace=())
                 metrics.append(case_metrics(outcome.predicted, case.truth))
-                if row_dir is not None:
-                    write_trace(case.vignette.id, outcome.trace, row_dir)
+                write_trace(case.vignette.id, outcome.trace, row_dir)
             precision, recall, f1 = macro_average(metrics)
             rows.append(
                 ReportRow(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 from urllib.parse import urlsplit
 
-from .encoding import BadRecord, parse_json, read_jsonl
+from .encoding import BadRecord, parse_json, read_case_id, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -265,14 +265,11 @@ def load_script(path) -> list[ScriptEntry]:
             fault = Fault(fault) if fault and fault != "MALFORMED_AS_GIVEN" else None
         except ValueError:
             raise BadRecord(lineno, f"unknown fault {fault!r}") from None
-        entry = ScriptEntry(
-            case_id=str(record["case_id"]),
-            agent_role=str(record["agent_role"]),
-            response=record.get("response", ""),
-            fault=fault,
-        )
-        if not isinstance(entry.response, str):
-            raise BadRecord(lineno, "response is not a string")
+        entry = ScriptEntry(read_case_id(lineno, record["case_id"], "case_id"),
+                            record["agent_role"], record.get("response", ""), fault)
+        for key in ("agent_role", "response"):
+            if not isinstance(getattr(entry, key), str):
+                raise BadRecord(lineno, f"{key} is not a string")
         first = seen.setdefault(entry.key, lineno)
         if first != lineno:
             raise BadRecord(lineno, f"duplicate script key {entry.key} (first on line {first})")

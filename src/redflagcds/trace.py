@@ -7,12 +7,13 @@ import json
 import logging
 import os
 import re
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import takewhile, zip_longest
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import FanoutMode, RedFlag, Stage, TraceEvent, UnknownAgentName, parse_red_flag
+from .domain import FanoutMode, RedFlag, Stage, TraceEvent, UnknownAgentName
+from .domain import canonical_order, parse_red_flag
 from .encoding import BadRecord, read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -89,8 +90,6 @@ class Summary:
     fanout: Optional[dict] = None  # the FANOUT payload; None in a single-LLM trace
     verdicts: dict = field(default_factory=dict)  # flag -> its AGENT_DONE or AGENT_ERROR payload
     started: list = field(default_factory=list)  # the flag of each AGENT_START, in order
-    routed_starts: int = 0  # how many of `started` came before the FANOUT
-    decided_before_fanout: frozenset = frozenset()  # the flags with a verdict before the FANOUT
 
     @property
     def predicted(self) -> frozenset[RedFlag]:
@@ -109,8 +108,7 @@ def summarize(events: Iterable[TraceEvent]) -> Summary:
         elif event.stage is Stage.AGENT_START:
             summary.started.append(event.subject)
         elif event.stage is Stage.FANOUT:
-            summary.fanout, summary.routed_starts = event.payload, len(summary.started)
-            summary.decided_before_fanout = frozenset(summary.verdicts)
+            summary.fanout = event.payload
     return summary
 
 
@@ -138,15 +136,26 @@ def fanout_targets(mode: FanoutMode, routed) -> set[RedFlag]:
     return set(RedFlag) if mode is FanoutMode.EXHAUSTIVE else set(routed)
 
 
-def _routing_problems(summary: Summary) -> list[str]:
-    """Check a multi-agent trace's ROUTING and FANOUT against the flags it started and
-    decided: the flags started before FANOUT are ROUTING's `next`, each once; the flags
-    started at all are `next` and FANOUT's `missing`; `missing` is `fanout_targets` of
-    the mode and `next`, less the flags with a verdict before the FANOUT; and a ROUTING with `fallback` routes all seven."""
+_VERDICT = "AGENT_DONE or AGENT_ERROR"  # where the engine writes one or the other
+_ORDER_NAME = {stage: _VERDICT if stage in _VERDICT_SHAPES else stage.value for stage in Stage}
+
+
+def _describe(stage: str, flag: Optional[RedFlag]) -> str:
+    return f"{stage} of {flag.value}" if flag else stage
+
+
+def _engine_order(events: list[TraceEvent], summary: Summary, problems: list[str]):
+    """The (stage, subject) order the engine writes for a multi-agent trace's own ROUTING
+    `next` and `fallback`, FANOUT `mode` and `missing`, and step-2 drops; appends to
+    `problems` what is wrong with those, and returns None if they are absent or malformed."""
     routing, fanout = summary.routing, summary.fanout
+    if routing is None or fanout is None:
+        problems += [f"a multi-agent trace has no {stage.value} event"
+                     for stage, payload in ((Stage.ROUTING, routing), (Stage.FANOUT, fanout))
+                     if payload is None]
+        return None
     routed, missing = _flags(routing.get("next")), _flags(fanout.get("missing"))
     mode = fanout.get("mode")
-    problems = []
     if routed is None:
         problems.append(f"ROUTING next is not a list of distinct red flags: "
                         f"{routing.get('next')!r}")
@@ -155,105 +164,76 @@ def _routing_problems(summary: Summary) -> list[str]:
                         f"{fanout.get('missing')!r}")
     if mode not in _MODES:
         problems.append(f"FANOUT mode is not one of {_MODES}: {mode!r}")
-    if problems:
-        return problems
-    before = summary.started[:summary.routed_starts]
-    if len(before) != len(routed) or set(before) != routed:
-        problems.append(f"the flags started before FANOUT are not ROUTING's next, each once: "
-                        f"started {_names(before)}; next {_names(routed)}")
-    if set(summary.started) != routed | missing:
-        problems.append(f"the flags started are not ROUTING's next and FANOUT's missing: "
-                        f"started {_names(set(summary.started))}; "
-                        f"next and missing {_names(routed | missing)}")
-    targets = fanout_targets(FanoutMode(mode), routed)
-    if missing != targets - summary.decided_before_fanout:
+    if routed is None or missing is None or mode not in _MODES:
+        return None
+    step2 = takewhile(lambda event: event.stage is not Stage.FANOUT, events)
+    dropped = routed & {event.subject for event in step2 if event.stage is Stage.WARNING}
+    left = fanout_targets(FanoutMode(mode), routed) - (routed - dropped)
+    if missing != left:
         problems.append(f"FANOUT missing is not what {mode} fan-out leaves: missing "
                         f"{_names(missing)}; targets without a verdict before FANOUT "
-                        f"{_names(targets - summary.decided_before_fanout)}")
+                        f"{_names(left)}")
     if routing.get("fallback") and routed != set(RedFlag):
         problems.append(f"a ROUTING with fallback routes {_names(routed)}, not all seven red flags")
-    return problems
+    routed, missing = canonical_order(routed), canonical_order(missing)
+    return [*[("WARNING", None)] * bool(routing.get("fallback")), ("ROUTING", None),
+            *[("AGENT_START", flag) for flag in routed],
+            *[("WARNING" if flag in dropped else _VERDICT, flag) for flag in routed],
+            ("FANOUT", None), *[("AGENT_START", flag) for flag in missing],
+            *[(_VERDICT, flag) for flag in missing], ("AGGREGATE", None)]
 
 
 def verify_trace(events: list[TraceEvent]) -> list[str]:
-    """Check a trace's shape and event order, and what its `summarize` fold records;
-    returns the violations.
+    """Check that a trace is the event order the engine writes for the trace's own
+    parameters, and what its `summarize` fold records; returns the violations.
 
-    Sequence numbers strictly increase, and the only AGGREGATE is the last event.
-    A trace with no ROUTING, FANOUT or AGENT_START is a single-LLM trace and
-    needs one AGENT_DONE or AGENT_ERROR per red flag. Any other trace is a
-    multi-agent trace. It needs exactly one ROUTING, before any AGENT_START, and
-    exactly one FANOUT, after the ROUTING. Each started flag ends with exactly
-    one AGENT_DONE or AGENT_ERROR, and a flag never started has none. A start
-    left without a verdict (a dropped call) is closed by a WARNING on that flag
-    before the flag is started again. ROUTING and FANOUT agree with the flags
-    started (`_routing_problems`). In both shapes an AGENT_DONE decides YES or NO
-    with no error_detail, an AGENT_ERROR decides ERROR with one, and the
-    AGGREGATE's `predicted` and `verdict_count` are what the verdicts by flag add
-    up to.
+    A trace with no ROUTING, FANOUT or AGENT_START is a single-LLM trace: one
+    AGENT_DONE or AGENT_ERROR per red flag, then AGGREGATE. Any other trace is a
+    multi-agent trace, whose order is built from its ROUTING's `next` and
+    `fallback`, its FANOUT's `mode` and `missing`, and the routed flags with a
+    WARNING before the FANOUT (their step-2 call dropped):
+
+    1. with `fallback`, a WARNING with no subject, then ROUTING;
+    2. one AGENT_START per routed flag, then per routed flag a WARNING if its
+       call dropped, else its AGENT_DONE or AGENT_ERROR;
+    3. FANOUT, one AGENT_START per flag in `missing`, then their verdicts;
+    4. AGGREGATE.
+
+    Every list of flags is in canonical order. The first event that differs from
+    that order is reported, as `event N is X, where the engine writes Y`. Apart
+    from the order: sequence numbers strictly increase; `next` and `missing` are
+    lists of distinct red flags and `mode` is a fan-out mode, or the order is not
+    built; `missing` is `fanout_targets` of the mode and `next`, less the routed
+    flags not dropped; a ROUTING with `fallback` routes all seven; an AGENT_DONE
+    decides YES or NO with no error_detail, and an AGENT_ERROR decides ERROR with
+    one; and the AGGREGATE's `predicted` and `verdict_count` are what the verdicts
+    by flag add up to.
     """
     if not events:  # what a failed case-run leaves
         return ["the trace has no events"]
     summary = summarize(events)
-    counts = dict.fromkeys(Stage, 0)
-    verdicts: Counter = Counter()  # flag -> its AGENT_DONE and AGENT_ERROR events
-    awaiting = set()  # flags started and not yet closed by a verdict or WARNING
-    found = []  # the problems seen event by event
-    ordered = True
-    previous = float("-inf")
+    problems = []
+    if any(later.sequence <= event.sequence for event, later in zip(events, events[1:])):
+        problems.append("sequence numbers are not strictly increasing")
     for event in events:
-        stage, flag = event.stage, event.subject
-        if event.sequence <= previous:
-            ordered = False
-        previous = event.sequence
-        counts[stage] += 1
-        if stage is Stage.AGENT_START:
-            if not counts[Stage.ROUTING]:
-                found.append(f"AGENT_START of {_names([flag])} before ROUTING")
-            if flag in awaiting:
-                found.append(f"{_names([flag])} started again with its last start unclosed")
-            awaiting.add(flag)
-        elif stage in _VERDICT_SHAPES:
-            verdicts[flag] += 1
-            awaiting.discard(flag)
+        if event.stage in _VERDICT_SHAPES:
             decision, detail = event.payload.get("decision"), event.payload.get("error_detail")
-            if (decision, detail is not None) not in _VERDICT_SHAPES[stage]:
-                found.append(f"{stage.value} of {_names([flag])} has decision {decision!r} "
-                             f"and error_detail {detail!r}")
-        elif stage is Stage.AGGREGATE:
-            aggregate = event.payload
-        elif stage is Stage.WARNING:
-            awaiting.discard(flag)
-        elif stage is Stage.FANOUT and not counts[Stage.ROUTING]:
-            found.append("FANOUT before ROUTING")
-    problems = [] if ordered else ["sequence numbers are not strictly increasing"]
-    problems += found
-    if counts[Stage.ROUTING] or counts[Stage.FANOUT] or counts[Stage.AGENT_START]:
-        for stage in (Stage.ROUTING, Stage.FANOUT):
-            if counts[stage] != 1:
-                problems.append(f"expected exactly one {stage.value} event, found {counts[stage]}")
-        if counts[Stage.ROUTING] == counts[Stage.FANOUT] == 1:
-            problems += _routing_problems(summary)
-        started = set(summary.started)
-        never_started = verdicts.keys() - started
-        if never_started:
-            problems.append(f"verdict for a flag never started: {_names(never_started)}")
-        unclosed = [flag for flag in started if verdicts[flag] != 1 or flag in awaiting]
-        if unclosed:
-            problems.append(
-                f"expected each started flag to end with exactly one AGENT_DONE or AGENT_ERROR: "
-                f"{_names(unclosed)}"
-            )
-    elif sum(verdicts.values()) != len(RedFlag) or verdicts.keys() != set(RedFlag):
-        problems.append(
-            "expected one AGENT_DONE or AGENT_ERROR per red flag in a single-LLM trace, "
-            f"found {sum(verdicts.values())} for {len(verdicts)} subjects"
-        )
-    if counts[Stage.AGGREGATE] != 1:
-        problems.append(f"expected exactly one AGGREGATE event, found {counts[Stage.AGGREGATE]}")
+            if (decision, detail is not None) not in _VERDICT_SHAPES[event.stage]:
+                problems.append(f"{event.stage.value} of {_names([event.subject])} has decision "
+                                f"{decision!r} and error_detail {detail!r}")
+    if summary.routing is None and summary.fanout is None and not summary.started:
+        order = [*[(_VERDICT, flag) for flag in RedFlag], ("AGGREGATE", None)]
     else:
-        if events[-1].stage is not Stage.AGGREGATE:
-            problems.append("AGGREGATE is not the last event")
+        order = _engine_order(events, summary, problems)
+    have = [(_ORDER_NAME[event.stage], event.subject) for event in events]
+    if order is not None and have != order:
+        n = next(n for n, pair in enumerate(zip_longest(have, order)) if pair[0] != pair[1])
+        found = (_describe(events[n].stage.value, events[n].subject) if n < len(events)
+                 else "missing")
+        problems.append(f"event {n + 1} is {found}, where the engine writes "
+                        f"{_describe(*order[n]) if n < len(order) else 'nothing'}")
+    if events[-1].stage is Stage.AGGREGATE:
+        aggregate = events[-1].payload
         for key, want in (("predicted", sorted(flag.value for flag in summary.predicted)),
                           ("verdict_count", len(summary.verdicts))):
             if aggregate.get(key) != want:

@@ -872,13 +872,19 @@ class TestReplay:
         assert result.exit_code == EXIT_OK, result.output
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda e: [e[1], e[0], *e[2:]], "AGENT_START of meningismus before ROUTING"),
-        (lambda e: [e[3], *e[:3], *e[4:]], "FANOUT before ROUTING"),
-        (lambda e: [e[0], e[3], *e[5:]], "verdict for a flag never started: meningismus"),
-        (lambda e: [*e[:6], dict(e[5]), e[6]], "exactly one AGENT_DONE or AGENT_ERROR: meningismus"),
-        (lambda e: [*e[:4], e[6]], "exactly one AGENT_DONE or AGENT_ERROR: meningismus"),
-        (lambda e: [*e[:2], *e[3:]], "meningismus started again with its last start unclosed"),
-        (lambda e: [*e[:5], e[6], e[5]], "AGGREGATE is not the last event"),
+        (lambda e: [e[1], e[0], *e[2:]],
+         "event 1 is AGENT_START of meningismus, where the engine writes ROUTING"),
+        (lambda e: [e[3], *e[:3], *e[4:]], "event 1 is FANOUT, where the engine writes ROUTING"),
+        (lambda e: [e[0], e[3], *e[5:]],
+         "event 2 is FANOUT, where the engine writes AGENT_START of meningismus"),
+        (lambda e: [*e[:6], dict(e[5]), e[6]],
+         "event 7 is AGENT_DONE of meningismus, where the engine writes AGGREGATE"),
+        (lambda e: [*e[:4], e[6]],
+         "event 5 is AGGREGATE, where the engine writes AGENT_START of meningismus"),
+        (lambda e: [*e[:2], *e[3:]],
+         "event 3 is FANOUT, where the engine writes AGENT_DONE or AGENT_ERROR of meningismus"),
+        (lambda e: [*e[:5], e[6], e[5]],
+         "event 6 is AGGREGATE, where the engine writes AGENT_DONE or AGENT_ERROR of meningismus"),
     ], ids=["start-before-routing", "fanout-before-routing", "verdict-never-started",
             "two-verdicts", "dropped-never-rerun", "restart-without-warning",
             "aggregate-not-last"])
@@ -929,11 +935,10 @@ class TestReplay:
 
     @pytest.mark.parametrize("stage, field, value, message", [
         ("ROUTING", "next", [],
-         "the flags started before FANOUT are not ROUTING's next, each once: "
-         "started meningismus; next none"),
+         "event 2 is AGENT_START of meningismus, where the engine writes FANOUT"),
         ("FANOUT", "missing", ["meningismus", "papilledema"],
-         "the flags started are not ROUTING's next and FANOUT's missing: "
-         "started meningismus; next and missing meningismus, papilledema"),
+         "event 6 is AGENT_DONE of meningismus, where the engine writes AGENT_START of "
+         "papilledema"),
         ("ROUTING", "fallback", True,
          "a ROUTING with fallback routes meningismus, not all seven red flags"),
     ], ids=["emptied-next", "missing-never-started", "fallback-not-all-seven"])
@@ -1007,10 +1012,11 @@ class TestReplay:
         ("multi", "AGENT_DONE", lambda e: e["payload"].pop("decision"),
          "AGENT_DONE of meningismus has decision None and error_detail None"),
         ("multi", "AGENT_DONE", lambda e: e.update(subject=None),
-         "verdict for a flag never started: -"),
+         "event 6 is AGENT_DONE, where the engine writes AGENT_DONE or AGENT_ERROR of "
+         "meningismus"),
         ("single", "AGENT_DONE", lambda e: e.update(subject=None),
-         "expected one AGENT_DONE or AGENT_ERROR per red flag in a single-LLM trace, "
-         "found 7 for 7 subjects"),
+         "event 1 is AGENT_DONE, where the engine writes AGENT_DONE or AGENT_ERROR of "
+         "thunderclap"),
         ("multi", "ROUTING", lambda e: e["payload"].pop("next"),
          "ROUTING next is not a list of distinct red flags: None"),
         ("multi", "FANOUT", lambda e: e["payload"].update(missing="meningismus"),

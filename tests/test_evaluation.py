@@ -402,7 +402,7 @@ class TestRunExperiment:
         cfg = RunConfig(
             Architecture.MULTI_AGENT, PromptStrategy.GPROMPT, backend, "scripted", prompts
         )
-        report = run_experiment(dataset, [cfg])
+        report = run_experiment(dataset, [cfg], trace_dir=tmp_path)
         (row,) = report.rows
         assert row.case_count == 3
         assert row.error_case_count == 0
@@ -410,7 +410,8 @@ class TestRunExperiment:
 
     def test_four_rows_in_table_order(self, prompts, tmp_path):
         dataset = self._tiny_dataset(tmp_path)
-        report = run_experiment(dataset, fixture_matrix(prompts, self._backend_for(dataset)))
+        report = run_experiment(dataset, fixture_matrix(prompts, self._backend_for(dataset)),
+                                trace_dir=tmp_path)
         assert [row.approach for row in report.rows] == [
             "Single-LLM QPrompt",
             "Single-LLM GPrompt",
@@ -441,7 +442,7 @@ class TestRunExperiment:
             "scripted",
             prompts,
         )
-        report = run_experiment(dataset, [cfg])
+        report = run_experiment(dataset, [cfg], trace_dir=tmp_path)
         (row,) = report.rows
         assert row.error_case_count == 1
         assert row.case_count == 3
@@ -468,9 +469,9 @@ class TestRunExperiment:
                 "t3.trace.jsonl",
             ]
 
-    def test_empty_dataset_rejected(self, prompts):
+    def test_empty_dataset_rejected(self, prompts, tmp_path):
         with pytest.raises(EmptyRun):
-            run_experiment([], [])
+            run_experiment([], [], trace_dir=tmp_path)
 
     def test_one_failed_orchestrator_is_the_only_error_case(self, prompts, tmp_path):
         from tests.test_acceptance import _read_traces_without_wall_time  # imports this module
@@ -609,7 +610,7 @@ class TestReportRendering:
     def _report(self, prompts, tmp_path):
         dataset = TestRunExperiment()._tiny_dataset(tmp_path)
         backend = TestRunExperiment()._backend_for(dataset)
-        return run_experiment(dataset, fixture_matrix(prompts, backend))
+        return run_experiment(dataset, fixture_matrix(prompts, backend), trace_dir=tmp_path)
 
     def test_table_columns_and_precision(self, prompts, tmp_path):
         table = self._report(prompts, tmp_path).render_table()

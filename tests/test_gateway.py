@@ -11,7 +11,7 @@ import pytest
 
 from redflagcds.encoding import BadRecord
 from redflagcds.engine import run_case
-from redflagcds.evaluation import run_row_name
+from redflagcds.evaluation import load_dataset, run_row_name
 from redflagcds.gateway import (
     BackendConfig,
     BackendUnavailable,
@@ -27,7 +27,14 @@ from redflagcds.gateway import (
     load_script,
     with_retries,
 )
-from tests.conftest import TABLE1_RAW, chat_reply, multi_config, within, write_script_file
+from tests.conftest import (
+    TABLE1_RAW,
+    chat_reply,
+    multi_config,
+    within,
+    write_jsonl,
+    write_script_file,
+)
 
 
 class TestScriptedBackend:
@@ -113,6 +120,29 @@ class TestLoadScript:
         )
         (entry,) = load_script(path)
         assert entry.fault is Fault.HTTP_500
+
+    @pytest.mark.parametrize("case_id", [None, True, 1.5, [1], {"a": 1}],
+                             ids=["null", "true", "float", "array", "object"])
+    def test_case_id_neither_string_nor_integer_rejected(self, tmp_path, case_id):
+        """The dataset's id rule: no such case_id silently becomes its Python text."""
+        path = write_jsonl(tmp_path / "s.jsonl", [
+            {"case_id": "a", "agent_role": "baseline", "response": "x"},
+            {"case_id": case_id, "agent_role": "baseline", "response": "x"},
+        ])
+        with pytest.raises(BadRecord, match="^line 2: case_id is not a string or an integer$"):
+            load_script(path)
+
+    def test_agent_role_not_a_string_rejected(self, tmp_path):
+        path = write_jsonl(tmp_path / "s.jsonl", [{"case_id": "a", "agent_role": 7}])
+        with pytest.raises(BadRecord, match="^line 1: agent_role is not a string$"):
+            load_script(path)
+
+    def test_integer_case_id_answers_the_integer_dataset_id(self, tmp_path):
+        script = write_jsonl(tmp_path / "s.jsonl",
+                             [{"case_id": 7, "agent_role": "baseline", "response": "x"}])
+        dataset = write_jsonl(tmp_path / "d.jsonl", [{"id": 7, "text": "note", "red_flags": []}])
+        (case,) = load_dataset(dataset)
+        assert ScriptedBackend(load_script(script)).complete("p", case.vignette.id, "baseline") == "x"
 
 
 class TestRetries:

@@ -1,10 +1,13 @@
-"""`trace.summarize`, the one fold of a case-run's events, and `untimed`."""
+"""`trace.summarize`, the one fold of a case-run's events, `untimed`, and `verify_trace`."""
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redflagcds.domain import RedFlag, Stage, TraceEvent
-from redflagcds.trace import Summary, summarize, untimed, verify_trace
+from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent
+from redflagcds.trace import Summary, read_trace, summarize, untimed, verify_trace
+from tests.conftest import within
 
 
 def event(sequence, stage, subject=None, **payload):
@@ -29,8 +32,6 @@ def test_summarize_folds_routing_verdicts_starts_and_fanout():
     assert summary.verdicts == {RedFlag.MENINGISMUS: events[7].payload,
                                 RedFlag.PAPILLEDEMA: events[4].payload}
     assert summary.started == [RedFlag.MENINGISMUS, RedFlag.PAPILLEDEMA, RedFlag.MENINGISMUS]
-    assert summary.routed_starts == 2
-    assert summary.decided_before_fanout == {RedFlag.PAPILLEDEMA}
     assert summary.predicted == {RedFlag.MENINGISMUS}
     assert verify_trace(events) == []
 
@@ -77,3 +78,34 @@ _events = st.lists(st.builds(
 def test_the_fold_and_verify_never_raise_on_any_events(events):
     assert isinstance(summarize(events).predicted, frozenset)
     assert isinstance(verify_trace(events), list)
+
+
+def test_any_deleted_or_adjacent_swapped_event_of_an_engine_trace_is_rejected(tmp_path):
+    """Deleting one event of a trace the engine writes, or swapping two adjacent events
+    whose stage or subject differ, makes `verify_trace` reject it, renumbered after the
+    edit: every fixture trace under both fan-out modes, and the seed-7 corpus traces
+    whose routing fell back to all seven agents (the routing call is the same in both
+    multi-agent rows, so one row has them all)."""
+    from scripts.trace_digests import MULTI_AGENT, fixture_trace_digests, run_digests, write_corpus
+
+    within(60, lambda: fixture_trace_digests(tmp_path / "fixtures"))
+    corpus = write_corpus(tmp_path / "corpus")
+    runs = [(FanoutMode.ROUTED, MULTI_AGENT[:1], "")]
+    within(60, lambda: run_digests(corpus["cases"], corpus["script"], runs, tmp_path / "corpus"))
+    traces = {path.relative_to(tmp_path).as_posix(): read_trace(path)
+              for path in sorted(tmp_path.rglob("*.trace.jsonl"))}
+    traces = {name: events for name, events in traces.items() if name.startswith("fixtures/")
+              or summarize(events).routing.get("fallback")}
+    assert len(traces) == 132 + 40
+    accepted = []
+    for name, events in traces.items():
+        edits = [events[:i] + events[i + 1:] for i in range(len(events))]
+        edits += [events[:i] + [events[i + 1], events[i]] + events[i + 2:]
+                  for i in range(len(events) - 1)
+                  if (events[i].stage, events[i].subject)
+                  != (events[i + 1].stage, events[i + 1].subject)]
+        for n, edited in enumerate(edits):
+            renumbered = [replace(event, sequence=i) for i, event in enumerate(edited, start=1)]
+            if not verify_trace(renumbered):
+                accepted.append(f"{name} edit {n}")
+    assert not accepted, f"{len(accepted)} edited traces pass verify_trace: {accepted[:10]}"
