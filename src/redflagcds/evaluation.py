@@ -16,7 +16,7 @@ from .encoding import BadRecord, read_case_id, read_jsonl
 # run_case is not used here but stays importable from this module: bench/spans.py hooks it.
 from .engine import Architecture, RunConfig, run_case, run_cases  # noqa: F401
 from .prompts import PromptStrategy
-from .trace import trace_name_problem, trace_stem, write_trace
+from .trace import trace_name_problem, write_trace
 
 logger = logging.getLogger(__name__)
 
@@ -81,28 +81,20 @@ def load_dataset(path) -> list[GoldCase]:
 
     Unknown flag names are a BadRecord; gold data must be clean, unlike model
     output. Duplicate flags collapse under set semantics with a lint warning.
-    An id is a string, or an integer read as its text, and names its case's trace file:
-    any other id, or one that cannot name a trace file (`trace.trace_name_problem`), is
-    a BadRecord. So is a repeated id,
-    or two ids that share a trace file name: one case's trace would silently
-    overwrite the other's.
+    An id is a string, or an integer read as its text, and names its case's trace file
+    (`trace.trace_stem`, which gives each id its own name): any other id, one that
+    cannot name a trace file (`trace.trace_name_problem`), or a repeated id is a BadRecord.
     """
     cases: list[GoldCase] = []
-    seen: dict[str, tuple[str, int]] = {}  # trace stem -> (id, line) of the case that has it
+    seen: dict[str, int] = {}  # id -> the line it is first on
     for lineno, record in read_jsonl(path, required=("id", "text", "red_flags")):
         case_id = read_case_id(lineno, record["id"], "id")
         note_text, flag_names = record["text"], record["red_flags"]
         if problem := trace_name_problem(case_id):
             raise BadRecord(lineno, problem)
-        stem = trace_stem(case_id)
-        if stem in seen:
-            other, other_line = seen[stem]
-            if other == case_id:
-                raise BadRecord(lineno, f"duplicate id {case_id!r} (first on line {other_line})")
-            raise BadRecord(
-                lineno, f"id {case_id!r} has the trace file name of {other!r} (line {other_line})"
-            )
-        seen[stem] = (case_id, lineno)
+        first = seen.setdefault(case_id, lineno)
+        if first != lineno:
+            raise BadRecord(lineno, f"duplicate id {case_id!r} (first on line {first})")
         if not isinstance(note_text, str):
             raise BadRecord(lineno, "text is not a string")
         if not note_text.strip():

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 from dataclasses import dataclass, field
@@ -12,14 +11,10 @@ from itertools import takewhile, zip_longest
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .domain import FanoutMode, RedFlag, Stage, TraceEvent, UnknownAgentName
-from .domain import canonical_order, parse_red_flag
+from .domain import FanoutMode, RedFlag, Stage, TraceEvent, canonical_order
 from .encoding import BadRecord, read_jsonl
 
-logger = logging.getLogger(__name__)
-
-
-_UNSAFE_ID = re.compile(r"[\\/]")
+_ESCAPED = re.compile(r"[%/\\\0]")  # the characters `trace_stem` writes as `%XX`
 _SUFFIX = ".trace.jsonl"
 _NAME_MAX = 255  # bytes in a file name on Linux file systems (NAME_MAX)
 # One encoder for every event: json.dumps with a non-default option builds a new one per call.
@@ -27,17 +22,17 @@ _to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def trace_stem(case_id: str) -> str:
-    """A case's trace file name without `.trace.jsonl`: path separators become underscores."""
-    return _UNSAFE_ID.sub("_", case_id)
+    """A case's trace file name without `.trace.jsonl`: the id with `%`, `/`, `\\` and NUL
+    written as `%25`, `%2F`, `%5C` and `%00`, so `urllib.parse.unquote` gives the id back
+    and no two ids share a trace file."""
+    return _ESCAPED.sub(lambda match: f"%{ord(match[0]):02X}", case_id)
 
 
 def trace_name_problem(case_id: str) -> Optional[str]:
     """Why the case id cannot name its trace file, or None if it can: the id is empty or
-    blank, holds a NUL, has no file-system encoding, or makes a name over 255 bytes."""
+    blank, has no file-system encoding, or makes a name over 255 bytes."""
     if not case_id.strip():
         return "id is empty"
-    if "\0" in case_id:
-        return "id holds a NUL character"
     try:
         name = os.fsencode(trace_stem(case_id) + _SUFFIX)
     except UnicodeEncodeError:
@@ -49,11 +44,8 @@ def write_trace(case_id: str, trace: Iterable[TraceEvent], directory) -> Path:
     """Write one case's trace as line-delimited JSON; overwrites any previous file. A lone
     surrogate, which only a JSON string can hold, is written as its `\\uXXXX` escape."""
     directory = Path(directory)
-    stem = trace_stem(case_id)
-    if stem != case_id:
-        logger.warning("case id %r sanitized to %r for the trace filename", case_id, stem)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / (stem + _SUFFIX)
+    path = directory / (trace_stem(case_id) + _SUFFIX)
     text = "".join(_to_json(event.to_json_dict()) + "\n" for event in trace)
     path.write_bytes(text.encode("utf-8", "backslashreplace"))
     return path
@@ -117,12 +109,13 @@ def _names(flags) -> str:
 
 
 def _flags(names) -> Optional[set[RedFlag]]:
-    """The red flags a payload's list names, or None unless it is a list of distinct names."""
+    """The red flags a payload's list names, or None unless it is a list of distinct wire
+    names, spelled exactly as the engine writes them."""
     if not isinstance(names, list):
         return None
     try:
-        flags = {parse_red_flag(name) for name in names}
-    except UnknownAgentName:
+        flags = {RedFlag(name) for name in names}
+    except ValueError:
         return None
     return flags if len(flags) == len(names) else None
 
@@ -162,6 +155,8 @@ def _engine_order(events: list[TraceEvent], summary: Summary, problems: list[str
     if missing is None:
         problems.append(f"FANOUT missing is not a list of distinct red flags: "
                         f"{fanout.get('missing')!r}")
+    elif fanout["missing"] != [flag.value for flag in canonical_order(missing)]:
+        problems.append(f"FANOUT missing is not in canonical order: {fanout['missing']!r}")
     if mode not in _MODES:
         problems.append(f"FANOUT mode is not one of {_MODES}: {mode!r}")
     if routed is None or missing is None or mode not in _MODES:
@@ -202,12 +197,12 @@ def verify_trace(events: list[TraceEvent]) -> list[str]:
     Every list of flags is in canonical order. The first event that differs from
     that order is reported, as `event N is X, where the engine writes Y`. Apart
     from the order: sequence numbers strictly increase; `next` and `missing` are
-    lists of distinct red flags and `mode` is a fan-out mode, or the order is not
-    built; `missing` is `fanout_targets` of the mode and `next`, less the routed
-    flags not dropped; a ROUTING with `fallback` routes all seven; an AGENT_DONE
-    decides YES or NO with no error_detail, and an AGENT_ERROR decides ERROR with
-    one; and the AGGREGATE's `predicted` and `verdict_count` are what the verdicts
-    by flag add up to.
+    lists of distinct wire names and `mode` is a fan-out mode, or the order is not
+    built; `missing` is in canonical order, and is `fanout_targets` of the mode and
+    `next`, less the routed flags not dropped; a ROUTING with `fallback` routes all
+    seven; an AGENT_DONE decides YES or NO with no error_detail, and an AGENT_ERROR
+    decides ERROR with one; and the AGGREGATE's `predicted` and `verdict_count` are
+    what the verdicts by flag add up to.
     """
     if not events:  # what a failed case-run leaves
         return ["the trace has no events"]

@@ -241,12 +241,14 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("case_id, fits", [
         ("x" * 243, True), ("x" * 244, False), ("é" * 121 + "x", True), ("é" * 122, False),
-        ("\udcff" * 243, True), ("\udcff" * 244, False),
+        ("\udcff" * 243, True), ("\udcff" * 244, False), ("/" * 81, True), ("/" * 82, False),
     ], ids=["255-bytes", "256-bytes", "255-bytes-in-122-characters", "256-bytes-in-122-characters",
-            "255-undecodable-bytes", "256-undecodable-bytes"])
+            "255-undecodable-bytes", "256-undecodable-bytes", "255-bytes-escaped",
+            "258-bytes-escaped"])
     def test_id_must_fit_a_trace_file_name(self, tmp_path, case_id, fits):
         """`<id>.trace.jsonl` must fit in 255 bytes of the file-system encoding; 243 are left
-        for the id. A byte that is not UTF-8, decoded as one surrogate, counts as one byte."""
+        for the id as `trace_stem` escapes it, where each `/` takes three. A byte that is not
+        UTF-8, decoded as one surrogate, counts as one byte."""
         path = self._write(tmp_path, [{"id": case_id, "text": "note", "red_flags": []}])
         if fits:
             (case,) = load_dataset(path)
@@ -282,17 +284,6 @@ class TestLoadDataset:
             ],
         )
         with pytest.raises(BadRecord, match=r"line 3: duplicate id 'a' \(first on line 1\)"):
-            load_dataset(path)
-
-    def test_ids_sharing_a_trace_filename_rejected(self, tmp_path):
-        path = self._write(
-            tmp_path,
-            [
-                {"id": "a/b", "text": "note", "red_flags": []},
-                {"id": "a_b", "text": "note", "red_flags": []},
-            ],
-        )
-        with pytest.raises(BadRecord, match="line 2: id 'a_b' has the trace file name of 'a/b'"):
             load_dataset(path)
 
     def test_bom_file_parses_identically(self, tmp_path):

@@ -1,17 +1,25 @@
 """`trace.summarize`, the one fold of a case-run's events, `untimed`, and `verify_trace`."""
 
 from dataclasses import replace
+from urllib.parse import unquote
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent
-from redflagcds.trace import Summary, read_trace, summarize, untimed, verify_trace
+from redflagcds.trace import Summary, read_trace, summarize, trace_stem, untimed, verify_trace
 from tests.conftest import within
 
 
 def event(sequence, stage, subject=None, **payload):
     return TraceEvent(sequence, stage, subject, payload, 0.0)
+
+
+@given(case_id=st.text(alphabet="%/\\\0_a25CF", max_size=8))
+def test_a_trace_stem_unquotes_back_to_its_id(case_id):
+    """The stem is an escape with an inverse, so no two ids share a trace file."""
+    assert unquote(trace_stem(case_id)) == case_id
 
 
 def test_summarize_folds_routing_verdicts_starts_and_fanout():
@@ -34,6 +42,18 @@ def test_summarize_folds_routing_verdicts_starts_and_fanout():
     assert summary.started == [RedFlag.MENINGISMUS, RedFlag.PAPILLEDEMA, RedFlag.MENINGISMUS]
     assert summary.predicted == {RedFlag.MENINGISMUS}
     assert verify_trace(events) == []
+
+
+def test_routing_next_spelled_other_than_its_wire_names_is_rejected():
+    events = [
+        event(1, Stage.ROUTING, next=["Thunderclap"], why="w", evidence=[]),
+        event(2, Stage.AGENT_START, RedFlag.THUNDERCLAP),
+        event(3, Stage.AGENT_DONE, RedFlag.THUNDERCLAP, decision="NO"),
+        event(4, Stage.FANOUT, mode="routed", missing=[]),
+        event(5, Stage.AGGREGATE, predicted=[], verdict_count=1),
+    ]
+    assert verify_trace(events) == [
+        "ROUTING next is not a list of distinct red flags: ['Thunderclap']"]
 
 
 def test_a_verdict_without_a_subject_or_a_decision_is_no_prediction():
@@ -108,4 +128,37 @@ def test_any_deleted_or_adjacent_swapped_event_of_an_engine_trace_is_rejected(tm
             renumbered = [replace(event, sequence=i) for i, event in enumerate(edited, start=1)]
             if not verify_trace(renumbered):
                 accepted.append(f"{name} edit {n}")
+    assert not accepted, f"{len(accepted)} edited traces pass verify_trace: {accepted[:10]}"
+
+
+@pytest.fixture(scope="module")
+def fanouts_of_two_or_more(tmp_path_factory):
+    """The fixture traces, under both fan-out modes, whose FANOUT names two or more flags
+    missing: the ones in which `missing` has an order to get wrong."""
+    from scripts.trace_digests import fixture_trace_digests
+
+    trace_dir = tmp_path_factory.mktemp("fixtures")
+    within(60, lambda: fixture_trace_digests(trace_dir))
+    traces = {path.relative_to(trace_dir).as_posix(): read_trace(path)
+              for path in sorted(trace_dir.rglob("*.trace.jsonl"))}
+    return {name: events for name, events in traces.items()
+            if len((summarize(events).fanout or {}).get("missing", ())) >= 2}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda names: names[::-1],
+    lambda names: [name.upper() for name in names],
+], ids=["reversed", "upper-cased"])
+def test_a_fanout_missing_list_the_engine_does_not_write_is_rejected(fanouts_of_two_or_more,
+                                                                     edit):
+    """`engine.manual_fanout` writes `missing` as wire names in canonical order; the same
+    flags listed in any other order or spelling fail `verify_trace`."""
+    assert len(fanouts_of_two_or_more) == 44
+    accepted = []
+    for name, events in fanouts_of_two_or_more.items():
+        assert verify_trace(events) == [], name
+        edited = [replace(e, payload={**e.payload, "missing": edit(e.payload["missing"])})
+                  if e.stage is Stage.FANOUT else e for e in events]
+        if not verify_trace(edited):
+            accepted.append(name)
     assert not accepted, f"{len(accepted)} edited traces pass verify_trace: {accepted[:10]}"
