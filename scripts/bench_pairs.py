@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE [--workload W ...] [--pairs 10]
         [--seconds 30] [--first-seed 201]
+    python3 scripts/bench_pairs.py --chain
 
 Each commit is exported with `git archive` into its own directory under a temporary
 directory, which is removed at the end. Both checkouts must hold the same benchmark:
@@ -31,6 +32,14 @@ The result goes to BENCH_<change short sha>.json in the repository root. The exi
 status is 1 when a run failed or reported `correct: false`, a metric is worse, or the
 change fails a larger share of its operations than the parent; 0 otherwise. Run it
 from a checkout that holds both commits.
+
+Raw medians drift between runs on different days with the host, not the code, so never
+compare them across files. `--chain` reads the committed BENCH_*.json files in commit
+order instead. It names every gap, where `src/`, `BENCHMARK.json` or a benchmark path
+changed between one file's change and the next file's parent, and prints, per workload
+and metric and file, both medians, their change/parent ratio, and the product of the
+ratios since the chain last started. A chain starts at the first file, after a gap, and
+after a file that lacks the metric.
 """
 
 from __future__ import annotations
@@ -138,15 +147,80 @@ def judge(metric: dict, runs: list[dict]) -> dict:
             "ties": sum(c == p for p, c in pairs), "verdict": verdict}
 
 
+def chain(files: list[tuple[str, dict]], changed) -> tuple[list, dict]:
+    """Chain BENCH files given as (name, contents) in commit order; `changed(a, b)` lists
+    the paths that differ between commits a and b and that can move a metric.
+
+    Returns the gaps, each (earlier file, later file, paths), and per (workload, metric)
+    that any file holds, one row per file: (file, parent median, change median, ratio,
+    product). A file that lacks the metric, or has a zero parent median, gives no ratio
+    and no product, and the metric's chain starts again after it.
+    """
+    keys = dict.fromkeys((workload, metric) for _, bench in files
+                         for workload, body in bench["workloads"].items()
+                         for metric in body["metrics"])
+    gaps, rows, products = [], {key: [] for key in keys}, {}
+    for i, (name, bench) in enumerate(files):
+        if i and (paths := changed(files[i - 1][1]["change"], bench["parent"])):
+            gaps.append((files[i - 1][0], name, paths))
+            products.clear()
+        for workload, metric in keys:
+            m = bench["workloads"].get(workload, {}).get("metrics", {}).get(metric, {})
+            parent, change = m.get("parent_median"), m.get("change_median")
+            ratio = change / parent if parent and change is not None else None
+            if ratio is None:
+                products.pop((workload, metric), None)
+            else:
+                products[workload, metric] = products.get((workload, metric), 1.0) * ratio
+            rows[workload, metric].append(
+                (name, parent, change, ratio, products.get((workload, metric))))
+    return gaps, rows
+
+
+def print_chain() -> int:
+    """`--chain` over the committed BENCH_*.json files; 1 if one names an unknown commit."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    order = {sha: i for i, sha in enumerate(git("rev-list", "--reverse", "HEAD").split())}
+    files = [(path, json.loads((ROOT / path).read_text(encoding="utf-8")))
+             for path in git("ls-files", "BENCH_*.json").split()]
+    unknown = [path for path, bench in files if bench["change"] not in order]
+    if unknown:
+        print(f"bench_pairs: not in HEAD's history: {', '.join(unknown)}", file=sys.stderr)
+        return 1
+    files.sort(key=lambda file: order[file[1]["change"]])
+    watched = ["src", "BENCHMARK.json", *spec["paths"]]
+    gaps, rows = chain(files, lambda a, b: git("diff", "--name-only", a, b, "--",
+                                               *watched).split())
+    for earlier, later, paths in gaps:
+        print(f"gap between {earlier} and {later}, the chain starts again: "
+              f"{', '.join(paths)}")
+    print(f"{'workload':<16} {'metric':<28} {'file':<18} {'parent':>10} {'change':>10} "
+          f"{'ratio':>8} {'product':>8}")
+    for (workload, metric), found in rows.items():
+        for name, parent, change, ratio, product in found:
+            cells = [f"{v:10.4g}" if v is not None else f"{'-':>10}" for v in (parent, change)]
+            cells += [f"{f'x{v:.3f}' if v is not None else '-':>8}" for v in (ratio, product)]
+            print(f"{workload:<16} {metric:<28} {name:<18} {' '.join(cells)}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--chain", action="store_true",
+                        help="chain the committed BENCH_*.json files instead of running pairs")
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=None, help="default: run_seconds")
     parser.add_argument("--first-seed", type=int, default=201)
     args = parser.parse_args(argv)
+    if args.chain:
+        if args.parent or args.change:
+            parser.error("--chain takes no commits")
+        return print_chain()
+    if not args.change:
+        parser.error("PARENT and CHANGE are required")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 

@@ -15,9 +15,11 @@ in canonical flag order, so traces are deterministic for a scripted backend
 whatever order the calls finish in.
 
 `run_case` runs one case-run's steps on its caller's thread, with no coordinator
-thread, and sends its backend calls to one call executor of its own with
-`concurrency` workers. It returns or raises once every call it sent has ended,
-without waiting for the idle workers to exit.
+thread, and sends its backend calls to its thread's call executor: made on the
+thread's first screen with `concurrency` workers and kept warm for the next ones, which
+start no thread once it is full; a screen asking for another `concurrency` replaces it.
+It returns or raises once every call it sent has ended, so the executor is idle between
+screens. Its workers exit when their thread ends, or at interpreter exit.
 
 A case-run's steps share one map of the specialist calls sent and not yet read. Under
 EXHAUSTIVE fan-out, step 1 sends all seven right after the orchestrator call;
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import threading
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -67,6 +70,9 @@ DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 # Cases submitted ahead of the one being read, per call slot: enough that a slow case at
 # the head keeps the others busy, few enough that finished results do not pile up.
 CASES_AHEAD = 4
+
+# Each calling thread's screen call executor and its worker count, as `pool`.
+_screen = threading.local()
 
 # A case-run's specialist calls sent and not yet read, by flag; a call sent is its future
 # and its prompt's sha256.
@@ -140,14 +146,16 @@ def run_cases(
 
 def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
     """Run one case end to end on the caller's thread, with no coordinator thread; its
-    backend calls go to one call executor with `cfg.concurrency` workers. Agent-level
-    failures never raise; they become ERROR verdicts. A case-level failure raises once
-    the calls it sent have ended, which `_coordinate` sees to."""
-    calls = ThreadPoolExecutor(max_workers=cfg.concurrency, thread_name_prefix="redflagcds-call")
-    try:
-        return _coordinate(vignette, cfg, calls, None)
-    finally:  # every call has ended, so the idle workers can exit on their own
-        calls.shutdown(wait=False)
+    backend calls go to the thread's call executor with `cfg.concurrency` workers.
+    Agent-level failures never raise; they become ERROR verdicts. A case-level failure
+    raises once the calls it sent have ended, which `_coordinate` sees to."""
+    limit, calls = getattr(_screen, "pool", (None, None))
+    if limit != cfg.concurrency:
+        if calls is not None:  # idle: its workers exit once they see the shutdown
+            calls.shutdown(wait=False)
+        calls = ThreadPoolExecutor(cfg.concurrency, thread_name_prefix="redflagcds-call")
+        _screen.pool = cfg.concurrency, calls
+    return _coordinate(vignette, cfg, calls, None)
 
 
 def _coordinate(

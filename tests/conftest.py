@@ -30,6 +30,20 @@ def prompts() -> PromptLibrary:
 
 
 @pytest.fixture
+def started_threads(monkeypatch) -> list[threading.Thread]:
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+@pytest.fixture
 def vignette() -> Vignette:
     return Vignette(
         id="case-7",

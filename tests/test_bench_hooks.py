@@ -12,7 +12,7 @@ from redflagcds import cli, engine, evaluation, recovery
 from redflagcds.cli import EXIT_OK
 from redflagcds.engine import FanoutMode
 from redflagcds.gateway import ScriptedBackend, load_script
-from tests.conftest import FIXTURES_DIR, REPO_ROOT, multi_config
+from tests.conftest import FIXTURES_DIR, REPO_ROOT, CountingBackend, multi_config, within
 
 
 def load_spans():
@@ -62,20 +62,34 @@ def test_every_hook_target_exists_and_is_called_once_per_case_run(tmp_path):
     assert {m: metrics[m][0] for m in pooled if metrics[m][0] is None} == {}
 
 
-def test_a_hooked_screen_records_its_executor_and_the_threads_it_started(prompts):
+def test_a_hooked_screen_records_its_executor_and_the_threads_it_started(
+        prompts, started_threads):
+    """A thread's first screen creates its call executor; its next screen sends every call
+    to that executor, warm, and creates or starts nothing."""
     spans = load_spans()
     tracer = spans.Tracer()
+    vignette = evaluation.load_dataset(FIXTURES_DIR / "cases.jsonl")[0].vignette
+    entries = load_script(FIXTURES_DIR / "script.jsonl")
+
+    def screen():  # fresh script state, as one `classify` invocation has
+        backend = CountingBackend(ScriptedBackend(entries), delay=0.02)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=3)
+        before = len(started_threads)
+        engine.run_case(vignette, cfg)
+        return Counter(name for name, _, _ in tracer.events), started_threads[before:]
+
     hooks = spans.install(tracer, engine, evaluation, recovery, cli)
     tracer.phase = "screen"
-    backend = ScriptedBackend(load_script(FIXTURES_DIR / "script.jsonl"))
-    vignette = evaluation.load_dataset(FIXTURES_DIR / "cases.jsonl")[0].vignette
-    cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=3)
     try:
-        engine.run_case(vignette, cfg)
+        (first, first_started), (second, second_started) = within(
+            30, lambda: (screen(), screen()))
     finally:
         hooks.restore()
-    events = Counter(name for name, _, _ in tracer.events)
-    assert events["engine.executors_created"] == 1
-    assert events["engine.queue_wait_ms"] == 1 + 7  # the routing call and seven specialist calls
-    (threads,) = [value for name, value, _ in tracer.events if name == "engine.threads_started"]
-    assert 1 <= threads <= cfg.concurrency
+    assert first["engine.executors_created"] == 1
+    assert first["engine.queue_wait_ms"] == 1 + 7  # the routing call and seven specialist calls
+    assert 1 <= len(first_started) <= 3
+    assert all(t.name.startswith("redflagcds-call") for t in first_started)
+    assert second["engine.executors_created"] == 1
+    assert second["engine.queue_wait_ms"] == 2 * (1 + 7)
+    assert second_started == []
+    assert second["engine.threads_started"] == 0  # only a shutdown records it

@@ -1,8 +1,9 @@
-"""The verdict rule of scripts/bench_pairs.py, on made-up pairs of runs."""
+"""The verdict rule of scripts/bench_pairs.py, on made-up pairs of runs, and its
+`--chain` of BENCH files, on made-up files."""
 
 import pytest
 
-from scripts.bench_pairs import judge
+from scripts.bench_pairs import chain, judge
 
 
 def runs(parent, change, correct=True, failed=(0, 0)):
@@ -46,3 +47,28 @@ def test_a_pair_with_a_failed_run_is_left_out():
     metric = {"name": "m", "unit": "u", "better": "lower", "bound": 0.1}
     judged = judge(metric, runs([10] * 9, [9] * 9) + runs([99], [1], correct=False))
     assert (judged["pairs"], judged["wins"], judged["parent_median"]) == (9, 9, 10)
+
+
+def bench(parent, change, medians):
+    """A made-up BENCH file holding, per (workload, metric), its (parent, change) medians."""
+    workloads = {}
+    for (workload, metric), (p, c) in medians.items():
+        workloads.setdefault(workload, {"metrics": {}})["metrics"][metric] = {
+            "parent_median": p, "change_median": c}
+    return {"parent": parent, "change": change, "workloads": workloads}
+
+
+def test_chain_multiplies_ratios_and_starts_again_at_a_gap_or_a_missing_metric():
+    a, b = ("w", "a"), ("w", "b")
+    files = [("A", bench("p1", "c1", {a: (10, 11), b: (2, 1)})),
+             ("B", bench("c1", "c2", {a: (20, 30)})),  # no gap before it; it lacks b
+             ("C", bench("p3", "c3", {a: (4, 2), b: (1, 3)})),  # a gap: c2 -> p3 changed src/
+             ("D", bench("c3", "c4", {a: (1, 2), b: (5, 10)}))]
+    diffs = {("c2", "p3"): ["src/redflagcds/engine.py"]}
+    gaps, rows = chain(files, lambda x, y: diffs.get((x, y), []))
+    assert gaps == [("B", "C", ["src/redflagcds/engine.py"])]
+    assert list(rows) == [a, b]
+    assert rows[a][0] == ("A", 10, 11, pytest.approx(1.1), pytest.approx(1.1))
+    assert [row[4] for row in rows[a]] == pytest.approx([1.1, 1.65, 0.5, 1.0])
+    assert rows[b][1] == ("B", None, None, None, None)
+    assert [row[4] for row in rows[b]] == [0.5, None, 3.0, 6.0]

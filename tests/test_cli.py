@@ -752,6 +752,27 @@ def test_importing_the_cli_loads_no_http_library():
     assert result.stdout.strip() == "[]"
 
 
+def test_a_classify_process_with_warm_call_threads_exits_promptly(runner, tmp_path):
+    """`classify` leaves its screen's call executor warm on the main thread; the process
+    still exits, with status 0, once the screen is done. case19's dropped call makes
+    fan-out send one more call."""
+    (case,) = [c for c in load_dataset(FIXTURES_DIR / "cases.jsonl") if c.vignette.id == "case19"]
+    note = tmp_path / "case19.txt"
+    note.write_text(case.vignette.text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "redflagcds.cli", "classify", "--note", str(note),
+         "--script", str(FIXTURES_DIR / "script.jsonl"), "--fanout", "exhaustive",
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == EXIT_OK, result.stderr
+    trace = json.loads(result.stdout)["trace_file"]
+    replayed = runner.invoke(cli, ["replay", trace, "--verify"])
+    assert replayed.exit_code == EXIT_OK, replayed.output
+    assert summarize(read_trace(Path(trace))).verdicts.keys() == set(RedFlag)
+
+
 class TestReport:
     def test_rerenders_csv(self, runner, tmp_path):
         evaluate = runner.invoke(

@@ -762,29 +762,120 @@ class TestRunCase:
         assert backend.in_flight == 0
         assert len(backend.calls) == 1 + len(RedFlag) + 1
 
-    @pytest.mark.parametrize("concurrency", [1, 3, 8])
-    def test_starts_no_coordinator_and_at_most_concurrency_call_threads(
-            self, prompts, monkeypatch, concurrency):
-        started = []
-        start = threading.Thread.start
-
-        def record(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", record)
-        # routed to all seven, each dropped once: seven more calls in fan-out
+    @staticmethod
+    def _screen(prompts, concurrency, delay=0.02):
+        """A fresh backend and config for a screen routed to all seven flags, each dropped
+        once, so fan-out sends seven more calls."""
         route_all = json.dumps({"next": [f.value for f in RedFlag], "why": "all", "evidence": []})
         entries = full_script("case-7", route_all, faults=dict.fromkeys(RedFlag, Fault.DROPPED))
-        backend = CountingBackend(ScriptedBackend(entries), delay=0.005)
-        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
-                           concurrency=concurrency)
+        backend = CountingBackend(ScriptedBackend(entries), delay=delay)
+        return backend, multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
+                                     concurrency=concurrency)
+
+    @staticmethod
+    def _call_threads(threads):
+        return [t for t in threads if t.name.startswith("redflagcds-call")]
+
+    @staticmethod
+    def _alive_within(threads, seconds):
+        """The threads still alive after waiting up to `seconds` for all of them to end."""
+        deadline = time.monotonic() + seconds
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        return [t for t in threads if t.is_alive()]
+
+    @pytest.mark.parametrize("concurrency", [1, 3, 8])
+    def test_starts_no_coordinator_and_at_most_concurrency_call_threads(
+            self, prompts, started_threads, concurrency):
+        backend, cfg = self._screen(prompts, concurrency)
         within(30, lambda: run_case(note(), cfg))
         assert len(backend.calls) == 1 + 2 * len(RedFlag)
         assert backend.peak == concurrency
-        engine_threads = [name for name in started if name.startswith("redflagcds-")]
-        assert engine_threads and all(n.startswith("redflagcds-call") for n in engine_threads)
+        engine_threads = [t for t in started_threads if t.name.startswith("redflagcds-")]
+        assert engine_threads and engine_threads == self._call_threads(started_threads)
         assert len(engine_threads) <= concurrency
+
+    @pytest.mark.parametrize("concurrency", [1, 8])
+    def test_later_screens_on_a_thread_start_no_thread_and_trace_as_on_a_fresh_one(
+            self, prompts, started_threads, concurrency):
+        def screen():
+            backend, cfg = self._screen(prompts, concurrency)
+            before = len(started_threads)
+            trace = [untimed(e.to_json_dict()) for e in run_case(note(), cfg).trace]
+            return trace, backend.peak, started_threads[before:]
+
+        screens = within(30, lambda: [screen() for _ in range(3)])
+        fresh, _, _ = within(30, screen)
+        assert [trace for trace, _, _ in screens] == [fresh] * 3
+        assert [peak for _, peak, _ in screens] == [concurrency] * 3
+        (_, _, first), *later = screens
+        assert 1 <= len(first) <= concurrency and first == self._call_threads(first)
+        assert [threads for _, _, threads in later] == [[], []]
+
+    def test_two_threads_screening_at_once_each_have_their_own_call_bound(self, prompts):
+        # a call executor shared across threads would hold both screens to one call
+        entries = [entry for case_id in ("a", "b") for entry in full_script(case_id, TABLE1_RAW)]
+        backend = CountingBackend(ScriptedBackend(entries), delay=0.02)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=1)
+        together = threading.Barrier(2)
+
+        def screen(case_id):
+            together.wait(timeout=10)
+            return run_case(note(case_id), cfg)
+
+        with ThreadPoolExecutor(2) as screens:
+            a, b = screens.submit(screen, "a"), screens.submit(screen, "b")
+            results = [a.result(timeout=30), b.result(timeout=30)]
+        assert [len(verdicts(r)) for r in results] == [7, 7]
+        assert backend.peak == 2
+
+    def test_a_screen_after_a_failed_routing_call_still_reaches_its_call_bound(self, prompts):
+        entries = full_script("case-7", TABLE1_RAW)
+        entries[0] = ScriptEntry("case-7", "orchestrator", fault=Fault.TIMEOUT)
+        failed = CountingBackend(ScriptedBackend(entries), delay=0.01)
+        failing = multi_config(failed, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=3)
+        backend, cfg = self._screen(prompts, 3)
+
+        def screens():
+            with pytest.raises(BackendUnavailable, match="TIMEOUT"):
+                run_case(note(), failing)
+            return run_case(note(), cfg)
+
+        assert len(verdicts(within(30, screens))) == len(RedFlag)
+        assert backend.peak == 3
+        # the failed screen's seven specialist calls had ended before it raised
+        assert len(failed.calls) == 1 + len(RedFlag)
+        assert max(c.end for c in failed.calls) <= min(c.start for c in backend.calls)
+
+    def test_a_screen_with_another_concurrency_leaves_at_most_that_many_call_threads(
+            self, prompts, started_threads):
+        def screen(concurrency):
+            backend, cfg = self._screen(prompts, concurrency)
+            run_case(note(), cfg)
+            return backend.peak, self._call_threads(started_threads)
+
+        def screens():
+            wide_peak, wide = screen(8)
+            narrow_peak, both = screen(2)
+            # the 8-worker executor was shut down idle: its workers exit on their own
+            left = self._alive_within(wide, 2)
+            return [wide_peak, narrow_peak], left, [t for t in both if t.is_alive()]
+
+        peaks, left, alive = within(30, screens)
+        assert peaks == [8, 2]
+        assert left == []
+        assert len(alive) == 2
+
+    def test_a_thread_s_call_threads_exit_after_it_ends(self, prompts, started_threads):
+        # every call answers: a dropped call's exception would hold the screen's frames,
+        # and with them the executor, in a reference cycle until the next collection
+        backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0.02)
+        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE)
+        within(30, lambda: run_case(note(), cfg))
+        assert backend.peak == 8
+        threads = self._call_threads(started_threads)
+        assert len(threads) == 8
+        assert self._alive_within(threads, 2) == []
 
     def test_a_failure_after_routing_raises_after_the_calls_in_flight_end(
             self, prompts, monkeypatch):

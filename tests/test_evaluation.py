@@ -502,11 +502,13 @@ class TestRunExperiment:
                         prompts, concurrency=1)
 
         def run():
+            before = set(threading.enumerate())  # the warm call threads of earlier screens
             with pytest.raises(OSError) as raised:
                 run_experiment(dataset, [cfg], trace_dir=blocker / "traces")
             # `raised` keeps the failed run's frames alive, so only an explicit close
             # can have stopped its cases and joined its threads by now
-            return raised, [t for t in threading.enumerate() if t.name.startswith("redflagcds-")]
+            return raised, [t for t in threading.enumerate()
+                            if t.name.startswith("redflagcds-") and t not in before]
 
         _, threads_left = within(30, run)
         assert threads_left == []
