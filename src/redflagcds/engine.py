@@ -6,11 +6,12 @@ runs each case-run's steps on a case coordinator thread and sends every backend
 call (orchestrator, specialist, fan-out and baseline) to one call executor with
 `concurrency` workers, so at most `concurrency` calls are in flight across the
 cases and rows of a run, and rows overlap. The call executor runs only backend
-calls: prompts are rendered and outputs parsed on the coordinator. Coordinators
-wait on calls; calls wait on nothing, so the bound cannot deadlock. A case runs
-its rows in matrix order: its run under one row starts after its run under the
-row before has ended, so a backend sees the calls for one (case, role) in matrix
-order. Specialist results pass through a single serialized merge into GraphState
+calls: prompts are rendered and outputs parsed on the coordinator. A coordinator
+waits on nothing but its own calls, and calls wait on nothing, so the bound cannot
+deadlock. The submission window alone keeps each case's rows in matrix order: it holds
+no more case-runs than there are cases, outcomes are read in order, and a case-run is
+read only once its calls have ended. So a backend sees the calls for one (case, role)
+in matrix order. Specialist results pass through a single serialized merge into GraphState
 in canonical flag order, so traces are deterministic for a scripted backend
 whatever order the calls finish in.
 
@@ -26,8 +27,8 @@ EXHAUSTIVE fan-out, step 1 sends all seven right after the orchestrator call;
 steps 2 and 3 send the calls of their flags not in the map, and a call leaves the map
 as it is read, so only the re-runs of dropped routed calls wait for step 2. Events are
 still written in step order. A case-run ends after every call it sent, in one place:
-when a step raises, `_coordinate` waits for the calls left in the map before the
-exception goes on, so the case's next row never overlaps them.
+when a step raises, `_coordinate` waits for the calls left in the map, then clears the
+exception's finished frames, which a failed call's future would keep in a cycle.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import threading
+import traceback
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .domain import (
     AgentVerdict,
@@ -67,8 +69,9 @@ class PendingNotEmpty(RuntimeError):
 # call and its seven specialist calls.
 DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 
-# Cases submitted ahead of the one being read, per call slot: enough that a slow case at
-# the head keeps the others busy, few enough that finished results do not pile up.
+# Case-runs submitted ahead of the one being read, per call slot, and never more than the
+# cases: on a larger dataset a slow case at the head keeps the others busy; few enough that
+# finished results do not pile up.
 CASES_AHEAD = 4
 
 # Each calling thread's screen call executor and its worker count, as `pool`.
@@ -105,6 +108,8 @@ def run_cases(
 ) -> Iterator[Union[CaseResult, Exception]]:
     """Run every case under every row of `matrix` concurrently; yield each case-run's
     CaseResult, or the exception it raised, row by row and in input order within a row.
+    A case's run under one row is submitted only after its run under the row before
+    has been yielded.
 
     Every row must have the same `concurrency`, the call bound of the whole run;
     otherwise the first `next()` raises ValueError, before any call. Closing the
@@ -115,29 +120,23 @@ def run_cases(
     if len(limits) > 1:
         raise ValueError(f"every row needs the same concurrency, got {sorted(limits)}")
     limit = limits.pop() if limits else DEFAULT_CONCURRENCY
+    vignettes = list(vignettes)
+    window = min(CASES_AHEAD * limit, len(vignettes))
     calls = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="redflagcds-call")
     # One coordinator per call slot: a running case has a call outstanding nearly all the time.
     cases = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="redflagcds-case")
-    todo = product(matrix, enumerate(vignettes))
-    latest: dict[int, Future] = {}  # case index -> its latest run, until that run is read
-    pending: deque[tuple[int, Future]] = deque()
+    todo = product(matrix, vignettes)
+    pending: deque[Future] = deque()
     try:
         while True:
-            for cfg, (index, vignette) in islice(todo, CASES_AHEAD * limit - len(pending)):
-                # the case's run under the row before was submitted first, so it is
-                # running or done when this one starts and waits for it
-                latest[index] = cases.submit(
-                    _coordinate, vignette, cfg, calls, latest.get(index))
-                pending.append((index, latest[index]))
+            for cfg, vignette in islice(todo, window - len(pending)):
+                pending.append(cases.submit(_coordinate, vignette, cfg, calls))
             if not pending:
                 return
-            index, future = pending.popleft()
             try:
-                outcome = future.result()
+                outcome = pending.popleft().result()
             except Exception as exc:  # a case-level failure is its caller's to count
                 outcome = exc
-            if latest[index] is future:
-                del latest[index]
             yield outcome
     finally:
         cases.shutdown(cancel_futures=True)
@@ -155,28 +154,25 @@ def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
             calls.shutdown(wait=False)
         calls = ThreadPoolExecutor(cfg.concurrency, thread_name_prefix="redflagcds-call")
         _screen.pool = cfg.concurrency, calls
-    return _coordinate(vignette, cfg, calls, None)
+    return _coordinate(vignette, cfg, calls)
 
 
-def _coordinate(
-    vignette: Vignette, cfg: RunConfig, calls: Executor, after: Optional[Future]
-) -> CaseResult:
-    """One case-run's steps, in order, once the case's run `after` has ended; its backend
-    calls go to `calls`. It ends after every call it sent: a step that raises leaves the
-    specialist calls in `sent`, which are waited for before the exception goes on."""
-    if after is not None:
-        wait([after])
-    if cfg.architecture is Architecture.SINGLE_LLM:
-        return run_single_llm(vignette, cfg, calls)
-    state = GraphState(note=vignette)
+def _coordinate(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResult:
+    """One case-run's steps, in order; its backend calls go to `calls`. It ends after
+    every call it sent: a step that raises leaves the specialist calls in `sent`, which
+    are waited for before the exception goes on."""
     sent: InFlight = {}
     try:
+        if cfg.architecture is Architecture.SINGLE_LLM:
+            return run_single_llm(vignette, cfg, calls)
+        state = GraphState(note=vignette)
         routed = route(state, cfg, calls, sent)
         execute_specialists(state, cfg, calls, sent, routed)
         manual_fanout(state, cfg, calls, sent, routed)
         return aggregate(state)
-    except BaseException:
+    except BaseException as exc:
         wait([future for future, _ in sent.values()])  # the case's next row follows them
+        traceback.clear_frames(exc.__traceback__)  # a local may hold the failed call's future
         raise
 
 
@@ -244,9 +240,8 @@ def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlig
         state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value,
                         prompt_sha256=sent[flag][1])
     for flag in flags:
-        future, _ = sent.pop(flag)
-        try:
-            verdict = parse_verdict(future.result(), flag)
+        try:  # no local holds the future: its exception's traceback holds this frame
+            verdict = parse_verdict(sent.pop(flag)[0].result(), flag)
         except DroppedToolCall as exc:
             if fanout_phase:
                 verdict = AgentVerdict(flag=flag, decision=Decision.ERROR, error_detail=str(exc))

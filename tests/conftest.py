@@ -145,20 +145,32 @@ class Call(NamedTuple):
 
 class CountingBackend:
     """Wraps a backend: each call sleeps `delay` seconds first, and the wrapper records
-    the peak number of calls in flight and each call's Call(case_id, start, end, role)."""
+    the peak number of calls in flight and each call's Call(case_id, start, end, role).
 
-    def __init__(self, inner, delay: float = 0.005):
+    With `gate=n`, each call is first held until n calls are in flight at once, so the
+    peak reaches a call bound of n however late the executor starts its threads. The
+    gate opens for good once n calls have been in flight, or once a call has been held
+    `GATE_TIMEOUT` seconds: an engine that allows fewer than n fails, not hangs."""
+
+    GATE_TIMEOUT = 10.0
+
+    def __init__(self, inner, delay: float = 0.005, gate: int = 0):
         self.inner = inner
         self.delay = delay
+        self.gate = gate
         self.in_flight = 0
         self.peak = 0
         self.calls: list[Call] = []
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
 
     def complete(self, request, case_id: str = "", agent_role: str = "") -> str:
         with self._lock:
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
+            self._lock.notify_all()
+            if not self._lock.wait_for(lambda: self.peak >= self.gate, self.GATE_TIMEOUT):
+                self.gate = 0  # held too long: the bound is below n, so let all through
+                self._lock.notify_all()
         start = time.monotonic()
         try:
             time.sleep(self.delay)

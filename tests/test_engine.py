@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import itertools
 import json
@@ -509,7 +510,7 @@ class TestScheduler:
     @pytest.mark.parametrize("bound, peak", [({"concurrency": 3}, 3), ({"concurrency": 1}, 1),
                                              ({}, 8)], ids=["3", "1", "default"])
     def test_in_flight_calls_capped_across_cases(self, prompts, bound, peak):
-        backend = CountingBackend(self._backend())
+        backend = CountingBackend(self._backend(), gate=peak)
         cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, **bound)
         results = within(30, lambda: list(run_cases(self._notes(), cfg)))
         assert [r.case_id for r in results] == self.CASES  # input order
@@ -562,6 +563,17 @@ class TestScheduler:
         # c01 may have started before the close; nothing later ran
         assert {call.case_id for call in backend.calls} <= {"c00", "c01"}
 
+    def test_a_one_shot_iterable_of_cases_gives_the_outcomes_of_a_list(self, prompts):
+        def traces(vignettes):
+            cfg = multi_config(self._backend(), prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
+                               concurrency=2)
+            return [[untimed(e.to_json_dict()) for e in r.trace]
+                    for r in within(30, lambda: list(run_cases(vignettes, cfg, cfg)))]
+
+        listed = traces(self._notes())
+        assert len(listed) == 2 * len(self.CASES)
+        assert traces(v for v in self._notes()) == listed
+
     def test_no_cases_no_calls(self, prompts):
         backend = CountingBackend(self._backend())
         assert within(30, lambda: list(run_cases([], multi_config(backend, prompts)))) == []
@@ -569,27 +581,33 @@ class TestScheduler:
 
 
 class TestMatrixScheduler:
-    """Two rows through one `run_cases` at concurrency 3. c00 routes to all seven flags,
-    and every specialist call drops once, so its row-1 run needs a fan-out round and
-    lasts long after c01 and c02, which route to none, have freed their coordinators.
-    Each row's backend records that row's calls; both wrap one shared backend that
-    sees every call of the run."""
+    """Two rows through one `run_cases` at concurrency 3. The slow case, c00 unless a test
+    names another, routes to all seven flags, and every specialist call drops once, so
+    its row-1 run needs a fan-out round and lasts long after the other two, which route
+    to none, have freed their coordinators. Each row's backend records that row's calls;
+    both wrap one shared backend that sees every call of the run."""
 
     CASES = ["c00", "c01", "c02"]
+    NOTES = [note(case_id) for case_id in CASES]
 
-    def _run(self, prompts):
+    def _matrix(self, prompts, slow="c00", gate=0):
+        """The shared backend (gated at `gate`), the two rows' backends and the matrix."""
         route_all = json.dumps(
             {"next": [f.value for f in RedFlag], "why": "all seven", "evidence": ["stiff neck"]})
         route_none = json.dumps({"next": [], "why": "no red flag", "evidence": []})
-        entries = full_script("c00", route_all, faults=dict.fromkeys(RedFlag, Fault.DROPPED))
-        for case_id in self.CASES[1:]:
-            entries += full_script(case_id, route_none)
-        shared = CountingBackend(ScriptedBackend(entries), delay=0.02)
+        entries = []
+        for case_id in self.CASES:
+            entries += (full_script(case_id, route_all, faults=dict.fromkeys(RedFlag, Fault.DROPPED))
+                        if case_id == slow else full_script(case_id, route_none))
+        shared = CountingBackend(ScriptedBackend(entries), delay=0.02, gate=gate)
         rows = [CountingBackend(shared, delay=0), CountingBackend(shared, delay=0)]
         matrix = [multi_config(rows[0], prompts, strategy=PromptStrategy.QPROMPT, concurrency=3),
                   multi_config(rows[1], prompts, concurrency=3)]
-        notes = [note(case_id) for case_id in self.CASES]
-        outcomes = within(30, lambda: list(run_cases(notes, *matrix)))
+        return shared, rows, matrix
+
+    def _run(self, prompts, slow="c00", gate=0):
+        shared, rows, matrix = self._matrix(prompts, slow, gate)
+        outcomes = within(30, lambda: list(run_cases(self.NOTES, *matrix)))
         assert [r.case_id for r in outcomes] == self.CASES * 2  # row by row, input order
         return shared, rows, outcomes
 
@@ -605,11 +623,26 @@ class TestMatrixScheduler:
         assert events(outcomes[3], Stage.WARNING) == []
 
     def test_rows_overlap(self, prompts):
-        _, (first, second), _ = self._run(prompts)
+        # with the slow case last, row 2 starts while row 1's slow run is still going
+        _, (first, second), _ = self._run(prompts, slow="c02")
         assert min(c.start for c in second.calls) < max(c.end for c in first.calls)
 
+    def test_a_case_s_next_row_starts_after_its_run_is_yielded(self, prompts):
+        # the window holds no more case-runs than there are cases, so even with the slow
+        # case first no row-2 run is submitted before its case's row-1 outcome is read
+        _, (_, second), matrix = self._matrix(prompts)
+
+        def yield_times():
+            return [(r.case_id, time.monotonic()) for r in run_cases(self.NOTES, *matrix)]
+
+        yielded = within(30, yield_times)
+        assert [case_id for case_id, _ in yielded] == self.CASES * 2
+        for case_id, row1_yielded in yielded[:len(self.CASES)]:
+            row2_start = min(c.start for c in second.calls if c.case_id == case_id)
+            assert row1_yielded <= row2_start, case_id
+
     def test_in_flight_calls_capped_across_rows(self, prompts):
-        shared, _, _ = self._run(prompts)
+        shared, _, _ = self._run(prompts, gate=3)
         assert len(shared.calls) == 17 + 10
         assert shared.peak == 3
 
@@ -764,11 +797,11 @@ class TestRunCase:
 
     @staticmethod
     def _screen(prompts, concurrency, delay=0.02):
-        """A fresh backend and config for a screen routed to all seven flags, each dropped
-        once, so fan-out sends seven more calls."""
+        """A fresh backend, gated at `concurrency`, and config for a screen routed to all
+        seven flags, each dropped once, so fan-out sends seven more calls."""
         route_all = json.dumps({"next": [f.value for f in RedFlag], "why": "all", "evidence": []})
         entries = full_script("case-7", route_all, faults=dict.fromkeys(RedFlag, Fault.DROPPED))
-        backend = CountingBackend(ScriptedBackend(entries), delay=delay)
+        backend = CountingBackend(ScriptedBackend(entries), delay=delay, gate=concurrency)
         return backend, multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE,
                                      concurrency=concurrency)
 
@@ -815,7 +848,7 @@ class TestRunCase:
     def test_two_threads_screening_at_once_each_have_their_own_call_bound(self, prompts):
         # a call executor shared across threads would hold both screens to one call
         entries = [entry for case_id in ("a", "b") for entry in full_script(case_id, TABLE1_RAW)]
-        backend = CountingBackend(ScriptedBackend(entries), delay=0.02)
+        backend = CountingBackend(ScriptedBackend(entries), delay=0.02, gate=2)
         cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE, concurrency=1)
         together = threading.Barrier(2)
 
@@ -866,16 +899,40 @@ class TestRunCase:
         assert left == []
         assert len(alive) == 2
 
-    def test_a_thread_s_call_threads_exit_after_it_ends(self, prompts, started_threads):
-        # every call answers: a dropped call's exception would hold the screen's frames,
-        # and with them the executor, in a reference cycle until the next collection
-        backend = CountingBackend(ScriptedBackend(full_script("case-7", TABLE1_RAW)), delay=0.02)
-        cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE)
-        within(30, lambda: run_case(note(), cfg))
-        assert backend.peak == 8
-        threads = self._call_threads(started_threads)
-        assert len(threads) == 8
-        assert self._alive_within(threads, 2) == []
+    @pytest.mark.parametrize("failure, threads", [
+        ("seven dropped calls", 8), ("failed routing call", 8), ("failed baseline call", 1)])
+    def test_a_thread_s_call_threads_exit_after_it_ends(self, prompts, started_threads,
+                                                        failure, threads):
+        # a failed call's exception holds the frames it was raised through; with the cyclic
+        # GC off, the thread's executor and call threads go only if no frame of the screen
+        # is kept in a reference cycle
+        backend, cfg = self._screen(prompts, 8)
+        if failure == "failed routing call":
+            entries = full_script("case-7", TABLE1_RAW)
+            entries[0] = ScriptEntry("case-7", "orchestrator", fault=Fault.TIMEOUT)
+            backend = CountingBackend(ScriptedBackend(entries), delay=0.02, gate=8)
+            cfg = multi_config(backend, prompts, fanout_mode=FanoutMode.EXHAUSTIVE)
+        elif failure == "failed baseline call":
+            entries = [ScriptEntry("case-7", "baseline", fault=Fault.HTTP_500)]
+            backend = CountingBackend(ScriptedBackend(entries), delay=0.02)
+            cfg = multi_config(backend, prompts, architecture=Architecture.SINGLE_LLM)
+
+        def screen():
+            try:
+                run_case(note(), cfg)
+            except BackendUnavailable:  # caught and dropped, as a caller that goes on would
+                pass
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            within(30, screen)
+            call_threads = self._call_threads(started_threads)
+            assert backend.peak == len(call_threads) == threads
+            assert self._alive_within(call_threads, 2) == []
+        finally:
+            if collecting:
+                gc.enable()
 
     def test_a_failure_after_routing_raises_after_the_calls_in_flight_end(
             self, prompts, monkeypatch):
