@@ -69,9 +69,8 @@ class PendingNotEmpty(RuntimeError):
 # call and its seven specialist calls.
 DEFAULT_CONCURRENCY = 1 + len(RedFlag)
 
-# Case-runs submitted ahead of the one being read, per call slot, and never more than the
-# cases: on a larger dataset a slow case at the head keeps the others busy; few enough that
-# finished results do not pile up.
+# Case-runs submitted and not yet read, per call slot, capped at the number of cases: on a
+# larger dataset a slow case at the head keeps the others busy, yet results do not pile up.
 CASES_AHEAD = 4
 
 # Each calling thread's screen call executor and its worker count, as `pool`.

@@ -216,8 +216,9 @@ def run_row_name(cfg: RunConfig) -> str:
 def run_experiment(dataset: list[GoldCase], matrix: list[RunConfig], trace_dir: Path) -> RunReport:
     """Run every case through every configuration and macro-average the scores.
 
-    One `run_cases` runs the whole matrix: rows overlap under one call bound, and
-    each case runs its rows in matrix order. Outcomes come back row by row, and
+    One `run_cases` runs the whole matrix: rows overlap under one call bound, and a
+    case's run under one row starts only after its run under the row before has been
+    yielded here, once all its calls had ended. Outcomes come back row by row, and
     each row's are scored and their traces written here, in dataset order, into
     one directory per row under `trace_dir`. A case-level failure (orchestrator
     or baseline call unrecoverable) is counted as an error case and scored with

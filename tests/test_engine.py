@@ -906,8 +906,9 @@ class TestRunCase:
         # a failed call's exception holds the frames it was raised through; with the cyclic
         # GC off, the thread's executor and call threads go only if no frame of the screen
         # is kept in a reference cycle
-        backend, cfg = self._screen(prompts, 8)
-        if failure == "failed routing call":
+        if failure == "seven dropped calls":
+            backend, cfg = self._screen(prompts, 8)
+        elif failure == "failed routing call":
             entries = full_script("case-7", TABLE1_RAW)
             entries[0] = ScriptEntry("case-7", "orchestrator", fault=Fault.TIMEOUT)
             backend = CountingBackend(ScriptedBackend(entries), delay=0.02, gate=8)
