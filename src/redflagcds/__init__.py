@@ -6,7 +6,6 @@ from .domain import (
     Decision,
     GraphState,
     RedFlag,
-    RoutingDecision,
     Stage,
     TraceEvent,
     Vignette,
@@ -25,7 +24,6 @@ __all__ = [
     "GoldCase",
     "GraphState",
     "RedFlag",
-    "RoutingDecision",
     "RunConfig",
     "Stage",
     "TraceEvent",

@@ -80,23 +80,6 @@ class Vignette:
 
 
 @dataclass(frozen=True)
-class RoutingDecision:
-    """The orchestrator's parsed routing output: target agents, justification, evidence quotes."""
-
-    next: tuple[RedFlag, ...]
-    why: str
-    evidence: tuple[str, ...]
-
-    def __init__(self, next, why: str = "", evidence=()):  # noqa: A002 - wire name
-        targets = tuple(next)
-        if len(set(targets)) != len(targets):
-            raise ValueError("routing targets contain duplicates")
-        object.__setattr__(self, "next", targets)
-        object.__setattr__(self, "why", why)
-        object.__setattr__(self, "evidence", tuple(evidence))
-
-
-@dataclass(frozen=True)
 class AgentVerdict:
     """One specialist's decision with rationale, evidence, and the verbatim backend output."""
 

@@ -50,7 +50,6 @@ from .domain import (
     FanoutMode,
     GraphState,
     RedFlag,
-    RoutingDecision,
     Stage,
     Vignette,
     canonical_order,
@@ -193,8 +192,8 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
     Under EXHAUSTIVE fan-out every specialist will be called, so right after the
     orchestrator call each flag's call is sent into `sent`. The orchestrator is asked
     once. An unusable output falls back to all seven agents, so no red flag is silently
-    skipped, and one WARNING keeps its raw reply and parse error. ROUTING records the
-    sha256 of the prompt sent.
+    skipped, and one WARNING keeps its raw reply and parse error. ROUTING holds the
+    reply, the record `parse_routing` made of it, and the sha256 of the prompt sent.
     """
     vignette = state.note
     prompt = cfg.prompts.orchestrator_prompt(vignette)
@@ -203,24 +202,15 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
         sent.update((flag, _specialist(calls, cfg, vignette, flag)) for flag in RedFlag)
     raw = answer.result()
     try:
-        decision, warnings = parse_routing(raw, vignette)
-        fallback = {}
+        routing = parse_routing(raw, vignette)
     except (NoJsonFound, SchemaUnusable) as exc:
         state.add_event(Stage.WARNING, raw=raw,
                         message=f"orchestrator output unusable, exhaustive fallback: {exc}")
-        decision = RoutingDecision(next=list(RedFlag), why="fallback: orchestrator output unusable")
-        raw, warnings, fallback = None, [], {"fallback": True}
-    state.add_event(
-        Stage.ROUTING,
-        raw=raw,
-        next=[f.value for f in decision.next],
-        why=decision.why,
-        evidence=list(decision.evidence),
-        warnings=warnings,
-        **fallback,
-        prompt_sha256=digest,
-    )
-    return canonical_order(decision.next)
+        raw, routing = None, {"next": [f.value for f in RedFlag],
+                              "why": "fallback: orchestrator output unusable",
+                              "evidence": [], "warnings": [], "fallback": True}
+    state.add_event(Stage.ROUTING, raw=raw, **routing, prompt_sha256=digest)
+    return [f for f in RedFlag if f.value in routing["next"]]
 
 
 def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,

@@ -18,7 +18,6 @@ from .domain import (
     AgentVerdict,
     Decision,
     RedFlag,
-    RoutingDecision,
     UnknownAgentName,
     Vignette,
     parse_red_flag,
@@ -135,77 +134,88 @@ def extract_json(raw: str) -> RecoveryOutcome:
     raise NoJsonFound(f"no parseable JSON in {len(raw)} chars of output")
 
 
-def parse_routing(raw: str, note: Vignette) -> tuple[RoutingDecision, list[str]]:
-    """Recover a RoutingDecision from raw orchestrator output.
+def _listed(value: Any, key: str, warnings: list[str]) -> Any:
+    """`value` of member `key`, a bare string wrapped in a list with a warning."""
+    if isinstance(value, str):
+        warnings.append(f"CoercedScalar{key.title()}: {key!r} was a bare string {value!r}")
+        return [value]
+    return value
 
-    Tolerates a bare-string 'next', unknown agent names, duplicates, and missing
-    'why'/'evidence', each downgraded to a warning, then adds validate_routing's
-    warnings. Raises NoJsonFound or SchemaUnusable when no usable document exists.
+
+def _strings(items: list, key: str, noun: str, warnings: list[str]) -> Iterator[str]:
+    """The string items of member `key`, in order; any other item is dropped with a
+    warning as it is reached."""
+    for item in items:
+        if isinstance(item, str):
+            yield item
+        else:
+            warnings.append(f"NonString{key.title()}: dropped non-string {noun} {item!r}")
+
+
+def parse_routing(raw: str, note: Vignette) -> dict[str, Any]:
+    """Recover the routing record from raw orchestrator output: `next` (wire names, in
+    the order given, duplicates dropped), `why`, `evidence` and `warnings`.
+
+    Tolerates a bare-string 'next' or 'evidence', non-string items, unknown agent names,
+    duplicates, and missing 'why'/'evidence', each downgraded to a warning, then adds
+    validate_routing's warnings. Raises NoJsonFound or SchemaUnusable when no usable
+    document exists.
     """
-    outcome = extract_json(raw)
-    doc = outcome.value
+    doc = extract_json(raw).value
     if not isinstance(doc, dict) or "next" not in doc:
         raise SchemaUnusable("document has no 'next' member")
 
     warnings: list[str] = []
-    next_val = doc["next"]
-    if isinstance(next_val, str):
-        warnings.append(f"CoercedScalarNext: 'next' was a bare string {next_val!r}")
-        next_val = [next_val]
-    if not isinstance(next_val, list):
-        raise SchemaUnusable(f"'next' is not an array or string: {type(next_val).__name__}")
-
-    targets: list[RedFlag] = []
-    for item in next_val:
-        if not isinstance(item, str):
-            warnings.append(f"NonStringNext: dropped non-string entry {item!r}")
-            continue
+    names = _listed(doc["next"], "next", warnings)
+    if not isinstance(names, list):
+        raise SchemaUnusable(f"'next' is not an array or string: {type(names).__name__}")
+    targets: list[str] = []
+    for name in _strings(names, "next", "entry", warnings):
         try:
-            flag = parse_red_flag(item)
+            target = parse_red_flag(name).value
         except UnknownAgentName:
-            warnings.append(f"UnknownAgentName: dropped routing target {item!r}")
+            warnings.append(f"UnknownAgentName: dropped routing target {name!r}")
             continue
-        if flag in targets:
-            warnings.append(f"DuplicateAgent: {flag.value!r} named more than once")
-            continue
-        targets.append(flag)
+        if target in targets:
+            warnings.append(f"DuplicateAgent: {target!r} named more than once")
+        else:
+            targets.append(target)
 
     why = doc.get("why")
     if not isinstance(why, str):
         warnings.append("MissingWhy: no usable 'why' member, defaulted to empty")
         why = ""
-    evidence_val = doc.get("evidence")
-    if isinstance(evidence_val, str):
-        evidence = [evidence_val]
-    elif isinstance(evidence_val, list):
-        evidence = [e for e in evidence_val if isinstance(e, str)]
+    quotes = _listed(doc.get("evidence"), "evidence", warnings)
+    if isinstance(quotes, list):
+        evidence = list(_strings(quotes, "evidence", "quote", warnings))
     else:
         warnings.append("MissingEvidence: no usable 'evidence' member, defaulted to empty")
         evidence = []
 
-    decision = RoutingDecision(next=targets, why=why, evidence=evidence)
-    warnings.extend(validate_routing(decision, note))
-    return decision, warnings
+    routing = {"next": targets, "why": why, "evidence": evidence, "warnings": warnings}
+    warnings.extend(validate_routing(routing, note))
+    return routing
 
 
 WHY_WORD_LIMIT = 30
 
 
-def validate_routing(decision: RoutingDecision, note: Vignette) -> list[str]:
-    """Check a parsed routing decision against the orchestrator's output rules; every
-    evidence quote must appear in the note verbatim.
+def validate_routing(routing: dict[str, Any], note: Vignette) -> list[str]:
+    """Check a routing record's `next`, `why` and `evidence` against the orchestrator's
+    output rules; every evidence quote must appear in the note verbatim, and a blank
+    quote quotes nothing.
 
     Violations are warnings, never hard failures: lightweight models deviate from
     the rules and the engine must stay robust to that.
     """
     warnings = []
-    n_words = len(decision.why.split())
+    n_words = len(routing["why"].split())
     if n_words > WHY_WORD_LIMIT:
         warnings.append(f"WhyTooLong: 'why' has {n_words} words (limit {WHY_WORD_LIMIT})")
-    if decision.next and not decision.evidence:
+    if routing["next"] and not routing["evidence"]:
         warnings.append("EvidenceMissing: agents routed but evidence list is empty")
-    for quote in decision.evidence:
-        if quote not in note.text:
+    for quote in routing["evidence"]:
+        if not quote.strip() or quote not in note.text:
             warnings.append(f"EvidenceNotInNote: {quote!r} is not a quote from the note")
     return warnings
 

@@ -218,8 +218,7 @@ def test_criterion_07_recovery_corpus(vignette):
         assert len(by_kind["garbage"]) >= 5
 
         for record in by_kind["strict"] + by_kind["malformed"]:
-            decision, _warnings = parse_routing(record["raw"], vignette)
-            assert [f.value for f in decision.next] == record["next"], record["raw"]
+            assert parse_routing(record["raw"], vignette)["next"] == record["next"], record["raw"]
         for record in by_kind["strict"]:
             assert extract_json(record["raw"]).strategy_used is Strategy.STRICT
         for record in by_kind["garbage"]:

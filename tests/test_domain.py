@@ -8,13 +8,11 @@ from redflagcds.domain import (
     EmptyVignette,
     GraphState,
     RedFlag,
-    RoutingDecision,
     UnknownAgentName,
     Vignette,
     parse_red_flag,
 )
 from redflagcds.engine import aggregate
-from redflagcds.recovery import validate_routing
 from redflagcds.trace import summarize
 
 WIRE_NAMES = [
@@ -52,17 +50,6 @@ class TestVignette:
     def test_whitespace_only_text_rejected(self):
         with pytest.raises(EmptyVignette):
             Vignette(id="x", text="   \n ")
-
-
-class TestRoutingDecision:
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            RoutingDecision(next=[RedFlag.MENINGISMUS, RedFlag.MENINGISMUS], why="x")
-
-    def test_empty_routing_is_valid(self, vignette):
-        d = RoutingDecision(next=[], why="no criteria met", evidence=[])
-        assert d.next == ()
-        assert validate_routing(d, vignette) == []
 
 
 def verdict(flag, decision=Decision.YES):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redflagcds.domain import Decision, RedFlag, RoutingDecision, Vignette
+from redflagcds.domain import Decision, RedFlag, Vignette
 from redflagcds.encoding import parse_json
 from redflagcds.recovery import (
     _BRACE_TOKENS,
@@ -265,22 +265,19 @@ def test_extract_json_agrees_with_the_reference(raw):
 
 class TestParseRouting:
     def test_table1_example(self, vignette):
-        decision, warnings = parse_routing(TABLE1_RAW, vignette)
-        assert [f.value for f in decision.next] == ["meningismus"]
-        assert decision.why.startswith("patient has meningismus")
-        assert len(decision.evidence) == 7
         # the fixture note lacks the CSF findings Table 1 quotes
-        assert warnings == [
+        assert parse_routing(TABLE1_RAW, vignette) == {**json.loads(TABLE1_RAW), "warnings": [
             f"EvidenceNotInNote: {quote!r} is not a quote from the note"
             for quote in ("46 white cells (69% neutrophils)/μl", "low glucose", "high lactate")
-        ]
+        ]}
 
     def test_scalar_next_coerced(self, vignette):
         raw = '{"next": "thunderclap", "why": "sudden onset", "evidence": []}'
-        decision, warnings = parse_routing(raw, vignette)
-        assert [f.value for f in decision.next] == ["thunderclap"]
-        kinds = {w.split(":")[0] for w in warnings}
-        assert kinds == {"CoercedScalarNext", "EvidenceMissing"}
+        assert parse_routing(raw, vignette) == {
+            "next": ["thunderclap"], "why": "sudden onset", "evidence": [], "warnings": [
+                "CoercedScalarNext: 'next' was a bare string 'thunderclap'",
+                "EvidenceMissing: agents routed but evidence list is empty",
+            ]}
 
     def test_no_next_member_is_unusable(self, vignette):
         with pytest.raises(SchemaUnusable):
@@ -292,63 +289,85 @@ class TestParseRouting:
 
     def test_non_string_targets_dropped_with_warning(self):
         note = Vignette(id="c", text="sudden onset of pain")
-        raw = '{"next": ["thunderclap", 7], "why": "w", "evidence": "sudden onset"}'
-        decision, warnings = parse_routing(raw, note)
-        assert decision == RoutingDecision([RedFlag.THUNDERCLAP], "w", ["sudden onset"])
-        assert warnings == ["NonStringNext: dropped non-string entry 7"]
+        raw = '{"next": ["thunderclap", 7], "why": "w", "evidence": ["sudden onset"]}'
+        assert parse_routing(raw, note) == {
+            "next": ["thunderclap"], "why": "w", "evidence": ["sudden onset"],
+            "warnings": ["NonStringNext: dropped non-string entry 7"]}
+
+    def test_scalar_evidence_coerced_with_warning(self):
+        note = Vignette(id="c", text="sudden onset of pain")
+        raw = '{"next": ["thunderclap"], "why": "w", "evidence": "sudden onset"}'
+        assert parse_routing(raw, note) == {
+            "next": ["thunderclap"], "why": "w", "evidence": ["sudden onset"],
+            "warnings": ["CoercedScalarEvidence: 'evidence' was a bare string 'sudden onset'"]}
+
+    def test_non_string_quotes_dropped_with_warning(self):
+        note = Vignette(id="c", text="sudden onset of pain")
+        raw = '{"next": ["thunderclap"], "why": "w", "evidence": [7, "sudden onset"]}'
+        assert parse_routing(raw, note) == {
+            "next": ["thunderclap"], "why": "w", "evidence": ["sudden onset"],
+            "warnings": ["NonStringEvidence: dropped non-string quote 7"]}
 
     def test_unknown_names_dropped_with_warning(self, vignette):
         raw = '{"next": ["migraine", "papilledema"], "why": "x", "evidence": ["q"]}'
-        decision, warnings = parse_routing(raw, vignette)
-        assert [f.value for f in decision.next] == ["papilledema"]
-        assert any(w.startswith("UnknownAgentName") for w in warnings)
+        assert parse_routing(raw, vignette) == {
+            "next": ["papilledema"], "why": "x", "evidence": ["q"], "warnings": [
+                "UnknownAgentName: dropped routing target 'migraine'",
+                "EvidenceNotInNote: 'q' is not a quote from the note",
+            ]}
 
     def test_duplicates_deduplicated_with_warning(self, vignette):
-        raw = '{"next": ["meningismus", "meningismus"], "why": "x", "evidence": ["q"]}'
-        decision, warnings = parse_routing(raw, vignette)
-        assert [f.value for f in decision.next] == ["meningismus"]
-        assert any(w.startswith("DuplicateAgent") for w in warnings)
+        raw = '{"next": ["meningismus", "Meningismus "], "why": "x", "evidence": ["fever"]}'
+        assert parse_routing(raw, vignette) == {
+            "next": ["meningismus"], "why": "x", "evidence": ["fever"],
+            "warnings": ["DuplicateAgent: 'meningismus' named more than once"]}
 
     def test_missing_why_and_evidence_default_with_warnings(self, vignette):
-        decision, warnings = parse_routing('{"next": []}', vignette)
-        assert decision.why == ""
-        assert decision.evidence == ()
-        kinds = {w.split(":")[0] for w in warnings}
-        assert {"MissingWhy", "MissingEvidence"} <= kinds
+        assert parse_routing('{"next": []}', vignette) == {
+            "next": [], "why": "", "evidence": [], "warnings": [
+                "MissingWhy: no usable 'why' member, defaulted to empty",
+                "MissingEvidence: no usable 'evidence' member, defaulted to empty",
+            ]}
 
     def test_no_json_propagates(self, vignette):
         with pytest.raises(NoJsonFound):
             parse_routing("nothing to see", vignette)
 
 
+def routing(targets, why, evidence):
+    return {"next": targets, "why": why, "evidence": evidence}
+
+
 class TestValidateRouting:
+    def test_empty_routing_is_valid(self, vignette):
+        assert validate_routing(routing([], "no criteria met", []), vignette) == []
+
     def test_twelve_word_why_passes(self, vignette):
         why = "patient has meningismus with stiff neck and signs of meningeal irritation"
-        d = RoutingDecision(next=[RedFlag.MENINGISMUS], why=why, evidence=["stiff neck"])
-        assert validate_routing(d, vignette) == []
+        assert validate_routing(routing(["meningismus"], why, ["stiff neck"]), vignette) == []
 
     def test_thirty_one_words_warns(self, vignette):
-        d = RoutingDecision(next=[], why="word " * 31, evidence=[])
-        warnings = validate_routing(d, vignette)
-        assert len(warnings) == 1
-        assert warnings[0].startswith("WhyTooLong")
+        assert validate_routing(routing([], "word " * 31, []), vignette) == [
+            "WhyTooLong: 'why' has 31 words (limit 30)"]
 
     def test_thirty_words_is_the_boundary(self, vignette):
-        d = RoutingDecision(next=[], why="word " * 30, evidence=[])
-        assert validate_routing(d, vignette) == []
+        assert validate_routing(routing([], "word " * 30, []), vignette) == []
 
     def test_missing_evidence_with_targets_warns(self, vignette):
-        d = RoutingDecision(next=[RedFlag.PAPILLEDEMA], why="x", evidence=[])
-        warnings = validate_routing(d, vignette)
-        assert any(w.startswith("EvidenceMissing") for w in warnings)
+        assert validate_routing(routing(["papilledema"], "x", []), vignette) == [
+            "EvidenceMissing: agents routed but evidence list is empty"]
 
     def test_evidence_checked_against_the_note(self, vignette):
-        d = RoutingDecision(
-            next=[RedFlag.MENINGISMUS], why="x", evidence=["stiff neck", "not in note"]
-        )
-        warnings = validate_routing(d, vignette)
-        assert any("not in note" in w for w in warnings)
-        assert not any("stiff neck" in w for w in warnings)
+        d = routing(["meningismus"], "x", ["stiff neck", "not in note"])
+        assert validate_routing(d, vignette) == [
+            "EvidenceNotInNote: 'not in note' is not a quote from the note"]
+
+    def test_a_blank_quote_quotes_nothing(self, vignette):
+        d = routing(["meningismus"], "x", ["", " \t", "fever"])
+        assert validate_routing(d, vignette) == [
+            "EvidenceNotInNote: '' is not a quote from the note",
+            "EvidenceNotInNote: ' \\t' is not a quote from the note",
+        ]
 
 
 class TestParseVerdict:

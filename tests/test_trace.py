@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent
+from redflagcds.evaluation import load_dataset
+from redflagcds.recovery import NoJsonFound, SchemaUnusable, parse_routing
 from redflagcds.trace import Summary, read_trace, summarize, trace_stem, untimed, verify_trace
 from tests.conftest import within
 
@@ -135,6 +137,42 @@ def test_any_deleted_or_adjacent_swapped_event_of_an_engine_trace_is_rejected(tm
             if not verify_trace(renumbered):
                 accepted.append(f"{name} edit {n}")
     assert not accepted, f"{len(accepted)} edited traces pass verify_trace: {accepted[:10]}"
+
+
+def test_each_routing_is_the_record_parse_routing_makes_of_its_reply(tmp_path):
+    """A multi-agent trace's ROUTING holds `next`, `why`, `evidence` and `warnings` as
+    `parse_routing` makes them of its `raw` reply and the case's note, and a fallback's
+    WARNING keeps a reply that does not parse: every fixture trace under both fan-out
+    modes, and the seed-7 corpus routed under Multi-agent GPrompt."""
+    from scripts.trace_digests import (FIXTURES, MULTI_AGENT, fixture_trace_digests,
+                                       run_digests, write_corpus)
+
+    within(60, lambda: fixture_trace_digests(tmp_path / "fixtures"))
+    corpus = write_corpus(tmp_path / "corpus")
+    runs = [(FanoutMode.ROUTED, MULTI_AGENT[1:], "")]
+    within(60, lambda: run_digests(corpus["cases"], corpus["script"], runs, tmp_path / "corpus"))
+    parsed, fallbacks, differing = 0, 0, []
+    for top, dataset in (("fixtures", FIXTURES / "cases.jsonl"), ("corpus", corpus["cases"])):
+        notes = {case.vignette.id: case.vignette for case in load_dataset(dataset)}
+        for path in sorted((tmp_path / top).rglob("*.trace.jsonl")):
+            note = notes[unquote(path.name.removesuffix(".trace.jsonl"))]
+            events = read_trace(path)
+            at = next((i for i, e in enumerate(events) if e.stage is Stage.ROUTING), None)
+            if at is None:  # a single-LLM trace
+                continue
+            routing = events[at].payload
+            if routing.get("fallback"):
+                assert events[at - 1].stage is Stage.WARNING, path
+                with pytest.raises((NoJsonFound, SchemaUnusable)):
+                    parse_routing(events[at - 1].payload["raw"], note)
+                fallbacks += 1
+                continue
+            record = {key: routing[key] for key in ("next", "why", "evidence", "warnings")}
+            if record != parse_routing(routing["raw"], note):
+                differing.append(path.relative_to(tmp_path).as_posix())
+            parsed += 1
+    assert not differing, f"{len(differing)} ROUTING records differ: {differing[:10]}"
+    assert (parsed, fallbacks) == (88 + 160, 40)
 
 
 @pytest.fixture(scope="module")
