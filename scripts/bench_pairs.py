@@ -39,12 +39,15 @@ order instead. It names every gap, where `src/`, `BENCHMARK.json` or a benchmark
 changed between one file's change and the next file's parent, and prints, per workload
 and metric and file, both medians, their change/parent ratio, and the product of the
 ratios since the chain last started. A chain starts at the first file, after a gap, and
-after a file that lacks the metric.
+after a file that lacks the metric. A `.py` file counts as changed only when its code
+differs once docstrings are removed, so an edit to a comment or a docstring makes no gap;
+any other file counts when its bytes differ, and an added or deleted file always counts.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import shutil
 import statistics
@@ -52,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -61,6 +65,12 @@ MIN_PAIRS_FOR_BETTER = 10
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def blob(sha: str, path: str) -> Optional[bytes]:
+    """The file at path in the commit, or None if the commit has none."""
+    done = subprocess.run(["git", "-C", str(ROOT), "show", f"{sha}:{path}"], capture_output=True)
+    return done.stdout if done.returncode == 0 else None
 
 
 def export(sha: str, dest: Path) -> None:
@@ -147,6 +157,38 @@ def judge(metric: dict, runs: list[dict]) -> dict:
             "ties": sum(c == p for p, c in pairs), "verdict": verdict}
 
 
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code(source: bytes) -> str:
+    """`ast.dump` of Python source with every docstring removed; comments never reach it."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if (isinstance(node, _DOCUMENTED) and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            node.body = node.body[1:]
+    return ast.dump(tree)
+
+
+def differs(path: str, before: Optional[bytes], after: Optional[bytes]) -> bool:
+    """Whether a file can move a metric between two commits, given its contents at each
+    (None where it is absent): a `.py` file by its code without docstrings, any other file
+    by its bytes. An added or deleted file differs."""
+    if before is None or after is None or before == after or not path.endswith(".py"):
+        return before != after
+    try:
+        return code(before) != code(after)
+    except (SyntaxError, ValueError):  # not Python that parses: its bytes differ
+        return True
+
+
+def changed(a: str, b: str, paths: list[str]) -> list[str]:
+    """The files under `paths` that differ between commits a and b, by `differs`."""
+    named = git("diff", "--name-only", a, b, "--", *paths).splitlines()
+    return [path for path in named if differs(path, blob(a, path), blob(b, path))]
+
+
 def chain(files: list[tuple[str, dict]], changed) -> tuple[list, dict]:
     """Chain BENCH files given as (name, contents) in commit order; `changed(a, b)` lists
     the paths that differ between commits a and b and that can move a metric.
@@ -189,8 +231,7 @@ def print_chain() -> int:
         return 1
     files.sort(key=lambda file: order[file[1]["change"]])
     watched = ["src", "BENCHMARK.json", *spec["paths"]]
-    gaps, rows = chain(files, lambda a, b: git("diff", "--name-only", a, b, "--",
-                                               *watched).split())
+    gaps, rows = chain(files, lambda a, b: changed(a, b, watched))
     for earlier, later, paths in gaps:
         print(f"gap between {earlier} and {later}, the chain starts again: "
               f"{', '.join(paths)}")

@@ -1,9 +1,7 @@
 """Orchestrator-specialist multi-agent engine for secondary-headache red-flag screening."""
 
 from .domain import (
-    AgentVerdict,
     CaseResult,
-    Decision,
     GraphState,
     RedFlag,
     Stage,
@@ -15,11 +13,9 @@ from .engine import Architecture, FanoutMode, RunConfig, run_case
 from .evaluation import CaseMetrics, GoldCase, case_metrics, load_dataset, macro_average
 
 __all__ = [
-    "AgentVerdict",
     "Architecture",
     "CaseMetrics",
     "CaseResult",
-    "Decision",
     "FanoutMode",
     "GoldCase",
     "GraphState",

@@ -46,12 +46,6 @@ def canonical_order(flags) -> list[RedFlag]:
     return [flag for flag in RedFlag if flag in flags]
 
 
-class Decision(enum.Enum):
-    YES = "YES"
-    NO = "NO"
-    ERROR = "ERROR"
-
-
 class FanoutMode(enum.Enum):
     ROUTED = "routed"
     EXHAUSTIVE = "exhaustive"
@@ -79,21 +73,12 @@ class Vignette:
             raise EmptyVignette(f"vignette {self.id!r} has no text")
 
 
-@dataclass(frozen=True)
-class AgentVerdict:
-    """One specialist's decision with rationale, evidence, and the verbatim backend output."""
-
-    flag: RedFlag
-    decision: Decision
-    rationale: str = ""
-    evidence: tuple[str, ...] = ()
-    raw: str = ""
-    error_detail: Optional[str] = None
-
-    def __post_init__(self):
-        if (self.decision is Decision.ERROR) != (self.error_detail is not None):
-            raise ValueError("error_detail must be present iff decision is ERROR")
-        object.__setattr__(self, "evidence", tuple(self.evidence))
+def verdict_record(decision: str, rationale: str = "", evidence=(), raw: str = "",
+                   error_detail: Optional[str] = None) -> dict[str, Any]:
+    """One agent's verdict as its AGENT_DONE or AGENT_ERROR payload: `decision` is "YES",
+    "NO" or "ERROR", and only an ERROR has an `error_detail`. The event's subject is the flag."""
+    return {"decision": decision, "rationale": rationale, "evidence": list(evidence),
+            "raw": raw, "error_detail": error_detail}
 
 
 @dataclass(frozen=True)
@@ -128,8 +113,8 @@ class TraceEvent:
 class GraphState:
     """One case-run's note and its trace, the only record of which agents owe a verdict.
 
-    Mutated only by the coordinating thread; specialist results are applied through
-    apply_verdict at the serialized merge point.
+    Mutated only by the coordinating thread; specialist results are added through
+    add_verdict at the serialized merge point.
     """
 
     note: Vignette
@@ -138,18 +123,10 @@ class GraphState:
     def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
         self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
 
-    def apply_verdict(self, verdict: AgentVerdict) -> None:
-        """Record the agent's verdict in the trace."""
-        stage = Stage.AGENT_ERROR if verdict.decision is Decision.ERROR else Stage.AGENT_DONE
-        self.add_event(
-            stage,
-            subject=verdict.flag,
-            decision=verdict.decision.value,
-            rationale=verdict.rationale,
-            evidence=list(verdict.evidence),
-            raw=verdict.raw,
-            error_detail=verdict.error_detail,
-        )
+    def add_verdict(self, flag: RedFlag, record: dict[str, Any]) -> None:
+        """Record the flag's verdict record (`verdict_record`) in the trace, unchanged."""
+        stage = Stage.AGENT_ERROR if record["decision"] == "ERROR" else Stage.AGENT_DONE
+        self.add_event(stage, flag, **record)
 
 
 @dataclass(frozen=True)

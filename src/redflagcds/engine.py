@@ -44,15 +44,14 @@ from itertools import islice, product
 from typing import Iterable, Iterator, Union
 
 from .domain import (
-    AgentVerdict,
     CaseResult,
-    Decision,
     FanoutMode,
     GraphState,
     RedFlag,
     Stage,
     Vignette,
     canonical_order,
+    verdict_record,
 )
 from .gateway import ROLE_BASELINE, ROLE_ORCHESTRATOR, DroppedToolCall
 from .prompts import PromptLibrary, PromptStrategy
@@ -216,7 +215,7 @@ def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) ->
 def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
                 flags: list[RedFlag], fanout_phase: bool) -> None:
     """Send into `sent` each flag's call that step 1 did not, record the agents' starts,
-    then read their calls, each leaving `sent` as it is read, and apply their results
+    then read their calls, each leaving `sent` as it is read, and add their verdicts
     through the serialized merge point. A dropped call is an ERROR verdict in step 3; in
     step 2 it leaves its flag with no verdict, which step 3's fan-out rule runs again.
 
@@ -230,21 +229,15 @@ def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlig
                         prompt_sha256=sent[flag][1])
     for flag in flags:
         try:  # no local holds the future: its exception's traceback holds this frame
-            verdict = parse_verdict(sent.pop(flag)[0].result(), flag)
+            record = parse_verdict(sent.pop(flag)[0].result())
         except DroppedToolCall as exc:
-            if fanout_phase:
-                verdict = AgentVerdict(flag=flag, decision=Decision.ERROR, error_detail=str(exc))
-            else:
-                # the invocation vanished; fan-out runs the agent again
+            if not fanout_phase:  # the invocation vanished; fan-out runs the agent again
                 state.add_event(Stage.WARNING, subject=flag, message=f"tool call dropped: {exc}")
                 continue
+            record = verdict_record("ERROR", error_detail=str(exc))
         except Exception as exc:  # per-agent error isolation
-            verdict = AgentVerdict(
-                flag=flag,
-                decision=Decision.ERROR,
-                error_detail=f"{type(exc).__name__}: {exc}",
-            )
-        state.apply_verdict(verdict)
+            record = verdict_record("ERROR", error_detail=f"{type(exc).__name__}: {exc}")
+        state.add_verdict(flag, record)
 
 
 def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
@@ -286,5 +279,5 @@ def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseR
     raw = answer.result()
     verdicts = parse_baseline(raw)
     for flag in canonical_order(verdicts):
-        state.apply_verdict(verdicts[flag])
+        state.add_verdict(flag, verdicts[flag])
     return aggregate(state, raw=raw, prompt_sha256=digest)

@@ -14,14 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .domain import (
-    AgentVerdict,
-    Decision,
-    RedFlag,
-    UnknownAgentName,
-    Vignette,
-    parse_red_flag,
-)
+from .domain import RedFlag, UnknownAgentName, Vignette, parse_red_flag, verdict_record
 from .encoding import parse_json
 
 
@@ -225,16 +218,16 @@ _QUOTED_RE = re.compile(r'"([^"]+)"')
 _LEADING_PUNCT = " \t\r\n.,:;!—–-"
 
 
-def _verdict(flag: RedFlag, word: str, rationale: str, raw: str) -> AgentVerdict:
-    """The verdict a YES/NO word decides, with the rationale's double-quoted spans as
-    its evidence."""
-    decision = Decision.YES if word.lower() == "yes" else Decision.NO
-    evidence = _QUOTED_RE.findall(rationale)
-    return AgentVerdict(flag=flag, decision=decision, rationale=rationale, evidence=evidence, raw=raw)
+def _verdict(word: str, rationale: str, raw: str) -> dict[str, Any]:
+    """The verdict record a YES/NO word decides, with the rationale's double-quoted spans
+    as its evidence."""
+    decision = "YES" if word.lower() == "yes" else "NO"
+    return verdict_record(decision, rationale, _QUOTED_RE.findall(rationale), raw)
 
 
-def parse_verdict(raw: str, flag: RedFlag) -> AgentVerdict:
-    """Turn raw specialist output into a verdict. Total: never raises.
+def parse_verdict(raw: str) -> dict[str, Any]:
+    """Turn raw specialist output into its verdict record (`domain.verdict_record`), the
+    payload its AGENT_DONE or AGENT_ERROR keeps. Total: never raises.
 
     The first standalone YES/NO token wins; the remainder is the rationale and
     double-quoted substrings within it become the evidence list. No token means
@@ -242,14 +235,9 @@ def parse_verdict(raw: str, flag: RedFlag) -> AgentVerdict:
     """
     m = _TOKEN_RE.search(raw)
     if m is None:
-        return AgentVerdict(
-            flag=flag,
-            decision=Decision.ERROR,
-            raw=raw,
-            error_detail="no YES/NO token",
-        )
+        return verdict_record("ERROR", raw=raw, error_detail="no YES/NO token")
     rationale = raw[m.end():].lstrip(_LEADING_PUNCT).rstrip()
-    return _verdict(flag, m.group(1), rationale, raw)
+    return _verdict(m.group(1), rationale, raw)
 
 
 _BASELINE_LINE_RE = re.compile(
@@ -257,13 +245,14 @@ _BASELINE_LINE_RE = re.compile(
 )
 
 
-def parse_baseline(raw: str) -> dict[RedFlag, AgentVerdict]:
-    """Parse the single-LLM response: one `<wire_name>: YES|NO` line per flag.
+def parse_baseline(raw: str) -> dict[RedFlag, dict[str, Any]]:
+    """Parse the single-LLM response, one `<wire_name>: YES|NO` line per flag, into a
+    verdict record per flag.
 
     Flags with no parseable line become ERROR verdicts so that every baseline
     run still yields exactly seven verdicts.
     """
-    verdicts: dict[RedFlag, AgentVerdict] = {}
+    verdicts: dict[RedFlag, dict[str, Any]] = {}
     for line in raw.splitlines():
         m = _BASELINE_LINE_RE.match(line)
         if m is None:
@@ -274,13 +263,9 @@ def parse_baseline(raw: str) -> dict[RedFlag, AgentVerdict]:
             continue
         if flag in verdicts:
             continue
-        verdicts[flag] = _verdict(flag, m.group(2), m.group(3).strip(), line)
+        verdicts[flag] = _verdict(m.group(2), m.group(3).strip(), line)
     for flag in RedFlag:
         if flag not in verdicts:
-            verdicts[flag] = AgentVerdict(
-                flag=flag,
-                decision=Decision.ERROR,
-                raw=raw,
-                error_detail="missing or unparseable line",
-            )
+            verdicts[flag] = verdict_record("ERROR", raw=raw,
+                                            error_detail="missing or unparseable line")
     return verdicts

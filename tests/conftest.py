@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
-from redflagcds.domain import Decision, RedFlag, Vignette
+from redflagcds.domain import RedFlag, Vignette
 from redflagcds.engine import Architecture, FanoutMode, RunConfig
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
 from redflagcds.prompts import PromptLibrary, PromptStrategy
@@ -76,9 +76,9 @@ def verdicts(result) -> dict:
     return summarize(result.trace).verdicts
 
 
-def decision_of(result, flag: RedFlag) -> Decision:
-    """The decision of the flag's verdict in a case-run's trace."""
-    return Decision(verdicts(result)[flag]["decision"])
+def decision_of(result, flag: RedFlag) -> str:
+    """The decision of the flag's verdict in a case-run's trace: "YES", "NO" or "ERROR"."""
+    return verdicts(result)[flag]["decision"]
 
 
 def multi_config(backend, prompts, **overrides) -> RunConfig:

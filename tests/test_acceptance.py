@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from redflagcds.cli import EXIT_OK, cli
-from redflagcds.domain import Decision, RedFlag, Stage
+from redflagcds.domain import RedFlag, Stage
 from redflagcds.engine import FanoutMode, run_case
 from redflagcds.evaluation import case_metrics, macro_average
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
@@ -115,8 +115,8 @@ def test_criterion_02_dropped_call_fanout(prompts, vignette):
         elapsed = time.monotonic() - started
 
         assert set(verdicts(result)) == {RedFlag.MENINGISMUS, RedFlag.TEMPORAL_ARTERITIS}
-        assert decision_of(result, RedFlag.MENINGISMUS) is Decision.YES
-        assert decision_of(result, RedFlag.TEMPORAL_ARTERITIS) is Decision.NO
+        assert decision_of(result, RedFlag.MENINGISMUS) == "YES"
+        assert decision_of(result, RedFlag.TEMPORAL_ARTERITIS) == "NO"
 
         fanouts = [e for e in result.trace if e.stage is Stage.FANOUT]
         assert len(fanouts) == 1
@@ -159,7 +159,7 @@ def test_criterion_04_error_isolation_equality(prompts, vignette):
         baseline = run_with_fault(None)
         for victim in ALL:
             result = run_with_fault(victim)
-            assert decision_of(result, victim) is Decision.ERROR
+            assert decision_of(result, victim) == "ERROR"
             for flag in ALL:
                 if flag is victim:
                     continue
@@ -329,5 +329,5 @@ def test_criterion_10_orchestrator_fallback(prompts, vignette):
         routing_events = [e for e in result.trace if e.stage is Stage.ROUTING]
         assert len(routing_events) == 1
         assert routing_events[0].payload.get("fallback") is True
-        assert decision_of(result, RedFlag.MENINGISMUS) is Decision.YES
+        assert decision_of(result, RedFlag.MENINGISMUS) == "YES"
         assert elapsed < 1.0

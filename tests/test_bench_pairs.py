@@ -3,7 +3,7 @@
 
 import pytest
 
-from scripts.bench_pairs import chain, judge
+from scripts.bench_pairs import chain, differs, judge
 
 
 def runs(parent, change, correct=True, failed=(0, 0)):
@@ -72,3 +72,33 @@ def test_chain_multiplies_ratios_and_starts_again_at_a_gap_or_a_missing_metric()
     assert [row[4] for row in rows[a]] == pytest.approx([1.1, 1.65, 0.5, 1.0])
     assert rows[b][1] == ("B", None, None, None, None)
     assert [row[4] for row in rows[b]] == [0.5, None, 3.0, 6.0]
+
+
+ENGINE = b'''"""The engine."""
+
+
+def route(note):
+    """Ask the orchestrator."""
+    return note  # the routing
+'''
+
+
+@pytest.mark.parametrize("path, before, after, counts", [
+    ("src/redflagcds/engine.py", ENGINE, ENGINE.replace(b"# the routing", b"# a comment"),
+     False),
+    ("src/redflagcds/engine.py", ENGINE, ENGINE.replace(b"Ask the", b"Ask, once, the"), False),
+    ("src/redflagcds/engine.py", ENGINE, ENGINE.replace(b'"""The engine."""\n', b""), False),
+    ("src/redflagcds/engine.py", ENGINE, ENGINE.replace(b"return note", b"return [note]"),
+     True),
+    ("src/redflagcds/engine.py", ENGINE, ENGINE + b"def broken(:\n", True),
+    ("src/redflagcds/prompt_templates/baseline/gprompt.txt", b"Answer Yes or No.\n",
+     b"Answer Yes or No.  \n", True),
+    ("src/redflagcds/added.py", None, b"", True),
+    ("src/redflagcds/deleted.py", ENGINE, None, True),
+    ("src/redflagcds/engine.py", ENGINE, ENGINE, False),
+], ids=["comment", "docstring", "module-docstring-removed", "code", "unparseable", "template",
+        "added", "deleted", "same"])
+def test_a_chain_gap_needs_a_change_that_can_move_a_metric(path, before, after, counts):
+    """`--chain` starts again only where code, a non-Python file, or the set of files
+    changed: comments and docstrings never reach a benchmark run."""
+    assert differs(path, before, after) is counts

@@ -782,12 +782,13 @@ class TestReport:
              "--out", str(tmp_path / "out")],
         )
         assert evaluate.exit_code == EXIT_OK
+        table, written, _ = evaluate.output.partition("\n\nCSV written to ")
+        assert written and "F1 Score" in table and "Multi-agent GPrompt" in table
         result = runner.invoke(
             cli, ["report", "--csv", str(tmp_path / "out" / "report.csv")]
         )
         assert result.exit_code == EXIT_OK, result.output
-        assert "F1 Score" in result.output
-        assert "Multi-agent GPrompt" in result.output
+        assert result.output == table + "\n"
 
     def test_bad_csv_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -3,14 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redflagcds.domain import (
-    AgentVerdict,
-    Decision,
     EmptyVignette,
     GraphState,
     RedFlag,
+    Stage,
     UnknownAgentName,
     Vignette,
     parse_red_flag,
+    verdict_record,
 )
 from redflagcds.engine import aggregate
 from redflagcds.trace import summarize
@@ -52,44 +52,51 @@ class TestVignette:
             Vignette(id="x", text="   \n ")
 
 
-def verdict(flag, decision=Decision.YES):
-    detail = "boom" if decision is Decision.ERROR else None
-    return AgentVerdict(flag=flag, decision=decision, error_detail=detail)
+def verdict(decision="YES"):
+    return verdict_record(decision, error_detail="boom" if decision == "ERROR" else None)
 
 
-class TestAgentVerdict:
-    def test_error_requires_detail(self):
-        with pytest.raises(ValueError):
-            AgentVerdict(flag=RedFlag.THUNDERCLAP, decision=Decision.ERROR)
+class TestVerdictRecord:
+    def test_holds_the_payload_keys_in_trace_order(self):
+        assert verdict_record("YES", "r", ("q",), "raw") == {
+            "decision": "YES", "rationale": "r", "evidence": ["q"], "raw": "raw",
+            "error_detail": None}
+        assert list(verdict_record("NO")) == ["decision", "rationale", "evidence", "raw",
+                                              "error_detail"]
 
-    def test_detail_requires_error(self):
-        with pytest.raises(ValueError):
-            AgentVerdict(flag=RedFlag.THUNDERCLAP, decision=Decision.NO, error_detail="x")
 
-
-class TestApplyVerdict:
+class TestAddVerdict:
     def test_moves_flag_to_completed(self, vignette):
         state = GraphState(note=vignette)
-        state.apply_verdict(verdict(RedFlag.MENINGISMUS))
+        state.add_verdict(RedFlag.MENINGISMUS, verdict())
         assert RedFlag.MENINGISMUS in summarize(state.trace).verdicts
 
     def test_trace_event_stage_matches_outcome(self, vignette):
         state = GraphState(note=vignette)
-        state.apply_verdict(verdict(RedFlag.MENINGISMUS))
-        state.apply_verdict(verdict(RedFlag.PAPILLEDEMA, Decision.ERROR))
+        state.add_verdict(RedFlag.MENINGISMUS, verdict())
+        state.add_verdict(RedFlag.PAPILLEDEMA, verdict("ERROR"))
         stages = [e.stage.value for e in state.trace]
         assert stages == ["AGENT_DONE", "AGENT_ERROR"]
 
+    def test_writes_the_record_as_the_payload_unchanged(self, vignette):
+        state = GraphState(note=vignette)
+        record = verdict_record("NO", "no \"fever\"", ["fever"], 'NO, no "fever"')
+        state.add_verdict(RedFlag.SYSTEMIC_ILLNESS, record)
+        (event,) = state.trace
+        assert (event.stage, event.subject) == (Stage.AGENT_DONE, RedFlag.SYSTEMIC_ILLNESS)
+        assert list(event.payload.items()) == list(record.items())
+
 
 @given(
-    decisions=st.dictionaries(st.sampled_from(list(RedFlag)), st.sampled_from(list(Decision)))
+    decisions=st.dictionaries(st.sampled_from(list(RedFlag)),
+                              st.sampled_from(["YES", "NO", "ERROR"]))
 )
 def test_case_result_predicted_matches_yes_verdicts(decisions):
     state = GraphState(note=Vignette(id="c", text="note"))
     for flag, decision in decisions.items():
-        state.apply_verdict(verdict(flag, decision))
+        state.add_verdict(flag, verdict(decision))
     result = aggregate(state)
-    yes = {flag for flag, decision in decisions.items() if decision is Decision.YES}
+    yes = {flag for flag, decision in decisions.items() if decision == "YES"}
     assert result.predicted == yes
     assert result.predicted == summarize(result.trace).predicted <= set(decisions)
     assert state.trace[-1].payload["predicted"] == sorted(flag.value for flag in yes)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redflagcds.domain import Decision, RedFlag, Vignette
+from redflagcds.domain import RedFlag, Vignette, verdict_record
 from redflagcds.encoding import parse_json
 from redflagcds.recovery import (
     _BRACE_TOKENS,
@@ -373,44 +373,45 @@ class TestValidateRouting:
 class TestParseVerdict:
     def test_yes_with_rationale(self):
         raw = "YES. The headache reached maximal severity within one hour during exertion."
-        v = parse_verdict(raw, RedFlag.THUNDERCLAP)
-        assert v.decision is Decision.YES
-        assert v.rationale == "The headache reached maximal severity within one hour during exertion."
-        assert v.raw == raw
+        assert parse_verdict(raw) == {
+            "decision": "YES",
+            "rationale": "The headache reached maximal severity within one hour during exertion.",
+            "evidence": [], "raw": raw, "error_detail": None}
 
     def test_no_case_insensitive(self):
-        v = parse_verdict("No — fundoscopy was normal.", RedFlag.PAPILLEDEMA)
-        assert v.decision is Decision.NO
-        assert v.rationale == "fundoscopy was normal."
+        raw = "No — fundoscopy was normal."
+        assert parse_verdict(raw) == verdict_record("NO", "fundoscopy was normal.", raw=raw)
 
     def test_no_token_yields_error(self):
-        v = parse_verdict("The findings are equivocal.", RedFlag.MENINGISMUS)
-        assert v.decision is Decision.ERROR
-        assert v.error_detail == "no YES/NO token"
+        raw = "The findings are equivocal."
+        assert parse_verdict(raw) == {"decision": "ERROR", "rationale": "", "evidence": [],
+                                      "raw": raw, "error_detail": "no YES/NO token"}
 
     def test_first_token_wins(self):
         raw = "Yes. Although one could argue no, the sudden onset is documented."
-        assert parse_verdict(raw, RedFlag.THUNDERCLAP).decision is Decision.YES
+        assert parse_verdict(raw)["decision"] == "YES"
 
     def test_token_must_stand_alone(self):
-        v = parse_verdict("The eyes were normal; nothing notable.", RedFlag.PAPILLEDEMA)
-        assert v.decision is Decision.ERROR
+        raw = "The eyes were normal; nothing notable."
+        assert parse_verdict(raw) == verdict_record("ERROR", raw=raw,
+                                                    error_detail="no YES/NO token")
 
     def test_evidence_from_quoted_substrings(self):
         raw = 'YES. The note says "stiff neck" and "fever" explicitly.'
-        v = parse_verdict(raw, RedFlag.MENINGISMUS)
-        assert v.evidence == ("stiff neck", "fever")
+        assert parse_verdict(raw) == verdict_record(
+            "YES", 'The note says "stiff neck" and "fever" explicitly.',
+            ["stiff neck", "fever"], raw)
 
     def test_empty_input(self):
-        v = parse_verdict("", RedFlag.THUNDERCLAP)
-        assert v.decision is Decision.ERROR
+        assert parse_verdict("") == verdict_record("ERROR", error_detail="no YES/NO token")
 
 
 @given(raw=st.text(max_size=200))
 def test_parse_verdict_is_total(raw):
-    v = parse_verdict(raw, RedFlag.SYSTEMIC_ILLNESS)
-    assert v.decision in (Decision.YES, Decision.NO, Decision.ERROR)
-    assert v.raw == raw
+    record = parse_verdict(raw)
+    assert record["decision"] in ("YES", "NO", "ERROR")
+    assert (record["decision"] == "ERROR") == (record["error_detail"] is not None)
+    assert record["raw"] == raw
 
 
 class TestParseBaseline:
@@ -428,34 +429,38 @@ class TestParseBaseline:
 
     def test_seven_well_formed_lines(self):
         verdicts = parse_baseline(self.SEVEN_LINES)
-        assert len(verdicts) == 7
-        yes = {f.value for f, v in verdicts.items() if v.decision is Decision.YES}
+        assert list(verdicts) == list(RedFlag)
+        yes = {f.value for f, v in verdicts.items() if v["decision"] == "YES"}
         assert yes == {"meningismus", "systemic_illness"}
-        assert verdicts[RedFlag.MENINGISMUS].evidence == ("stiff neck",)
+        line = 'meningismus: YES — "stiff neck" with fever'
+        assert verdicts[RedFlag.MENINGISMUS] == verdict_record(
+            "YES", '"stiff neck" with fever', ["stiff neck"], line)
 
     def test_missing_line_becomes_error(self):
         partial = "\n".join(
             line for line in self.SEVEN_LINES.splitlines() if not line.startswith("focal")
         )
         verdicts = parse_baseline(partial)
-        assert verdicts[RedFlag.FOCAL_DEFICITS].decision is Decision.ERROR
+        assert verdicts[RedFlag.FOCAL_DEFICITS] == {
+            "decision": "ERROR", "rationale": "", "evidence": [], "raw": partial,
+            "error_detail": "missing or unparseable line"}
 
     def test_empty_response_gives_seven_errors(self):
-        verdicts = parse_baseline("")
-        assert len(verdicts) == 7
-        assert all(v.decision is Decision.ERROR for v in verdicts.values())
+        error = verdict_record("ERROR", error_detail="missing or unparseable line")
+        assert parse_baseline("") == {flag: error for flag in RedFlag}
 
     def test_numbered_and_case_variant_lines(self):
         raw = "1. Thunderclap: yes — sudden onset\n2) meningismus: No"
         verdicts = parse_baseline(raw)
-        assert verdicts[RedFlag.THUNDERCLAP].decision is Decision.YES
-        assert verdicts[RedFlag.MENINGISMUS].decision is Decision.NO
+        assert verdicts[RedFlag.THUNDERCLAP] == verdict_record(
+            "YES", "sudden onset", raw="1. Thunderclap: yes — sudden onset")
+        assert verdicts[RedFlag.MENINGISMUS] == verdict_record("NO", raw="2) meningismus: No")
 
     def test_unknown_flag_skipped_and_first_line_of_a_flag_kept(self):
         verdicts = parse_baseline("migraine: YES\nthunderclap: NO first\nthunderclap: YES second")
         assert len(verdicts) == 7
-        thunderclap = verdicts[RedFlag.THUNDERCLAP]
-        assert (thunderclap.decision, thunderclap.rationale) == (Decision.NO, "first")
+        assert verdicts[RedFlag.THUNDERCLAP] == verdict_record("NO", "first",
+                                                               raw="thunderclap: NO first")
 
 
 class TestRepairJsonText:

@@ -1,5 +1,7 @@
 """`trace.summarize`, the one fold of a case-run's events, `untimed`, and `verify_trace`."""
 
+import re
+from collections import Counter
 from dataclasses import replace
 from urllib.parse import unquote
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent
+from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent, verdict_record
 from redflagcds.evaluation import load_dataset
-from redflagcds.recovery import NoJsonFound, SchemaUnusable, parse_routing
+from redflagcds.recovery import (NoJsonFound, SchemaUnusable, parse_baseline, parse_routing,
+                                 parse_verdict)
 from redflagcds.trace import Summary, read_trace, summarize, trace_stem, untimed, verify_trace
 from tests.conftest import within
 
@@ -139,11 +142,18 @@ def test_any_deleted_or_adjacent_swapped_event_of_an_engine_trace_is_rejected(tm
     assert not accepted, f"{len(accepted)} edited traces pass verify_trace: {accepted[:10]}"
 
 
-def test_each_routing_is_the_record_parse_routing_makes_of_its_reply(tmp_path):
+# An engine ERROR's error_detail: the name of the exception its call raised, then ": ".
+_ENGINE_ERROR = re.compile(r"(\w+): ")
+
+
+def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tmp_path):
     """A multi-agent trace's ROUTING holds `next`, `why`, `evidence` and `warnings` as
     `parse_routing` makes them of its `raw` reply and the case's note, and a fallback's
-    WARNING keeps a reply that does not parse: every fixture trace under both fan-out
-    modes, and the seed-7 corpus routed under Multi-agent GPrompt."""
+    WARNING keeps a reply that does not parse. Each of its AGENT_DONE and AGENT_ERROR
+    payloads is `parse_verdict` of its `raw`, but for an engine ERROR (a call that
+    raised), which has no `raw`. Each verdict of a single-LLM trace is `parse_baseline`
+    of its AGGREGATE's `raw`, by flag. Checked on every fixture trace under both fan-out
+    modes, and on the seed-7 corpus routed under Multi-agent GPrompt."""
     from scripts.trace_digests import (FIXTURES, MULTI_AGENT, fixture_trace_digests,
                                        run_digests, write_corpus)
 
@@ -151,28 +161,51 @@ def test_each_routing_is_the_record_parse_routing_makes_of_its_reply(tmp_path):
     corpus = write_corpus(tmp_path / "corpus")
     runs = [(FanoutMode.ROUTED, MULTI_AGENT[1:], "")]
     within(60, lambda: run_digests(corpus["cases"], corpus["script"], runs, tmp_path / "corpus"))
-    parsed, fallbacks, differing = 0, 0, []
+    counts = Counter()
+    differing = []
     for top, dataset in (("fixtures", FIXTURES / "cases.jsonl"), ("corpus", corpus["cases"])):
         notes = {case.vignette.id: case.vignette for case in load_dataset(dataset)}
         for path in sorted((tmp_path / top).rglob("*.trace.jsonl")):
             note = notes[unquote(path.name.removesuffix(".trace.jsonl"))]
+            name = path.relative_to(tmp_path).as_posix()
             events = read_trace(path)
-            at = next((i for i, e in enumerate(events) if e.stage is Stage.ROUTING), None)
-            if at is None:  # a single-LLM trace
+            summary = summarize(events)
+            if summary.routing is None:  # a single-LLM trace
+                baseline = parse_baseline(events[-1].payload["raw"])
+                for flag, payload in summary.verdicts.items():
+                    if payload != baseline[flag]:
+                        differing.append(f"{name} verdict of {flag.value}")
+                    counts[top, "single-LLM verdict"] += 1
                 continue
-            routing = events[at].payload
+            for flag, payload in summary.verdicts.items():
+                engine_error = _ENGINE_ERROR.match(payload["error_detail"] or "")
+                if payload["raw"] == "" and engine_error:
+                    assert payload == verdict_record("ERROR", error_detail=payload["error_detail"])
+                    counts[top, f"engine ERROR {engine_error[1]}"] += 1
+                    continue
+                if payload != parse_verdict(payload["raw"]):
+                    differing.append(f"{name} verdict of {flag.value}")
+                counts[top, "specialist verdict"] += 1
+            routing = summary.routing
             if routing.get("fallback"):
+                at = events.index(next(e for e in events if e.stage is Stage.ROUTING))
                 assert events[at - 1].stage is Stage.WARNING, path
                 with pytest.raises((NoJsonFound, SchemaUnusable)):
                     parse_routing(events[at - 1].payload["raw"], note)
-                fallbacks += 1
+                counts[top, "fallback"] += 1
                 continue
             record = {key: routing[key] for key in ("next", "why", "evidence", "warnings")}
             if record != parse_routing(routing["raw"], note):
-                differing.append(path.relative_to(tmp_path).as_posix())
-            parsed += 1
-    assert not differing, f"{len(differing)} ROUTING records differ: {differing[:10]}"
-    assert (parsed, fallbacks) == (88 + 160, 40)
+                differing.append(f"{name} ROUTING")
+            counts[top, "routing"] += 1
+    assert not differing, f"{len(differing)} records differ: {differing[:10]}"
+    assert dict(counts) == {
+        ("fixtures", "routing"): 88, ("fixtures", "specialist verdict"): 358,
+        ("fixtures", "engine ERROR BackendUnavailable"): 4,
+        ("fixtures", "single-LLM verdict"): 308,
+        ("corpus", "routing"): 160, ("corpus", "fallback"): 40,
+        ("corpus", "specialist verdict"): 523, ("corpus", "engine ERROR BackendUnavailable"): 10,
+    }
 
 
 @pytest.fixture(scope="module")
