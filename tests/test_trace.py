@@ -169,15 +169,17 @@ def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tm
             note = notes[unquote(path.name.removesuffix(".trace.jsonl"))]
             name = path.relative_to(tmp_path).as_posix()
             events = read_trace(path)
-            summary = summarize(events)
-            if summary.routing is None:  # a single-LLM trace
+            verdicts = [(e.subject, e.payload) for e in events
+                        if e.stage in (Stage.AGENT_DONE, Stage.AGENT_ERROR)]
+            routing = summarize(events).routing
+            if routing is None:  # a single-LLM trace
                 baseline = parse_baseline(events[-1].payload["raw"])
-                for flag, payload in summary.verdicts.items():
+                for flag, payload in verdicts:
                     if payload != baseline[flag]:
                         differing.append(f"{name} verdict of {flag.value}")
                     counts[top, "single-LLM verdict"] += 1
                 continue
-            for flag, payload in summary.verdicts.items():
+            for flag, payload in verdicts:
                 engine_error = _ENGINE_ERROR.match(payload["error_detail"] or "")
                 if payload["raw"] == "" and engine_error:
                     assert payload == verdict_record("ERROR", error_detail=payload["error_detail"])
@@ -186,9 +188,8 @@ def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tm
                 if payload != parse_verdict(payload["raw"]):
                     differing.append(f"{name} verdict of {flag.value}")
                 counts[top, "specialist verdict"] += 1
-            routing = summary.routing
             if routing.get("fallback"):
-                at = events.index(next(e for e in events if e.stage is Stage.ROUTING))
+                at = next(i for i, e in enumerate(events) if e.stage is Stage.ROUTING)
                 assert events[at - 1].stage is Stage.WARNING, path
                 with pytest.raises((NoJsonFound, SchemaUnusable)):
                     parse_routing(events[at - 1].payload["raw"], note)
