@@ -2,7 +2,6 @@
 
 from .domain import (
     CaseResult,
-    GraphState,
     RedFlag,
     Stage,
     TraceEvent,
@@ -18,7 +17,6 @@ __all__ = [
     "CaseResult",
     "FanoutMode",
     "GoldCase",
-    "GraphState",
     "RedFlag",
     "RunConfig",
     "Stage",

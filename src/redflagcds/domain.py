@@ -1,10 +1,9 @@
-"""Core types for the red-flag screening workflow: taxonomy, routing, verdicts, state, trace."""
+"""Core types for the red-flag screening workflow: taxonomy, routing, verdicts, trace."""
 
 from __future__ import annotations
 
 import enum
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -107,26 +106,6 @@ class TraceEvent:
             payload=dict(d.get("payload") or {}),
             wall_time=float(d.get("wall_time", 0.0)),
         )
-
-
-@dataclass
-class GraphState:
-    """One case-run's note and its trace, the only record of which agents owe a verdict.
-
-    Mutated only by the coordinating thread; specialist results are added through
-    add_verdict at the serialized merge point.
-    """
-
-    note: Vignette
-    trace: list[TraceEvent] = field(default_factory=list)
-
-    def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
-        self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
-
-    def add_verdict(self, flag: RedFlag, record: dict[str, Any]) -> None:
-        """Record the flag's verdict record (`verdict_record`) in the trace, unchanged."""
-        stage = Stage.AGENT_ERROR if record["decision"] == "ERROR" else Stage.AGENT_DONE
-        self.add_event(stage, flag, **record)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,13 @@ waits on nothing but its own calls, and calls wait on nothing, so the bound cann
 deadlock. The submission window alone keeps each case's rows in matrix order: it holds
 no more case-runs than there are cases, outcomes are read in order, and a case-run is
 read only once its calls have ended. So a backend sees the calls for one (case, role)
-in matrix order. Specialist results pass through a single serialized merge into GraphState
-in canonical flag order, so traces are deterministic for a scripted backend
-whatever order the calls finish in.
+in matrix order.
+
+A case-run's state is one `CaseRun`: its note, row and call executor, its trace and
+the specialist calls it sent and has not read. Each step takes it, and only the
+case-run's own thread changes it. Specialist results pass through a single serialized
+merge into its trace in canonical flag order, so traces are deterministic for a
+scripted backend whatever order the calls finish in.
 
 `run_case` runs one case-run's steps on its caller's thread, with no coordinator
 thread, and sends its backend calls to its thread's call executor: made on the
@@ -22,13 +26,13 @@ start no thread once it is full; a screen asking for another `concurrency` repla
 It returns or raises once every call it sent has ended, so the executor is idle between
 screens. Its workers exit when their thread ends, or at interpreter exit.
 
-A case-run's steps share one map of the specialist calls sent and not yet read. Under
-EXHAUSTIVE fan-out, step 1 sends all seven right after the orchestrator call;
-steps 2 and 3 send the calls of their flags not in the map, and a call leaves the map
-as it is read, so only the re-runs of dropped routed calls wait for step 2. Events are
-still written in step order. A case-run ends after every call it sent, in one place:
-when a step raises, `_coordinate` waits for the calls left in the map, then clears the
-exception's finished frames, which a failed call's future would keep in a cycle.
+Under EXHAUSTIVE fan-out, step 1 sends all seven specialist calls right after the
+orchestrator call; steps 2 and 3 send the calls of their flags not in `CaseRun.sent`,
+and a call leaves it as it is read, so only the re-runs of dropped routed calls wait
+for step 2. Events are still written in step order. A case-run ends after every call
+it sent, in one place: when a step raises, `_coordinate` waits for the calls left in
+`sent`, then clears the exception's finished frames, which a failed call's future
+would keep in a cycle.
 """
 
 from __future__ import annotations
@@ -36,19 +40,20 @@ from __future__ import annotations
 import enum
 import hashlib
 import threading
+import time
 import traceback
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, product
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from .domain import (
     CaseResult,
     FanoutMode,
-    GraphState,
     RedFlag,
     Stage,
+    TraceEvent,
     Vignette,
     canonical_order,
     verdict_record,
@@ -74,10 +79,8 @@ CASES_AHEAD = 4
 # Each calling thread's screen call executor and its worker count, as `pool`.
 _screen = threading.local()
 
-# A case-run's specialist calls sent and not yet read, by flag; a call sent is its future
-# and its prompt's sha256.
+# A backend call sent: its future and its prompt's sha256.
 Call = tuple[Future, str]
-InFlight = dict[RedFlag, Call]
 
 
 class Architecture(enum.Enum):
@@ -154,130 +157,144 @@ def run_case(vignette: Vignette, cfg: RunConfig) -> CaseResult:
     return _coordinate(vignette, cfg, calls)
 
 
+@dataclass
+class CaseRun:
+    """One case-run: its note, its row, the executor its backend calls go to, its trace
+    (the only record of which agents owe a verdict), and the specialist calls it sent and
+    has not read, by flag. Changed only by the case-run's own thread; specialist results
+    are added through add_verdict at the serialized merge point."""
+
+    note: Vignette
+    cfg: RunConfig
+    calls: Executor
+    trace: list[TraceEvent] = field(default_factory=list)
+    sent: dict[RedFlag, Call] = field(default_factory=dict)
+
+    def add_event(self, stage: Stage, subject: Optional[RedFlag] = None, **payload) -> None:
+        self.trace.append(TraceEvent(len(self.trace) + 1, stage, subject, payload, time.time()))
+
+    def add_verdict(self, flag: RedFlag, record: dict[str, Any]) -> None:
+        """Record the flag's verdict record (`verdict_record`) in the trace, unchanged."""
+        stage = Stage.AGENT_ERROR if record["decision"] == "ERROR" else Stage.AGENT_DONE
+        self.add_event(stage, flag, **record)
+
+    def call(self, prompt: str, role: str) -> Call:
+        """Submit one backend call, then hash its prompt's UTF-8 (a lone surrogate included)."""
+        future = self.calls.submit(self.cfg.backend.complete, prompt, case_id=self.note.id,
+                                   agent_role=role)
+        return future, hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
+
+    def specialist(self, flag: RedFlag) -> Call:
+        """Render the flag's specialist prompt and submit its call."""
+        return self.call(self.cfg.prompts.specialist_prompt(flag, self.cfg.strategy, self.note),
+                         flag.value)
+
+
 def _coordinate(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResult:
     """One case-run's steps, in order; its backend calls go to `calls`. It ends after
-    every call it sent: a step that raises leaves the specialist calls in `sent`, which
-    are waited for before the exception goes on."""
-    sent: InFlight = {}
+    every call it sent: a step that raises leaves the specialist calls in `run.sent`,
+    which are waited for before the exception goes on."""
+    run = CaseRun(vignette, cfg, calls)
     try:
         if cfg.architecture is Architecture.SINGLE_LLM:
-            return run_single_llm(vignette, cfg, calls)
-        state = GraphState(note=vignette)
-        routed = route(state, cfg, calls, sent)
-        execute_specialists(state, cfg, calls, sent, routed)
-        manual_fanout(state, cfg, calls, sent, routed)
-        return aggregate(state)
+            return run_single_llm(run)
+        routed = route(run)
+        execute_specialists(run, routed)
+        manual_fanout(run, routed)
+        return aggregate(run)
     except BaseException as exc:
-        wait([future for future, _ in sent.values()])  # the case's next row follows them
+        wait([future for future, _ in run.sent.values()])  # the case's next row follows them
         traceback.clear_frames(exc.__traceback__)  # a local may hold the failed call's future
         raise
 
 
-def _call(calls: Executor, cfg: RunConfig, prompt: str, case_id: str, role: str) -> Call:
-    """Submit one backend call, then hash its prompt's UTF-8 (a lone surrogate included)."""
-    future = calls.submit(cfg.backend.complete, prompt, case_id=case_id, agent_role=role)
-    return future, hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
-
-
-def _specialist(calls: Executor, cfg: RunConfig, vignette: Vignette, flag: RedFlag) -> Call:
-    """Render the flag's specialist prompt and submit its call."""
-    prompt = cfg.prompts.specialist_prompt(flag, cfg.strategy, vignette)
-    return _call(calls, cfg, prompt, vignette.id, flag.value)
-
-
-def route(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight) -> list[RedFlag]:
+def route(run: CaseRun) -> list[RedFlag]:
     """Step 1: ask the orchestrator which flags to route; return them in canonical order.
 
     Under EXHAUSTIVE fan-out every specialist will be called, so right after the
-    orchestrator call each flag's call is sent into `sent`. The orchestrator is asked
+    orchestrator call each flag's call is sent into `run.sent`. The orchestrator is asked
     once. An unusable output falls back to all seven agents, so no red flag is silently
     skipped, and one WARNING keeps its raw reply and parse error. ROUTING holds the
     reply, the record `parse_routing` made of it, and the sha256 of the prompt sent.
     """
-    vignette = state.note
-    prompt = cfg.prompts.orchestrator_prompt(vignette)
-    answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_ORCHESTRATOR)
-    if cfg.fanout_mode is FanoutMode.EXHAUSTIVE:  # after it: routing is on the critical path
-        sent.update((flag, _specialist(calls, cfg, vignette, flag)) for flag in RedFlag)
+    answer, digest = run.call(run.cfg.prompts.orchestrator_prompt(run.note), ROLE_ORCHESTRATOR)
+    if run.cfg.fanout_mode is FanoutMode.EXHAUSTIVE:  # after it: routing is on the critical path
+        run.sent.update((flag, run.specialist(flag)) for flag in RedFlag)
     raw = answer.result()
     try:
-        routing = parse_routing(raw, vignette)
+        routing = parse_routing(raw, run.note)
     except (NoJsonFound, SchemaUnusable) as exc:
-        state.add_event(Stage.WARNING, raw=raw,
-                        message=f"orchestrator output unusable, exhaustive fallback: {exc}")
+        run.add_event(Stage.WARNING, raw=raw,
+                      message=f"orchestrator output unusable, exhaustive fallback: {exc}")
         raw, routing = None, {"next": [f.value for f in RedFlag],
                               "why": "fallback: orchestrator output unusable",
                               "evidence": [], "warnings": [], "fallback": True}
-    state.add_event(Stage.ROUTING, raw=raw, **routing, prompt_sha256=digest)
+    run.add_event(Stage.ROUTING, raw=raw, **routing, prompt_sha256=digest)
     return [f for f in RedFlag if f.value in routing["next"]]
 
 
-def _run_agents(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
-                flags: list[RedFlag], fanout_phase: bool) -> None:
-    """Send into `sent` each flag's call that step 1 did not, record the agents' starts,
-    then read their calls, each leaving `sent` as it is read, and add their verdicts
-    through the serialized merge point. A dropped call is an ERROR verdict in step 3; in
-    step 2 it leaves its flag with no verdict, which step 3's fan-out rule runs again.
+def _run_agents(run: CaseRun, flags: list[RedFlag], fanout_phase: bool) -> None:
+    """Send into `run.sent` each flag's call that step 1 did not, record the agents'
+    starts, then read their calls, each leaving `run.sent` as it is read, and add their
+    verdicts through the serialized merge point. A call that raised is an ERROR verdict,
+    but a dropped call in step 2 leaves its flag with no verdict, which step 3's fan-out
+    rule runs again.
 
     Results are applied in canonical flag order so scripted runs are
     reproducible regardless of thread completion order.
     """
-    sent.update((flag, _specialist(calls, cfg, state.note, flag))
-                for flag in flags if flag not in sent)
+    run.sent.update((flag, run.specialist(flag)) for flag in flags if flag not in run.sent)
     for flag in flags:
-        state.add_event(Stage.AGENT_START, subject=flag, strategy=cfg.strategy.value,
-                        prompt_sha256=sent[flag][1])
+        run.add_event(Stage.AGENT_START, subject=flag, strategy=run.cfg.strategy.value,
+                      prompt_sha256=run.sent[flag][1])
     for flag in flags:
         try:  # no local holds the future: its exception's traceback holds this frame
-            record = parse_verdict(sent.pop(flag)[0].result())
-        except DroppedToolCall as exc:
-            if not fanout_phase:  # the invocation vanished; fan-out runs the agent again
-                state.add_event(Stage.WARNING, subject=flag, message=f"tool call dropped: {exc}")
-                continue
-            record = verdict_record("ERROR", error_detail=str(exc))
+            record = parse_verdict(run.sent.pop(flag)[0].result())
         except Exception as exc:  # per-agent error isolation
+            if isinstance(exc, DroppedToolCall) and not fanout_phase:  # fan-out runs it again
+                run.add_event(Stage.WARNING, subject=flag, message=f"tool call dropped: {exc}")
+                continue
             record = verdict_record("ERROR", error_detail=f"{type(exc).__name__}: {exc}")
-        state.add_verdict(flag, record)
+        run.add_verdict(flag, record)
 
 
-def execute_specialists(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
-                        routed: list[RedFlag]) -> None:
+def execute_specialists(run: CaseRun, routed: list[RedFlag]) -> None:
     """Step 2: run every routed specialist in parallel with error isolation, taking
-    their calls from `sent` when step 1 sent them."""
-    _run_agents(state, cfg, calls, sent, routed, fanout_phase=False)
+    their calls from `run.sent` when step 1 sent them."""
+    _run_agents(run, routed, fanout_phase=False)
 
 
-def manual_fanout(state: GraphState, cfg: RunConfig, calls: Executor, sent: InFlight,
-                  routed: list[RedFlag]) -> None:
+def manual_fanout(run: CaseRun, routed: list[RedFlag]) -> None:
     """Step 3: detect and execute expected-but-not-completed agents, by the one rule that
     `replay --verify` also checks (`trace.fanout_targets`): the routed flags under ROUTED
     mode or all seven under EXHAUSTIVE, less the flags with a verdict. Their calls are
-    taken from `sent` when step 1 sent them; only routed agents whose call was dropped
-    are called again. Always emits exactly one FANOUT event, which records the mode."""
-    decided = summarize(state.trace).verdicts.keys()
-    missing = canonical_order(fanout_targets(cfg.fanout_mode, routed) - decided)
-    state.add_event(Stage.FANOUT, mode=cfg.fanout_mode.value, missing=[f.value for f in missing])
-    _run_agents(state, cfg, calls, sent, missing, fanout_phase=True)
+    taken from `run.sent` when step 1 sent them; only routed agents whose call was
+    dropped are called again. Always emits exactly one FANOUT event, which records the
+    mode."""
+    mode = run.cfg.fanout_mode
+    decided = summarize(run.trace).verdicts.keys()
+    missing = canonical_order(fanout_targets(mode, routed) - decided)
+    run.add_event(Stage.FANOUT, mode=mode.value, missing=[f.value for f in missing])
+    _run_agents(run, missing, fanout_phase=True)
 
 
-def aggregate(state: GraphState, **call) -> CaseResult:
+def aggregate(run: CaseRun, **call) -> CaseResult:
     """Step 4: fold the trace's verdicts into the case result, or raise PendingNotEmpty for
     a started flag with none; `call` is the single-LLM call's `raw` and `prompt_sha256`."""
-    summary = summarize(state.trace)
+    summary = summarize(run.trace)
     if unfinished := set(summary.started) - summary.verdicts.keys():
         raise PendingNotEmpty(sorted(f.value for f in unfinished))
-    state.add_event(Stage.AGGREGATE, **call, predicted=sorted(f.value for f in summary.predicted),
-                    verdict_count=len(summary.verdicts))
-    return CaseResult(state.note.id, summary.predicted, tuple(state.trace))
+    run.add_event(Stage.AGGREGATE, **call, predicted=sorted(f.value for f in summary.predicted),
+                  verdict_count=len(summary.verdicts))
+    return CaseResult(run.note.id, summary.predicted, tuple(run.trace))
 
 
-def run_single_llm(vignette: Vignette, cfg: RunConfig, calls: Executor) -> CaseResult:
+def run_single_llm(run: CaseRun) -> CaseResult:
     """Baseline path: one call classifies all seven red flags at once."""
-    state = GraphState(note=vignette)
-    prompt = cfg.prompts.baseline_prompt(cfg.strategy, vignette)
-    answer, digest = _call(calls, cfg, prompt, vignette.id, ROLE_BASELINE)
+    prompt = run.cfg.prompts.baseline_prompt(run.cfg.strategy, run.note)
+    answer, digest = run.call(prompt, ROLE_BASELINE)
     raw = answer.result()
     verdicts = parse_baseline(raw)
     for flag in canonical_order(verdicts):
-        state.add_verdict(flag, verdicts[flag])
-    return aggregate(state, raw=raw, prompt_sha256=digest)
+        run.add_verdict(flag, verdicts[flag])
+    return aggregate(run, raw=raw, prompt_sha256=digest)

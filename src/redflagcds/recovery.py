@@ -221,7 +221,7 @@ _LEADING_PUNCT = " \t\r\n.,:;!—–-"
 def _verdict(word: str, rationale: str, raw: str) -> dict[str, Any]:
     """The verdict record a YES/NO word decides, with the rationale's double-quoted spans
     as its evidence."""
-    decision = "YES" if word.lower() == "yes" else "NO"
+    decision = "YES" if word.casefold() == "yes" else "NO"
     return verdict_record(decision, rationale, _QUOTED_RE.findall(rationale), raw)
 
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from redflagcds.domain import RedFlag, Vignette
-from redflagcds.engine import Architecture, FanoutMode, RunConfig
+from redflagcds.engine import Architecture, CaseRun, FanoutMode, RunConfig
 from redflagcds.gateway import Fault, ScriptedBackend, ScriptEntry
 from redflagcds.prompts import PromptLibrary, PromptStrategy
 from redflagcds.trace import summarize
@@ -79,6 +79,12 @@ def verdicts(result) -> dict:
 def decision_of(result, flag: RedFlag) -> str:
     """The decision of the flag's verdict in a case-run's trace: "YES", "NO" or "ERROR"."""
     return verdicts(result)[flag]["decision"]
+
+
+def case_run(note: Vignette) -> CaseRun:
+    """A case-run with no row and no call executor: enough for the steps that only read
+    and write its trace (`add_event`, `add_verdict`, `aggregate`)."""
+    return CaseRun(note, cfg=None, calls=None)
 
 
 def multi_config(backend, prompts, **overrides) -> RunConfig:

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from redflagcds.domain import (
     EmptyVignette,
-    GraphState,
     RedFlag,
     Stage,
     UnknownAgentName,
@@ -14,6 +13,7 @@ from redflagcds.domain import (
 )
 from redflagcds.engine import aggregate
 from redflagcds.trace import summarize
+from tests.conftest import case_run
 
 WIRE_NAMES = [
     "thunderclap",
@@ -67,22 +67,22 @@ class TestVerdictRecord:
 
 class TestAddVerdict:
     def test_moves_flag_to_completed(self, vignette):
-        state = GraphState(note=vignette)
-        state.add_verdict(RedFlag.MENINGISMUS, verdict())
-        assert RedFlag.MENINGISMUS in summarize(state.trace).verdicts
+        run = case_run(vignette)
+        run.add_verdict(RedFlag.MENINGISMUS, verdict())
+        assert RedFlag.MENINGISMUS in summarize(run.trace).verdicts
 
     def test_trace_event_stage_matches_outcome(self, vignette):
-        state = GraphState(note=vignette)
-        state.add_verdict(RedFlag.MENINGISMUS, verdict())
-        state.add_verdict(RedFlag.PAPILLEDEMA, verdict("ERROR"))
-        stages = [e.stage.value for e in state.trace]
+        run = case_run(vignette)
+        run.add_verdict(RedFlag.MENINGISMUS, verdict())
+        run.add_verdict(RedFlag.PAPILLEDEMA, verdict("ERROR"))
+        stages = [e.stage.value for e in run.trace]
         assert stages == ["AGENT_DONE", "AGENT_ERROR"]
 
     def test_writes_the_record_as_the_payload_unchanged(self, vignette):
-        state = GraphState(note=vignette)
+        run = case_run(vignette)
         record = verdict_record("NO", "no \"fever\"", ["fever"], 'NO, no "fever"')
-        state.add_verdict(RedFlag.SYSTEMIC_ILLNESS, record)
-        (event,) = state.trace
+        run.add_verdict(RedFlag.SYSTEMIC_ILLNESS, record)
+        (event,) = run.trace
         assert (event.stage, event.subject) == (Stage.AGENT_DONE, RedFlag.SYSTEMIC_ILLNESS)
         assert list(event.payload.items()) == list(record.items())
 
@@ -92,11 +92,11 @@ class TestAddVerdict:
                               st.sampled_from(["YES", "NO", "ERROR"]))
 )
 def test_case_result_predicted_matches_yes_verdicts(decisions):
-    state = GraphState(note=Vignette(id="c", text="note"))
+    run = case_run(Vignette(id="c", text="note"))
     for flag, decision in decisions.items():
-        state.add_verdict(flag, verdict(decision))
-    result = aggregate(state)
+        run.add_verdict(flag, verdict(decision))
+    result = aggregate(run)
     yes = {flag for flag, decision in decisions.items() if decision == "YES"}
     assert result.predicted == yes
     assert result.predicted == summarize(result.trace).predicted <= set(decisions)
-    assert state.trace[-1].payload["predicted"] == sorted(flag.value for flag in yes)
+    assert run.trace[-1].payload["predicted"] == sorted(flag.value for flag in yes)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redflagcds import engine
-from redflagcds.domain import GraphState, RedFlag, Stage, Vignette, verdict_record
+from redflagcds.domain import RedFlag, Stage, Vignette, verdict_record
 from redflagcds.engine import (
     Architecture,
     FanoutMode,
@@ -37,6 +37,7 @@ from tests.conftest import (
     FIXTURES_DIR,
     TABLE1_RAW,
     CountingBackend,
+    case_run,
     decision_of,
     full_script,
     multi_config,
@@ -212,6 +213,7 @@ class TestEarlySends:
         if mode is FanoutMode.EXHAUSTIVE:
             verdict = verdicts(result)[RedFlag.PAPILLEDEMA]
             assert verdict["decision"] == "ERROR"
+            assert verdict["error_detail"].startswith("DroppedToolCall: ")
             assert "scripted drop" in verdict["error_detail"]
             (fanout,) = events(result, Stage.FANOUT)
             assert "temporal_arteritis" in fanout.payload["missing"]
@@ -333,19 +335,19 @@ class TestTraceShape:
 
 class TestAggregate:
     def test_error_counts_as_non_prediction(self, prompts):
-        state = GraphState(note=note())
-        state.add_verdict(RedFlag.PAPILLEDEMA, verdict_record("ERROR", error_detail="x"))
-        result = aggregate(state)
+        run = case_run(note())
+        run.add_verdict(RedFlag.PAPILLEDEMA, verdict_record("ERROR", error_detail="x"))
+        result = aggregate(run)
         assert result.predicted == frozenset()
 
     def test_pending_not_empty_guard(self, prompts):
-        state = GraphState(note=note())
-        state.add_event(Stage.AGENT_START, subject=RedFlag.PAPILLEDEMA)
+        run = case_run(note())
+        run.add_event(Stage.AGENT_START, subject=RedFlag.PAPILLEDEMA)
         with pytest.raises(PendingNotEmpty, match="papilledema"):
-            aggregate(state)
+            aggregate(run)
 
     def test_empty_verdicts_is_a_valid_result(self, prompts):
-        result = aggregate(GraphState(note=note()))
+        result = aggregate(case_run(note()))
         assert result.predicted == frozenset()
         assert verdicts(result) == {}
 
@@ -720,6 +722,7 @@ class TestExhaustiveMatrixOrder:
         assert len(first) == len(second) == 1 + len(RedFlag)
         verdict = verdicts(row1)[RedFlag.PAPILLEDEMA]
         assert verdict["decision"] == "ERROR"
+        assert verdict["error_detail"].startswith("DroppedToolCall: ")
         assert "scripted drop" in verdict["error_detail"]
         assert decision_of(row2, RedFlag.PAPILLEDEMA) == "NO"
         assert events(row2, Stage.AGENT_ERROR) == []
@@ -739,10 +742,10 @@ class TestExhaustiveMatrixOrder:
         else:
             execute = engine.execute_specialists
 
-            def execute_in_row_2(state, cfg, *args):
-                if cfg.strategy is PromptStrategy.QPROMPT:
+            def execute_in_row_2(run, *args):
+                if run.cfg.strategy is PromptStrategy.QPROMPT:
                     raise RuntimeError("step 2 failed")
-                return execute(state, cfg, *args)
+                return execute(run, *args)
             monkeypatch.setattr(engine, "execute_specialists", execute_in_row_2)
             expected = RuntimeError
         first, second, (row1, row2) = self._run(prompts, entries, concurrency)

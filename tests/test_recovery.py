@@ -405,6 +405,11 @@ class TestParseVerdict:
     def test_empty_input(self):
         assert parse_verdict("") == verdict_record("ERROR", error_detail="no YES/NO token")
 
+    @pytest.mark.parametrize("raw, rationale", [("yeſ", ""), ("YEſ. sudden", "sudden")])
+    def test_a_token_with_a_long_s_decides_yes(self, raw, rationale):
+        # the token matched under Unicode case folding; it is decided the same way
+        assert parse_verdict(raw) == verdict_record("YES", rationale, raw=raw)
+
 
 @given(raw=st.text(max_size=200))
 def test_parse_verdict_is_total(raw):
@@ -461,6 +466,10 @@ class TestParseBaseline:
         assert len(verdicts) == 7
         assert verdicts[RedFlag.THUNDERCLAP] == verdict_record("NO", "first",
                                                                raw="thunderclap: NO first")
+
+    def test_a_token_with_a_long_s_decides_yes(self):
+        verdicts = parse_baseline("thunderclap: yeſ")
+        assert verdicts[RedFlag.THUNDERCLAP] == verdict_record("YES", raw="thunderclap: yeſ")
 
 
 class TestRepairJsonText:

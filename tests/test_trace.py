@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent, verdict_record
+from redflagcds.domain import FanoutMode, RedFlag, Stage, TraceEvent, Vignette, verdict_record
+from redflagcds.engine import run_case
 from redflagcds.evaluation import load_dataset
+from redflagcds.gateway import Fault, ScriptedBackend
 from redflagcds.recovery import (NoJsonFound, SchemaUnusable, parse_baseline, parse_routing,
                                  parse_verdict)
-from redflagcds.trace import Summary, read_trace, summarize, trace_stem, untimed, verify_trace
-from tests.conftest import within
+from redflagcds.trace import (Summary, read_trace, summarize, trace_stem, untimed, verify_trace,
+                              write_trace)
+from tests.conftest import TABLE1_RAW, full_script, multi_config, within
 
 
 def event(sequence, stage, subject=None, **payload):
@@ -142,18 +145,24 @@ def test_any_deleted_or_adjacent_swapped_event_of_an_engine_trace_is_rejected(tm
     assert not accepted, f"{len(accepted)} edited traces pass verify_trace: {accepted[:10]}"
 
 
+def _notes(dataset) -> dict[str, Vignette]:
+    return {case.vignette.id: case.vignette for case in load_dataset(dataset)}
+
+
 # An engine ERROR's error_detail: the name of the exception its call raised, then ": ".
 _ENGINE_ERROR = re.compile(r"(\w+): ")
 
 
-def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tmp_path):
+def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tmp_path,
+                                                                             prompts):
     """A multi-agent trace's ROUTING holds `next`, `why`, `evidence` and `warnings` as
     `parse_routing` makes them of its `raw` reply and the case's note, and a fallback's
     WARNING keeps a reply that does not parse. Each of its AGENT_DONE and AGENT_ERROR
     payloads is `parse_verdict` of its `raw`, but for an engine ERROR (a call that
     raised), which has no `raw`. Each verdict of a single-LLM trace is `parse_baseline`
     of its AGGREGATE's `raw`, by flag. Checked on every fixture trace under both fan-out
-    modes, and on the seed-7 corpus routed under Multi-agent GPrompt."""
+    modes, on the seed-7 corpus routed under Multi-agent GPrompt, and on one exhaustive
+    scripted case-run whose unrouted papilledema call is dropped in step 3."""
     from scripts.trace_digests import (FIXTURES, MULTI_AGENT, fixture_trace_digests,
                                        run_digests, write_corpus)
 
@@ -161,10 +170,15 @@ def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tm
     corpus = write_corpus(tmp_path / "corpus")
     runs = [(FanoutMode.ROUTED, MULTI_AGENT[1:], "")]
     within(60, lambda: run_digests(corpus["cases"], corpus["script"], runs, tmp_path / "corpus"))
+    dropped = Vignette("case-7", "Headache with stiff neck, fever, and vomiting.")
+    entries = full_script(dropped.id, TABLE1_RAW, faults={RedFlag.PAPILLEDEMA: Fault.DROPPED})
+    cfg = multi_config(ScriptedBackend(entries), prompts, fanout_mode=FanoutMode.EXHAUSTIVE)
+    write_trace(dropped.id, within(30, lambda: run_case(dropped, cfg)).trace,
+                tmp_path / "scripted")
     counts = Counter()
     differing = []
-    for top, dataset in (("fixtures", FIXTURES / "cases.jsonl"), ("corpus", corpus["cases"])):
-        notes = {case.vignette.id: case.vignette for case in load_dataset(dataset)}
+    for top, notes in (("fixtures", _notes(FIXTURES / "cases.jsonl")),
+                       ("corpus", _notes(corpus["cases"])), ("scripted", {dropped.id: dropped})):
         for path in sorted((tmp_path / top).rglob("*.trace.jsonl")):
             note = notes[unquote(path.name.removesuffix(".trace.jsonl"))]
             name = path.relative_to(tmp_path).as_posix()
@@ -206,6 +220,8 @@ def test_each_routing_and_verdict_is_the_record_its_parser_makes_of_its_reply(tm
         ("fixtures", "single-LLM verdict"): 308,
         ("corpus", "routing"): 160, ("corpus", "fallback"): 40,
         ("corpus", "specialist verdict"): 523, ("corpus", "engine ERROR BackendUnavailable"): 10,
+        ("scripted", "routing"): 1, ("scripted", "specialist verdict"): 6,
+        ("scripted", "engine ERROR DroppedToolCall"): 1,
     }
 
 
