@@ -155,15 +155,19 @@ class TestEarlySends:
     """Step 1 sends, with the routing call, the calls of the flags expected before
     routing is known: all seven under EXHAUSTIVE, none under ROUTED."""
 
-    def _run(self, prompts, entries, mode, delay=0.05):
-        backend = CountingBackend(ScriptedBackend(entries), delay=delay)
+    def _run(self, prompts, entries, mode, delay=0.05, gate=0):
+        backend = CountingBackend(ScriptedBackend(entries), delay=delay, gate=gate)
         cfg = multi_config(backend, prompts, fanout_mode=mode, concurrency=8)
         result = within(30, lambda: run_case(note(), cfg))
         return backend.calls, result
 
     def test_exhaustive_sends_all_seven_specialists_at_once(self, prompts):
+        # each call is held until all eight are in flight, so a pause of this thread (a
+        # full garbage collection late in the suite takes 50-80 ms) cannot end the first
+        # call before the last is sent; a second call round holds the routing call at the
+        # gate until its timeout, and fails below
         calls, result = self._run(prompts, full_script("case-7", TABLE1_RAW),
-                                  FanoutMode.EXHAUSTIVE)
+                                  FanoutMode.EXHAUSTIVE, gate=1 + len(RedFlag))
         assert sorted(c.role for c in calls) == sorted(
             ["orchestrator", *(f.value for f in RedFlag)])
         # all eight calls start before the first one ends: one call round, not two
